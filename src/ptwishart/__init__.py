@@ -45,7 +45,6 @@ from .partitions import (
 from .spectra import (
     Histogram,
     PPTResult,
-    SampleMeta,
     SpectralSample,
     diag_deviation,
     empirical_moment,
@@ -69,7 +68,6 @@ __all__ = [
     "ParameterError",
     "Partition",
     "ProductSemicircle",
-    "SampleMeta",
     "SampleStream",
     "Semicircle",
     "ShapeError",

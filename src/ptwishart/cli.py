@@ -47,7 +47,8 @@ def _add_common(parser, subcommand):
     parser.add_argument("--d", type=int, default=None, help=f"square factor dimension d1 = d2 = d (default {d_default})")
     parser.add_argument("--d1", type=int, default=None, help="first factor dimension")
     parser.add_argument("--d2", type=int, default=None, help="second factor dimension")
-    parser.add_argument("--alpha", type=float, default=None, help="ancilla aspect ratio; p = floor(alpha * d1 * d2)")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="ancilla aspect ratio; p = alpha * d1 * d2, floored unless within 1e-9 of an integer")
     parser.add_argument("--p", type=int, default=None, help="explicit ancilla dimension (alternative to --alpha)")
     parser.add_argument("--trials", type=int, default=trials_default)
     parser.add_argument("--field", choices=["real", "complex"], default="complex")
@@ -142,8 +143,6 @@ def _build_config(args) -> experiments.ExperimentConfig:
         field=args.field,
         ensemble=getattr(args, "ensemble", "wishart" if args.subcommand != "pure" else "pure"),
         master_seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
         bins=args.bins,
         threads=_resolve_threads(args),
         alphas=tuple(args.alphas) if getattr(args, "alphas", None) else None,
@@ -151,6 +150,13 @@ def _build_config(args) -> experiments.ExperimentConfig:
         check=args.check,
         tol=args.tol,
     )
+
+
+def _check_out(path: str):
+    """Refuse before the run, not after it, a report path that cannot be written."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise _UsageError(f"cannot write the report to {path}")
 
 
 def _summary_lines(report: dict) -> list[str]:
@@ -182,16 +188,12 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
+        if args.out:
+            _check_out(args.out)
         if args.subcommand == "selftest":
             report = experiments.run_selftest()
-            fmt, out = args.format, args.out
         elif args.subcommand == "laws":
-            config = experiments.ExperimentConfig(
-                subcommand="laws", d1=1, d2=1, trials=1, alpha=args.alpha, bins=args.bins,
-                output_format=args.format, output_path=args.out,
-            )
-            report = experiments.run_laws(config)
-            fmt, out = args.format, args.out
+            report = experiments.run_laws(args.alpha, args.bins)
         else:
             config = _build_config(args)
             runner = {
@@ -201,22 +203,18 @@ def main(argv=None) -> int:
                 "pure": experiments.run_pure_state,
             }[args.subcommand]
             report = runner(config)
-            fmt, out = config.output_format, config.output_path
-    except _UsageError as exc:
-        print(f"{PROG}: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParameterError as exc:
+    except (_UsageError, ParameterError) as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed = time.monotonic() - start
 
-    text = reporting.render(report, fmt)
-    if out:
-        with open(out, "w") as fh:
+    text = reporting.render(report, args.format)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
         for line in _summary_lines(report):
             print(line)
-        print(f"report written to {out}")
+        print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
     # timing is provenance for the console only; reports stay byte-reproducible

@@ -48,9 +48,18 @@ class SampleStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def ancilla_dim(alpha: float, n: int) -> int:
+    """Ancilla count p = alpha * n: the nearest integer when alpha * n is within
+    1e-9 of one, else the floor.  Plain flooring would turn 4.1 * 100 =
+    409.99999999999994 into 409."""
+    x = alpha * n
+    nearest = round(x)
+    return nearest if abs(x - nearest) <= 1e-9 else int(floor(x))
+
+
 @dataclass(frozen=True)
 class WishartParams:
-    """Matrix size n and ancilla count p, or aspect alpha with p = floor(alpha * n)."""
+    """Matrix size n and ancilla count p, or aspect alpha with p = ancilla_dim(alpha, n)."""
 
     n: int
     p: int | None = None
@@ -64,7 +73,7 @@ class WishartParams:
         if (self.p is None) == (self.alpha is None):
             raise ParameterError("exactly one of p and alpha must be given")
         if self.p is None:
-            object.__setattr__(self, "p", int(floor(self.alpha * self.n)))
+            object.__setattr__(self, "p", ancilla_dim(self.alpha, self.n))
         if self.p < 1:
             raise ParameterError(f"ancilla count must be >= 1, got {self.p}")
 

@@ -1,17 +1,19 @@
 """Monte Carlo experiment runners behind the command-line interface.
 
-Each runner takes an ExperimentConfig and returns a JSON-serializable report
-dict: config echo, platform and RNG provenance, one record per (trial,
-statistic), aggregates, and the relevant closed-form theory block.  Trials
-draw from per-trial SampleStreams and results are merged in stream order, so
-a report is a pure function of its config regardless of thread count.
+Each public runner validates its config, defines one trial as a function of
+its SampleStream, and hands it to `_run_trials`, the one trial loop.  That
+loop builds stream `first_stream + t` inside the thread that runs trial t and
+returns the per-trial statistics in stream order, so a report is a pure
+function of its config regardless of thread count.  `_record` builds every
+report row and `_report` assembles config echo, platform and RNG provenance,
+and the `--check` block around the runner's aggregates and theory block.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from math import floor, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from . import reporting
 from .ensembles import (
     SampleStream,
     WishartParams,
+    ancilla_dim,
     sample_induced_state,
     sample_mixture_state,
     sample_pure_state,
@@ -42,7 +45,6 @@ from .partitions import (
     wishart_matching_stats,
 )
 from .spectra import (
-    SampleMeta,
     SpectralSample,
     diag_deviation,
     empirical_moment,
@@ -62,6 +64,11 @@ MATRIX_ENSEMBLES = ("wishart", "induced", "mixture")
 STATE_ENSEMBLES = ("induced", "mixture")
 
 
+def _check_alpha(alpha: float):
+    if not (isfinite(alpha) and alpha > 0):
+        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
+
+
 @dataclass
 class ExperimentConfig:
     """Configuration of one harness run; fully determines every trial record."""
@@ -75,8 +82,6 @@ class ExperimentConfig:
     field: str = "complex"
     ensemble: str = "wishart"
     master_seed: int = 0
-    output_format: str = "json"
-    output_path: str | None = None
     bins: int = 100
     threads: int = 1
     alphas: tuple[float, ...] | None = None
@@ -95,6 +100,9 @@ class ExperimentConfig:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
         if self.alphas is not None:
             self.alphas = tuple(float(a) for a in self.alphas)
+        for alpha in (self.alpha,) + (self.alphas or ()):
+            if alpha is not None:
+                _check_alpha(alpha)
 
     @property
     def n(self) -> int:
@@ -102,12 +110,12 @@ class ExperimentConfig:
 
     @property
     def resolved_p(self) -> int:
-        """Ancilla dimension: explicit p, or floor(alpha * d1 * d2)."""
+        """Ancilla dimension: explicit p, or ancilla_dim(alpha, d1 * d2)."""
         if (self.p is None) == (self.alpha is None):
             raise ParameterError("exactly one of alpha and p must be given")
         if self.p is not None:
             return self.p
-        return int(floor(self.alpha * self.n))
+        return ancilla_dim(self.alpha, self.n)
 
     @property
     def effective_alpha(self) -> float:
@@ -116,21 +124,31 @@ class ExperimentConfig:
         return self.resolved_p / self.n
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
-    # delivery options do not shape the experiment; keep reports byte-identical
-    # across output destinations
-    del echo["output_path"], echo["output_format"]
-    if echo["alphas"] is not None:
-        echo["alphas"] = list(echo["alphas"])
-    return echo
+def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field="", trial="") -> dict:
+    """One report row: the CSV columns, blank where a run has no such axis."""
+    row = (subcommand, d1, d2, p, alpha, field, trial, statistic, value)
+    return dict(zip(reporting.CSV_COLUMNS, row))
 
 
-def _map_ordered(fn, count: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(t) for t in range(count)]
+def _run_trials(config: ExperimentConfig, trial, p, alpha, first_stream: int = 0):
+    """The one trial loop: maps `trial(stream)` over streams first_stream + t, t < trials;
+    returns its dicts of named statistics in stream order and their records."""
+
+    def one(t: int) -> dict:
+        return trial(SampleStream(config.master_seed, first_stream + t))
+
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            per_trial = list(pool.map(one, range(config.trials)))
+    else:
+        per_trial = [one(t) for t in range(config.trials)]
+    records = [
+        _record(config.subcommand, name, stats[name], config.d1, config.d2, p, alpha,
+                config.field, t)
+        for t, stats in enumerate(per_trial)
+        for name in sorted(stats)
+    ]
+    return per_trial, records
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -144,37 +162,31 @@ def _aggregate(values: list[float]) -> dict:
     }
 
 
-def _records_from_stats(config: ExperimentConfig, per_trial: list[dict], p, alpha) -> list[dict]:
-    records = []
-    for trial, stats in enumerate(per_trial):
-        for name in sorted(stats):
-            records.append(
-                {
-                    "subcommand": config.subcommand,
-                    "d1": config.d1,
-                    "d2": config.d2,
-                    "p": p,
-                    "alpha": alpha,
-                    "field": config.field,
-                    "trial": trial,
-                    "statistic": name,
-                    "value": stats[name],
-                }
-            )
-    return records
-
-
 def _aggregate_stats(per_trial: list[dict]) -> dict:
     names = sorted(per_trial[0])
-    return {name: _aggregate([stats[name] for stats in per_trial]) for name in names}
+    return {"statistics": {name: _aggregate([s[name] for s in per_trial]) for name in names}}
 
 
-def _base_report(config: ExperimentConfig) -> dict:
-    return {
-        "config": _config_echo(config),
+def _report(config: ExperimentConfig, records: list[dict], check=None, **sections) -> dict:
+    """Report of a trial runner.  `check` is a (name, value, default threshold)
+    triple; under config.check the value passes when it is <= the threshold."""
+    echo = asdict(config)
+    if echo["alphas"] is not None:
+        echo["alphas"] = list(echo["alphas"])
+    report = {
+        "config": echo,
         "platform": reporting.platform_block(),
         "rng": {"bit_generator": "PCG64", "master_seed": config.master_seed},
+        "records": records,
+        **sections,
     }
+    if config.check and check is not None:
+        name, value, default = check
+        threshold = config.tol if config.tol is not None else default
+        passed = value <= threshold
+        report["checks"] = [{"name": name, "value": value, "threshold": threshold, "pass": passed}]
+        report["all_checks_pass"] = passed
+    return report
 
 
 def _sample_state(ensemble: str, n: int, p: int, stream: SampleStream) -> np.ndarray:
@@ -201,17 +213,16 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     law = Semicircle(1.0, 1.0 / alpha)
     centered_law = Semicircle(0.0, 1.0 / alpha)
     lo_edge, hi_edge = law.support
+    spectra = [None] * config.trials
 
-    def one_trial(t: int):
-        stream = SampleStream(config.master_seed, t)
+    def one_trial(stream: SampleStream) -> dict:
         if config.ensemble == "wishart":
             w = sample_wishart(WishartParams(n=n, p=p, field=config.field), stream)
             mat = partial_transpose(w, shape)
         else:
             rho = _sample_state(config.ensemble, n, p, stream)
             mat = n * partial_transpose(rho, shape)
-        meta = SampleMeta(config.ensemble, config.d1, config.d2, p, config.field, config.master_seed, t)
-        sample = SpectralSample(hermitian_eigenvalues(mat), meta)
+        sample = SpectralSample(hermitian_eigenvalues(mat))
         centered = SpectralSample(sample.eigenvalues - 1.0)
         stats = {}
         for k in MOMENT_ORDERS:
@@ -221,46 +232,28 @@ def run_spectrum(config: ExperimentConfig) -> dict:
         stats["lambda_min"], stats["lambda_max"] = extremes(sample)
         stats["support_fraction"] = esd_fraction(sample, lo_edge - SUPPORT_PAD, hi_edge + SUPPORT_PAD)
         hist = histogram(sample, bins=config.bins)
-        return stats, sample.eigenvalues, hist
-
-    results = _map_ordered(one_trial, config.trials, config.threads)
-    per_trial = [r[0] for r in results]
-
-    report = _base_report(config)
-    report["scale"] = "wishart_raw" if config.ensemble == "wishart" else "state_rescaled"
-    report["records"] = _records_from_stats(config, per_trial, p, alpha)
-    report["aggregates"] = {"statistics": _aggregate_stats(per_trial)}
-    report["spectra"] = [
-        {
-            "trial": t,
-            "eigenvalues": [float(v) for v in eigs],
-            "histogram": {
-                "bin_edges": [float(v) for v in hist.bin_edges],
-                "counts": [int(v) for v in hist.counts],
-            },
+        # stream index == trial index here; each trial fills its own slot
+        spectra[stream.stream_index] = {
+            "trial": stream.stream_index,
+            "eigenvalues": sample.eigenvalues.tolist(),
+            "histogram": {"bin_edges": hist.bin_edges.tolist(), "counts": hist.counts.tolist()},
         }
-        for t, (_, eigs, hist) in enumerate(results)
-    ]
-    report["theory"] = {
+        return stats
+
+    per_trial, records = _run_trials(config, one_trial, p, alpha)
+    aggregates = _aggregate_stats(per_trial)
+    theory = {
         "law": {"kind": "semicircle", "mean": 1.0, "variance": 1.0 / alpha},
         "support": [lo_edge, hi_edge],
         "moments": {f"moment_k{k}": law.moment(k) for k in MOMENT_ORDERS},
         "centered_moments": {f"centered_moment_k{k}": centered_law.moment(k) for k in MOMENT_ORDERS},
     }
-    if config.check:
-        threshold = config.tol if config.tol is not None else 0.08
-        mean_ks = report["aggregates"]["statistics"]["ks_semicircle"]["mean"]
-        checks = [
-            {
-                "name": "mean_ks_semicircle",
-                "value": mean_ks,
-                "threshold": threshold,
-                "pass": mean_ks <= threshold,
-            }
-        ]
-        report["checks"] = checks
-        report["all_checks_pass"] = all(c["pass"] for c in checks)
-    return report
+    mean_ks = aggregates["statistics"]["ks_semicircle"]["mean"]
+    return _report(
+        config, records, ("mean_ks_semicircle", mean_ks, 0.08),
+        scale="wishart_raw" if config.ensemble == "wishart" else "state_rescaled",
+        aggregates=aggregates, spectra=spectra, theory=theory,
+    )
 
 
 def run_extremes(config: ExperimentConfig) -> dict:
@@ -273,46 +266,24 @@ def run_extremes(config: ExperimentConfig) -> dict:
     edge_lo = 1.0 - 2.0 / sqrt(alpha)
     edge_hi = 1.0 + 2.0 / sqrt(alpha)
 
-    def one_trial(t: int):
-        stream = SampleStream(config.master_seed, t)
+    def one_trial(stream: SampleStream) -> dict:
         w = sample_wishart(WishartParams(n=n, p=p, field=config.field), stream)
         eigs = hermitian_eigenvalues(partial_transpose(w, shape))
-        sample = SpectralSample(eigs)
-        lam_lo, lam_hi = extremes(sample)
-        return {
-            "lambda_min": lam_lo,
-            "lambda_max": lam_hi,
-            "diag_deviation": diag_deviation(w),
-        }
+        lam_lo, lam_hi = extremes(SpectralSample(eigs))
+        return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": diag_deviation(w)}
 
-    per_trial = _map_ordered(one_trial, config.trials, config.threads)
-    report = _base_report(config)
-    report["scale"] = "wishart_raw"
-    report["records"] = _records_from_stats(config, per_trial, p, alpha)
-    report["aggregates"] = {"statistics": _aggregate_stats(per_trial)}
-    report["theory"] = {"edge_low": edge_lo, "edge_high": edge_hi}
-    if config.check:
-        threshold = config.tol if config.tol is not None else 0.25
-        worst = max(
-            max(abs(s["lambda_max"] - edge_hi), abs(s["lambda_min"] - edge_lo))
-            for s in per_trial
-        )
-        checks = [
-            {
-                "name": "extreme_eigenvalue_deviation",
-                "value": worst,
-                "threshold": threshold,
-                "pass": worst <= threshold,
-            }
-        ]
-        report["checks"] = checks
-        report["all_checks_pass"] = all(c["pass"] for c in checks)
-    return report
+    per_trial, records = _run_trials(config, one_trial, p, alpha)
+    worst = max(
+        max(abs(s["lambda_max"] - edge_hi), abs(s["lambda_min"] - edge_lo)) for s in per_trial
+    )
+    return _report(
+        config, records, ("extreme_eigenvalue_deviation", worst, 0.25),
+        scale="wishart_raw", aggregates=_aggregate_stats(per_trial),
+        theory={"edge_low": edge_lo, "edge_high": edge_hi},
+    )
 
 
 def _wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    if trials == 0:
-        return (0.0, 1.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -321,7 +292,10 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[floa
 
 
 def run_ppt_sweep(config: ExperimentConfig) -> dict:
-    """PPT frequency of random states across a grid of ancilla aspect ratios."""
+    """PPT frequency of random states across a grid of ancilla aspect ratios.
+
+    The alpha at grid position ai draws streams ai * trials + t.
+    """
     if config.ensemble not in STATE_ENSEMBLES:
         raise ParameterError(f"ppt ensemble must be one of {STATE_ENSEMBLES}")
     if not config.alphas:
@@ -331,14 +305,12 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
     records = []
     per_alpha = []
     for ai, alpha in enumerate(config.alphas):
-        p = int(floor(alpha * n))
+        p = ancilla_dim(alpha, n)
         if p < 1:
             raise ParameterError(f"alpha {alpha} gives an empty ancilla at n={n}")
 
-        def one_trial(t: int, ai=ai, p=p):
-            stream = SampleStream(config.master_seed, ai * config.trials + t)
-            rho = _sample_state(config.ensemble, n, p, stream)
-            result = ppt_gauge(rho, shape)
+        def one_trial(stream: SampleStream) -> dict:
+            result = ppt_gauge(_sample_state(config.ensemble, n, p, stream), shape)
             stats = {
                 "is_ppt": 1.0 if result.is_ppt else 0.0,
                 "min_eigenvalue_scaled": n * result.min_eigenvalue,
@@ -347,24 +319,11 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
                 stats["gauge"] = result.gauge
             return stats
 
-        per_trial = _map_ordered(one_trial, config.trials, config.threads)
-        for trial, stats in enumerate(per_trial):
-            for name in sorted(stats):
-                records.append(
-                    {
-                        "subcommand": config.subcommand,
-                        "d1": config.d1,
-                        "d2": config.d2,
-                        "p": p,
-                        "alpha": alpha,
-                        "field": config.field,
-                        "trial": trial,
-                        "statistic": name,
-                        "value": stats[name],
-                    }
-                )
+        per_trial, alpha_records = _run_trials(config, one_trial, p, alpha, ai * config.trials)
+        records += alpha_records
         hits = sum(int(s["is_ppt"]) for s in per_trial)
         ci_low, ci_high = _wilson_interval(hits, config.trials)
+        min_scaled = [s["min_eigenvalue_scaled"] for s in per_trial]
         entry = {
             "alpha": alpha,
             "p": p,
@@ -372,9 +331,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
             "ppt_frequency": hits / config.trials,
             "ci_low": ci_low,
             "ci_high": ci_high,
-            "mean_min_eigenvalue_scaled": _aggregate(
-                [s["min_eigenvalue_scaled"] for s in per_trial]
-            )["mean"],
+            "mean_min_eigenvalue_scaled": _aggregate(min_scaled)["mean"],
         }
         if "gauge" in per_trial[0]:
             entry["mean_gauge"] = _aggregate([s["gauge"] for s in per_trial])["mean"]
@@ -382,10 +339,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
 
     freqs = [e["ppt_frequency"] for e in per_alpha]
     inversions = sum(1 for a, b in zip(freqs, freqs[1:]) if b < a)
-    report = _base_report(config)
-    report["scale"] = "state_rescaled"
-    report["records"] = records
-    report["aggregates"] = {
+    aggregates = {
         "per_alpha": per_alpha,
         "monotone": {
             "frequencies": freqs,
@@ -393,11 +347,11 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
             "adjacent_inversions": inversions,
         },
     }
-    report["theory"] = {
+    theory = {
         "threshold_alpha": 4.0,
         "min_eigenvalue_limits": [1.0 - 2.0 / sqrt(a) for a in config.alphas],
     }
-    return report
+    return _report(config, records, scale="state_rescaled", aggregates=aggregates, theory=theory)
 
 
 def run_pure_state(config: ExperimentConfig) -> dict:
@@ -412,8 +366,7 @@ def run_pure_state(config: ExperimentConfig) -> dict:
     shape = BipartiteShape(d, d)
     law = ProductSemicircle()
 
-    def one_trial(t: int):
-        stream = SampleStream(config.master_seed, t)
+    def one_trial(stream: SampleStream) -> dict:
         psi = sample_pure_state(shape, stream)
         if config.method == "schmidt":
             values = d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, shape))
@@ -423,27 +376,15 @@ def run_pure_state(config: ExperimentConfig) -> dict:
         sample = SpectralSample(values)
         return {f"moment_k{k}": empirical_moment(sample, k) for k in range(1, 7)}
 
-    per_trial = _map_ordered(one_trial, config.trials, config.threads)
-    report = _base_report(config)
-    report["scale"] = "state_rescaled"
     # no ancilla in the pure-state model; blank p and alpha in the records
-    report["records"] = _records_from_stats(config, per_trial, p="", alpha="")
-    report["aggregates"] = {"statistics": _aggregate_stats(per_trial)}
-    report["theory"] = {"moments": {f"moment_k{k}": law.moment(k) for k in range(1, 7)}}
-    if config.check:
-        threshold = config.tol if config.tol is not None else 0.1
-        dev = abs(report["aggregates"]["statistics"]["moment_k2"]["mean"] - law.moment(2))
-        checks = [
-            {
-                "name": "mean_moment_k2_deviation",
-                "value": dev,
-                "threshold": threshold,
-                "pass": dev <= threshold,
-            }
-        ]
-        report["checks"] = checks
-        report["all_checks_pass"] = all(c["pass"] for c in checks)
-    return report
+    per_trial, records = _run_trials(config, one_trial, p="", alpha="")
+    aggregates = _aggregate_stats(per_trial)
+    dev = abs(aggregates["statistics"]["moment_k2"]["mean"] - law.moment(2))
+    return _report(
+        config, records, ("mean_moment_k2_deviation", dev, 0.1),
+        scale="state_rescaled", aggregates=aggregates,
+        theory={"moments": {f"moment_k{k}": law.moment(k) for k in range(1, 7)}},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,32 +521,20 @@ def run_selftest() -> dict:
     for alpha in (0.5, 1.0, 2.0, 4.0):
         add(f"mp_quadrature_alpha_{alpha}", "ok", _mp_quadrature_suite(alpha))
 
-    report = {
+    return {
         "config": {"subcommand": "selftest"},
         "platform": reporting.platform_block(),
         "items": items,
         "all_pass": all(item["pass"] for item in items),
-        "records": [
-            {
-                "subcommand": "selftest",
-                "d1": "",
-                "d2": "",
-                "p": "",
-                "alpha": "",
-                "field": "",
-                "trial": "",
-                "statistic": item["name"],
-                "value": 1.0 if item["pass"] else 0.0,
-            }
-            for item in items
-        ],
+        "records": [_record("selftest", it["name"], 1.0 if it["pass"] else 0.0) for it in items],
     }
-    return report
 
 
-def run_laws(config: ExperimentConfig) -> dict:
+def run_laws(alpha: float = 4.0, bins: int = 100) -> dict:
     """Theory tables: moments and density grids for the three limit laws."""
-    alpha = config.alpha if config.alpha is not None else 4.0
+    _check_alpha(alpha)
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
     laws = [
         ("semicircle_std", Semicircle(0.0, 1.0)),
         ("semicircle_shifted", Semicircle(1.0, 1.0 / alpha)),
@@ -616,29 +545,19 @@ def run_laws(config: ExperimentConfig) -> dict:
     density_tables = {}
     for name, law in laws:
         for k in range(0, 9):
-            records.append(
-                {
-                    "subcommand": "laws",
-                    "d1": "",
-                    "d2": "",
-                    "p": "",
-                    "alpha": alpha,
-                    "field": "",
-                    "trial": "",
-                    "statistic": f"{name}:moment_k{k}",
-                    "value": law.moment(k),
-                }
-            )
+            records.append(_record("laws", f"{name}:moment_k{k}", law.moment(k), alpha=alpha))
         if hasattr(law, "density"):
             lo, hi = law.support
-            grid = np.linspace(lo, hi, config.bins + 1)
+            grid = np.linspace(lo, hi, bins + 1)
             density_tables[name] = {
                 "x": [float(v) for v in grid],
                 "density": [float(law.density(float(v))) for v in grid],
                 "support": [lo, hi],
                 "atom": float(getattr(law, "atom", 0.0)),
             }
-    report = _base_report(config)
-    report["records"] = records
-    report["density_tables"] = density_tables
-    return report
+    return {
+        "config": {"subcommand": "laws", "alpha": alpha, "bins": bins},
+        "platform": reporting.platform_block(),
+        "records": records,
+        "density_tables": density_tables,
+    }

@@ -1,8 +1,8 @@
 """Empirical spectral statistics and entanglement diagnostics.
 
-A SpectralSample is a sorted eigenvalue list plus provenance; all interval
-fractions, moments, extremes and distribution distances read from it.  The
-PPT diagnostics work on density matrices directly.
+A SpectralSample is a sorted eigenvalue list; all interval fractions,
+moments, extremes and distribution distances read from it.  The PPT
+diagnostics work on density matrices directly.
 """
 
 from __future__ import annotations
@@ -20,24 +20,10 @@ PPT_EIGENVALUE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SampleMeta:
-    """Provenance of a spectral sample."""
-
-    ensemble: str
-    d1: int
-    d2: int
-    p: int
-    field: str
-    master_seed: int
-    stream_index: int
-
-
-@dataclass(frozen=True)
 class SpectralSample:
-    """Ascending eigenvalue sample with optional provenance."""
+    """Ascending eigenvalue sample."""
 
     eigenvalues: np.ndarray
-    meta: SampleMeta | None = None
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.eigenvalues, dtype=float).ravel())

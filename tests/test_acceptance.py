@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, printed as a pass/fail line each.
 
-Combinatorial criteria are exact integer equalities with runtime budgets;
-Monte Carlo criteria run at fixed seeds with the stated finite-size margins.
+Combinatorial criteria 1-3 assert the exact items of one run_selftest() call
+and hold its elapsed time to each criterion's runtime budget; Monte Carlo
+criteria run at fixed seeds with the stated finite-size margins.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from ptwishart import (
     BipartiteShape,
@@ -16,14 +18,8 @@ from ptwishart import (
     Semicircle,
     WishartParams,
     catalan,
-    chordings,
-    count_admissible_classes,
     hermitian_eigenvalues,
-    interleaved_union,
-    is_noncrossing,
-    kreweras_complement,
     mp_moment_via_noncrossing,
-    noncrossing_partitions,
     partial_trace,
     partial_transpose,
     pt_spectrum_from_schmidt,
@@ -31,9 +27,6 @@ from ptwishart import (
     sample_pure_state,
     sample_wishart,
     schmidt_coefficients,
-    set_partitions,
-    wishart_admissible_couples,
-    wishart_matching_stats,
 )
 from ptwishart import reporting
 from ptwishart.experiments import (
@@ -58,69 +51,41 @@ def _criterion(name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_1_combinatorics_exactness():
+@pytest.fixture(scope="module")
+def selftest_items():
+    """One run_selftest() call for criteria 1-3: its items by name and its elapsed time."""
     start = time.monotonic()
-    ok = True
+    report = run_selftest()
+    return {item["name"]: item for item in report["items"]}, time.monotonic() - start
+
+
+def _item_is(items, name, want):
+    """The self-test item expects `want` and found it."""
+    return items[name]["expected"] == items[name]["actual"] == want
+
+
+def test_criterion_1_combinatorics_exactness(selftest_items):
+    items, elapsed = selftest_items
     expected_nc = [1, 2, 5, 14, 42, 132, 429, 1430]
-    for k, want in zip(range(1, 9), expected_nc):
-        ok = ok and sum(1 for q in set_partitions(k) if is_noncrossing(q)) == want
-    for k in range(1, 7):
-        ok = ok and sum(1 for _ in chordings(2 * k)) == catalan(k)
-    counts = {k: count_admissible_classes(k) for k in range(1, 7)}
-    ok = ok and [counts[2], counts[4], counts[6]] == [1, 2, 5]
-    ok = ok and counts[1] == counts[3] == counts[5] == 0
-    elapsed = time.monotonic() - start
+    ok = all(_item_is(items, f"nc_count_k{k}", want) for k, want in zip(range(1, 9), expected_nc))
+    ok = ok and all(_item_is(items, f"chording_count_k{2 * k}", catalan(k)) for k in range(1, 7))
+    counts = {k: items[f"admissible_triple_count_k{k}"] for k in range(1, 7)}
+    ok = ok and all(item["expected"] == item["actual"] for item in counts.values())
+    ok = ok and [counts[2]["actual"], counts[4]["actual"], counts[6]["actual"]] == [1, 2, 5]
+    ok = ok and counts[1]["actual"] == counts[3]["actual"] == counts[5]["actual"] == 0
     _criterion("criterion 1: combinatorics exactness", ok and elapsed < 30.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_2_kreweras_suite():
-    start = time.monotonic()
-    ok = True
-    for k in range(1, 9):
-        images = set()
-        for q in noncrossing_partitions(k):
-            comp = kreweras_complement(q)
-            ok = ok and is_noncrossing(comp)
-            ok = ok and is_noncrossing(interleaved_union(q, comp))
-            ok = ok and q.n_blocks + comp.n_blocks == k + 1
-            comp_blocks = set(comp.blocks())
-            for i in range(1, k + 1):
-                ok = ok and ((i,) in comp_blocks) == q.same_block(i, i % k + 1)
-                for j in range(i + 1, k + 1):
-                    pair_rule = (
-                        q.same_block(i, j % k + 1)
-                        and q.same_block(i % k + 1, j)
-                        and not q.same_block(i, j)
-                    )
-                    ok = ok and ((i, j) in comp_blocks) == pair_rule
-            images.add(comp.rgs)
-        ok = ok and len(images) == catalan(k)
-    elapsed = time.monotonic() - start
+def test_criterion_2_kreweras_suite(selftest_items):
+    items, elapsed = selftest_items
+    ok = all(_item_is(items, f"kreweras_suite_k{k}", "ok") for k in range(1, 9))
     _criterion("criterion 2: Kreweras suite", ok and elapsed < 10.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_3_wishart_moment_oracle():
-    start = time.monotonic()
-    ok = True
-    for k in range(1, 7):
-        couples = wishart_admissible_couples(k)
-        images = set()
-        for pa, pc in couples:
-            ok = ok and is_noncrossing(pa) and is_noncrossing(pc)
-            ok = ok and kreweras_complement(pa) == pc
-            images.add(pc.rgs)
-        ok = ok and len(images) == len(couples) == catalan(k)
-        ok = ok and images == {q.rgs for q in noncrossing_partitions(k)}
-    for k in range(1, 6):
-        parts = list(set_partitions(k))
-        for pa in parts:
-            for pc in parts:
-                stats = wishart_matching_stats(pa.rgs, pc.rgs)
-                if not stats.matches:
-                    continue
-                ok = ok and stats.distinct_values <= stats.distinct_couples + 1 <= k + 1
-                ok = ok and stats.heavy_count <= 4 * (k + 1 - stats.distinct_values)
-    elapsed = time.monotonic() - start
+def test_criterion_3_wishart_moment_oracle(selftest_items):
+    items, elapsed = selftest_items
+    ok = all(_item_is(items, f"wishart_admissible_bijection_k{k}", "ok") for k in range(1, 7))
+    ok = ok and all(_item_is(items, f"wishart_matching_bounds_k{k}", "ok") for k in range(1, 6))
     _criterion("criterion 3: Wishart moment-method oracle", ok and elapsed < 60.0, f"{elapsed:.1f}s")
 
 
@@ -252,9 +217,9 @@ def test_criterion_9_structural_invariants():
         (run_extremes, ExperimentConfig(subcommand="extremes", d1=5, d2=5, trials=2, alpha=4.0, master_seed=SEED)),
         (run_ppt_sweep, ExperimentConfig(subcommand="ppt", d1=3, d2=3, trials=2, ensemble="induced", alphas=(2.0, 8.0), master_seed=SEED)),
         (run_pure_state, ExperimentConfig(subcommand="pure", d1=5, d2=5, trials=2, ensemble="pure", master_seed=SEED)),
-        (run_laws, ExperimentConfig(subcommand="laws", d1=1, d2=1, trials=1, alpha=2.0, bins=8)),
     ]
     for runner, config in runs:
         ok = ok and reporting.emit_json(runner(config)) == reporting.emit_json(runner(config))
+    ok = ok and reporting.emit_json(run_laws(2.0, 8)) == reporting.emit_json(run_laws(2.0, 8))
     ok = ok and reporting.emit_json(run_selftest()) == reporting.emit_json(run_selftest())
     _criterion("criterion 9: structural invariants", ok)

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +12,30 @@ def run_cli(args):
     return cli.main(args)
 
 
-def test_usage_error_exit_code():
-    assert run_cli(["spectrum", "--alpha", "2", "--p", "8"]) == 1
-    assert run_cli(["spectrum", "--d", "4", "--d1", "4"]) == 1
-    assert run_cli(["spectrum", "--d1", "4"]) == 1
-    assert run_cli(["ppt", "--alpha", "2"]) == 1
-    assert run_cli(["nonsense"]) == 1
-    assert run_cli(["spectrum", "--format", "xml"]) == 1
+def test_usage_error_exit_code(tmp_path, capsys):
+    # argv, and a word the one-line message must contain
+    rows = [
+        (["spectrum", "--alpha", "2", "--p", "8"], "--p"),
+        (["spectrum", "--d", "4", "--d1", "4"], "--d1"),
+        (["spectrum", "--d1", "4"], "--d2"),
+        (["ppt", "--alpha", "2"], "--alphas"),
+        (["nonsense"], "nonsense"),
+        (["spectrum", "--format", "xml"], "xml"),
+        (["spectrum", "--alpha", "0"], "alpha"),
+        (["spectrum", "--alpha", "nan"], "alpha"),
+        (["spectrum", "--alpha", "inf"], "alpha"),
+        (["extremes", "--alpha", "-1"], "alpha"),
+        (["ppt", "--alphas", "nan"], "alpha"),
+        (["ppt", "--alphas", "2", "-1"], "alpha"),
+        (["laws", "--alpha", "0"], "alpha"),
+        (["spectrum", "--d", "4", "--out", str(tmp_path / "missing" / "r.json")], "missing"),
+        (["selftest", "--out", str(tmp_path)], str(tmp_path)),
+    ]
+    for argv, word in rows:
+        assert run_cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("ptwishart: usage error:") and err.count("\n") == 1, (argv, err)
+        assert word in err, (argv, err)
 
 
 def test_spectrum_writes_deterministic_json(tmp_path):
@@ -90,3 +110,46 @@ def test_unbalanced_shape(tmp_path):
     report = json.loads(out.read_text())
     assert report["config"]["d1"] == 6 and report["config"]["d2"] == 4
     assert len(report["spectra"][0]["eigenvalues"]) == 24
+
+
+# small runs of every subcommand; --check with a loose tol adds the checks block
+SHAPE_ARGV = {
+    "spectrum": ["--d", "3", "--trials", "2", "--check", "--tol", "10"],
+    "extremes": ["--d", "3", "--trials", "2", "--check", "--tol", "10"],
+    "ppt": ["--d", "2", "--trials", "2", "--alphas", "2", "8"],
+    "pure": ["--d", "3", "--trials", "2", "--check", "--tol", "10"],
+    "selftest": [],
+    "laws": ["--bins", "4"],
+}
+
+
+def _key_paths(node, path=""):
+    """Leaf paths of a JSON value, with list positions written as []."""
+    if isinstance(node, dict):
+        leaves = {leaf for key, value in node.items() for leaf in _key_paths(value, f"{path}/{key}")}
+        return leaves or {path}
+    if isinstance(node, list):
+        leaves = {leaf for value in node for leaf in _key_paths(value, path + "[]")}
+        return leaves or {path + "[]"}
+    return {path}
+
+
+def _report_shapes(tmp_path) -> dict:
+    """Per subcommand: sorted JSON key paths, and each CSV row without its value."""
+    shapes = {}
+    for subcommand, argv in SHAPE_ARGV.items():
+        out = tmp_path / f"{subcommand}.json"
+        assert run_cli([subcommand, *argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        rows = list(csv.reader(io.StringIO(reporting.emit_csv(report))))[1:]
+        shapes[subcommand] = {
+            "json_paths": sorted(_key_paths(report)),
+            "csv_keys": [",".join(row[:-1]) for row in rows],
+        }
+    return shapes
+
+
+def test_report_shapes(tmp_path):
+    # platform-independent: key names and record keys, never eigenvalues
+    expected = json.loads((Path(__file__).parent / "report_shapes.json").read_text())
+    assert _report_shapes(tmp_path) == expected

@@ -29,6 +29,9 @@ def test_wishart_params():
     params = WishartParams(n=9, alpha=4.0)
     assert params.p == 36
     assert WishartParams(n=10, alpha=0.35).p == 3
+    # alpha * n lands just below an integer in floating point: 409.99999999999994
+    assert WishartParams(n=100, alpha=4.1).p == 410
+    assert WishartParams(n=225, alpha=8.2).p == 1845
     with pytest.raises(ParameterError):
         WishartParams(n=4, p=2, alpha=1.0)
     with pytest.raises(ParameterError):

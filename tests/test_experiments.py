@@ -26,6 +26,7 @@ def test_config_resolves_p_from_alpha():
     config = small_config(d1=5, d2=5, alpha=3.0)
     assert config.resolved_p == 75
     assert config.effective_alpha == 3.0
+    assert small_config(d1=10, d2=10, alpha=4.1).resolved_p == 410
     config = small_config(alpha=None, p=77)
     assert config.resolved_p == 77
     assert config.effective_alpha == pytest.approx(77 / 36)
@@ -113,6 +114,9 @@ def test_ppt_sweep_structure():
     assert set(report["aggregates"]["monotone"]) == {"frequencies", "non_decreasing", "adjacent_inversions"}
     with pytest.raises(ParameterError):
         run_ppt_sweep(small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=()))
+    config = small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(8.2,), trials=1,
+                          d1=15, d2=15)
+    assert run_ppt_sweep(config)["aggregates"]["per_alpha"][0]["p"] == 1845
 
 
 def test_pure_state_methods_agree():
@@ -140,8 +144,8 @@ def test_selftest_all_pass():
 
 
 def test_laws_report():
-    config = ExperimentConfig(subcommand="laws", d1=1, d2=1, trials=1, alpha=4.0, bins=16)
-    report = run_laws(config)
+    report = run_laws(alpha=4.0, bins=16)
+    assert report["config"] == {"subcommand": "laws", "alpha": 4.0, "bins": 16}
     values = {rec["statistic"]: rec["value"] for rec in report["records"]}
     assert values["semicircle_std:moment_k4"] == 2.0
     assert values["product_semicircle:moment_k4"] == 4.0
