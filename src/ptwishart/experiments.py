@@ -103,6 +103,12 @@ class ExperimentConfig:
         for alpha in (self.alpha,) + (self.alphas or ()):
             if alpha is not None:
                 _check_alpha(alpha)
+        if self.p is not None and not self.p >= 1:
+            raise ParameterError(f"p must be >= 1, got {self.p}")
+        if self.tol is not None and not isfinite(self.tol):
+            raise ParameterError(f"tol must be finite, got {self.tol}")
+        if self.ensemble != "wishart" and self.field != "complex":
+            raise ParameterError(f"field must be complex for the {self.ensemble} ensemble")
 
     @property
     def n(self) -> int:
@@ -205,8 +211,6 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     """
     if config.ensemble not in MATRIX_ENSEMBLES:
         raise ParameterError(f"spectrum ensemble must be one of {MATRIX_ENSEMBLES}")
-    if config.ensemble != "wishart" and config.field != "complex":
-        raise ParameterError("induced and mixture ensembles are complex only")
     shape = BipartiteShape(config.d1, config.d2)
     n, p = shape.n, config.resolved_p
     alpha = config.effective_alpha
@@ -550,8 +554,8 @@ def run_laws(alpha: float = 4.0, bins: int = 100) -> dict:
             lo, hi = law.support
             grid = np.linspace(lo, hi, bins + 1)
             density_tables[name] = {
-                "x": [float(v) for v in grid],
-                "density": [float(law.density(float(v))) for v in grid],
+                "x": grid.tolist(),
+                "density": law.density(grid).tolist(),
                 "support": [lo, hi],
                 "atom": float(getattr(law, "atom", 0.0)),
             }

@@ -7,8 +7,8 @@ parameterized so that alpha = p / n for a (1/p)-normalized sample
 covariance), and the symmetric law with Catalan-squared even moments that
 governs partially transposed pure states.
 
-Moments are exact; CDFs and quadrature cross-checks integrate the densities
-adaptively to absolute accuracy 1e-8.
+Moments and CDFs are closed forms; only `quadrature_moment`, the independent
+cross-check of the moments, integrates a density numerically.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from scipy import integrate
 
 from .errors import ParameterError
 from .partitions import catalan, mp_moment_via_noncrossing
-
-CDF_ABS_TOL = 1e-8
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -67,14 +65,12 @@ class Semicircle:
             total += comb(k, j) * self.mean ** (k - j) * catalan(j // 2) * self.variance ** (j // 2)
         return float(total)
 
-    def cdf(self, x: float) -> float:
-        lo, hi = self.support
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        val, _ = integrate.quad(self.density, lo, x, epsabs=CDF_ABS_TOL / 10.0, limit=200)
-        return min(max(float(val), 0.0), 1.0)
+    def cdf(self, x):
+        """F = 1/2 + u sqrt(4 - u^2) / (4 pi) + arcsin(u / 2) / pi, u = (x - mean) / sigma
+        clipped to the support [-2, 2]."""
+        u = np.clip((np.asarray(x, dtype=float) - self.mean) / sqrt(self.variance), -2.0, 2.0)
+        val = 0.5 + u * np.sqrt(4.0 - u * u) / (4.0 * pi) + np.arcsin(u / 2.0) / pi
+        return _scalar_or_array(np.clip(val, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -117,15 +113,27 @@ class MarchenkoPastur:
         """Exact k-th moment as the non-crossing partition sum."""
         return mp_moment_via_noncrossing(self.alpha, k)
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
+        """Atom plus alpha / (2 pi) * (G(x) - G(lo)) on the support, where
+        G(t) = R + mid * arcsin((t - mid) / half) - root * arcsin((mid - lo * hi / t) / half)
+        is a primitive of R / t, with R = sqrt((t - lo) * (hi - t)), root = sqrt(lo * hi),
+        and mid, half the support's midpoint and half-width; G(lo) = -(pi / 2) * (mid - root).
+        """
         lo, hi = self.support
-        base = self.atom if x >= 0.0 else 0.0
-        if x <= lo:
-            return min(base, 1.0)
-        if x >= hi:
-            return 1.0
-        val, _ = integrate.quad(self.density, lo, x, epsabs=CDF_ABS_TOL / 10.0, limit=200)
-        return min(max(float(val) + base, 0.0), 1.0)
+        mid, half, root = (lo + hi) / 2.0, (hi - lo) / 2.0, sqrt(lo * hi)
+        x = np.asarray(x, dtype=float)
+        inside = (x > lo) & (x < hi)
+        # hi > 0, so t never divides by zero, even at alpha = 1 where lo = 0
+        t = np.where(inside, x, hi)
+        prim = (
+            np.sqrt((t - lo) * (hi - t))
+            + mid * np.arcsin(np.clip((t - mid) / half, -1.0, 1.0))
+            - root * np.arcsin(np.clip((mid - lo * hi / t) / half, -1.0, 1.0))
+        )
+        cont = self.alpha / (2.0 * pi) * (prim + (pi / 2.0) * (mid - root))
+        base = np.where(x >= 0.0, self.atom, 0.0)
+        val = np.where(x >= hi, 1.0, np.where(inside, base + cont, base))
+        return _scalar_or_array(np.clip(val, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

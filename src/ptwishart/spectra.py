@@ -62,26 +62,6 @@ def extremes(sample: SpectralSample) -> tuple[float, float]:
     return float(e[0]), float(e[-1])
 
 
-def _cdf_on_sorted_grid(law, points: np.ndarray) -> np.ndarray:
-    """law.cdf evaluated on an ascending grid, integrating each gap once."""
-    from scipy import integrate
-
-    lo, hi = law.support
-    atom = float(getattr(law, "atom", 0.0))
-    out = np.empty(points.size)
-    acc = 0.0
-    prev = lo
-    for idx, value in enumerate(points):
-        value = float(value)
-        if value > prev and prev < hi:
-            seg, _ = integrate.quad(law.density, prev, min(value, hi), epsabs=1e-10, limit=200)
-            acc += seg
-            prev = min(value, hi)
-        base = atom if value >= 0.0 else 0.0
-        out[idx] = min(max(acc + base, 0.0), 1.0)
-    return out
-
-
 def ks_distance(sample: SpectralSample, law, shift: float = 0.0, scale: float = 1.0) -> float:
     """Kolmogorov-Smirnov distance between the sample (affinely mapped by
     x -> (x - shift)/scale) and the law's CDF; supremum over jump points."""
@@ -89,10 +69,7 @@ def ks_distance(sample: SpectralSample, law, shift: float = 0.0, scale: float = 
         raise ParameterError(f"scale must be positive, got {scale}")
     x = (sample.eigenvalues - shift) / scale
     n = sample.n
-    if hasattr(law, "density") and hasattr(law, "support"):
-        cdf_vals = _cdf_on_sorted_grid(law, x)
-    else:
-        cdf_vals = np.array([law.cdf(float(v)) for v in x])
+    cdf_vals = law.cdf(x)
     steps = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(steps / n - cdf_vals))
     d_minus = float(np.max(cdf_vals - (steps - 1.0) / n))

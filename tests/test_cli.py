@@ -30,6 +30,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["laws", "--alpha", "0"], "alpha"),
         (["spectrum", "--d", "4", "--out", str(tmp_path / "missing" / "r.json")], "missing"),
         (["selftest", "--out", str(tmp_path)], str(tmp_path)),
+        (["spectrum", "--p", "0"], "p must"),
+        (["extremes", "--p", "0"], "p must"),
+        (["spectrum", "--p", "-4"], "p must"),
+        (["spectrum", "--check", "--tol", "nan"], "tol"),
+        (["ppt", "--field", "real"], "field"),
+        (["pure", "--field", "real"], "field"),
     ]
     for argv, word in rows:
         assert run_cli(argv) == 1, argv

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ptwishart import MarchenkoPastur, ProductSemicircle, Semicircle, catalan, quadrature_moment
 from ptwishart.errors import ParameterError
@@ -89,6 +90,9 @@ def test_cdf_values():
     half = MarchenkoPastur(0.5)
     assert half.cdf(0.0) >= 0.5
     assert half.cdf(half.support[0]) == pytest.approx(0.5, abs=1e-12)
+    # the atom of mass 1 - alpha at zero is a jump of the CDF there
+    assert half.cdf(-1e-12) == 0.0
+    assert half.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -104,11 +108,38 @@ def test_cdf_monotone_in_range(law):
     assert values[-1] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize(
+LAWS = pytest.mark.parametrize(
     "law",
-    [Semicircle(0.0, 1.0), Semicircle(1.0, 0.25), MarchenkoPastur(0.5), MarchenkoPastur(1.0), MarchenkoPastur(4.0)],
-    ids=["sc_std", "sc_shifted", "mp_half", "mp1", "mp4"],
+    [
+        Semicircle(0.0, 1.0),
+        Semicircle(1.0, 0.25),
+        MarchenkoPastur(0.5),
+        MarchenkoPastur(1.0),
+        MarchenkoPastur(2.0),
+        MarchenkoPastur(4.0),
+    ],
+    ids=["sc_std", "sc_shifted", "mp_half", "mp1", "mp2", "mp4"],
 )
+
+
+@LAWS
 def test_quadrature_moments_match_closed_forms(law):
     for k in range(0, 9):
         assert quadrature_moment(law, k) == pytest.approx(law.moment(k), abs=1e-6)
+
+
+@LAWS
+def test_cdf_matches_quadrature_of_density(law):
+    lo, hi = law.support
+    grid = np.concatenate([[lo - 0.5], np.linspace(lo, hi, 201), [hi + 0.5]])
+    atom = getattr(law, "atom", 0.0)
+    expected = [
+        (atom if x >= 0.0 else 0.0)
+        + integrate.quad(law.density, lo, min(max(x, lo), hi), epsabs=1e-13, epsrel=1e-13)[0]
+        for x in grid
+    ]
+    values = law.cdf(grid)
+    assert np.max(np.abs(values - expected)) <= 1e-9
+    scalars = [law.cdf(float(x)) for x in grid]
+    assert all(type(v) is float for v in scalars)
+    assert values.tolist() == scalars
