@@ -2,44 +2,29 @@
 
 Tracks the smallest and largest eigenvalue of blockwise-transposed Wishart
 samples as the block dimension d grows, for a few aspect ratios.  At alpha=4
-the lower edge sits exactly at zero, the hinge of the PPT threshold.
+the lower edge sits exactly at zero, the hinge of the PPT threshold.  Each
+row is one `run_extremes`, the runner behind `ptwishart extremes`.
 
 Usage: python3 demos/extreme_eigenvalues.py [trials]
 """
 
 import sys
 
-import numpy as np
-
-from ptwishart import (
-    BipartiteShape,
-    SampleStream,
-    SpectralSample,
-    WishartParams,
-    extremes,
-    hermitian_eigenvalues,
-    partial_transpose,
-    sample_wishart,
-)
+from ptwishart.experiments import ExperimentConfig, run_extremes
 
 
 def main():
     trials = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     print(f"{'alpha':>6} {'d':>4} {'lambda_min':>11} {'edge_low':>9} {'lambda_max':>11} {'edge_high':>10}")
     for alpha in (1.0, 4.0, 9.0):
-        edge_lo = 1.0 - 2.0 / np.sqrt(alpha)
-        edge_hi = 1.0 + 2.0 / np.sqrt(alpha)
         for d in (10, 20, 30):
-            shape = BipartiteShape(d, d)
-            lows, highs = [], []
-            for t in range(trials):
-                w = sample_wishart(WishartParams(n=d * d, alpha=alpha), SampleStream(2, 100 * d + t))
-                lo, hi = extremes(SpectralSample(hermitian_eigenvalues(partial_transpose(w, shape))))
-                lows.append(lo)
-                highs.append(hi)
+            config = ExperimentConfig(subcommand="extremes", d1=d, d2=d, trials=trials, alpha=alpha,
+                                      master_seed=2)
+            report = run_extremes(config)
+            stats, theory = report["aggregates"]["statistics"], report["theory"]
             print(
-                f"{alpha:>6.1f} {d:>4} {np.mean(lows):>11.4f} {edge_lo:>9.4f}"
-                f" {np.mean(highs):>11.4f} {edge_hi:>10.4f}"
+                f"{alpha:>6.1f} {d:>4} {stats['lambda_min']['mean']:>11.4f} {theory['edge_low']:>9.4f}"
+                f" {stats['lambda_max']['mean']:>11.4f} {theory['edge_high']:>10.4f}"
             )
         print()
 

@@ -17,7 +17,6 @@ from . import experiments, reporting
 from .errors import ParameterError
 
 PROG = "ptwishart"
-THREADS_ENV = "PTWISHART_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,51 +41,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser, subcommand):
+def _add_common(sub, subcommand, help):
+    """The subparser of a Monte Carlo subcommand, with the options every runner reads."""
     d_default, trials_default = _DEFAULTS[subcommand]
+    parser = sub.add_parser(subcommand, help=help, allow_abbrev=False)
     parser.add_argument("--d", type=int, default=None, help=f"square factor dimension d1 = d2 = d (default {d_default})")
     parser.add_argument("--d1", type=int, default=None, help="first factor dimension")
     parser.add_argument("--d2", type=int, default=None, help="second factor dimension")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="ancilla aspect ratio; p = alpha * d1 * d2, floored unless within 1e-9 of an integer")
-    parser.add_argument("--p", type=int, default=None, help="explicit ancilla dimension (alternative to --alpha)")
     parser.add_argument("--trials", type=int, default=trials_default)
-    parser.add_argument("--field", choices=["real", "complex"], default="complex")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--bins", type=int, default=100)
-    parser.add_argument("--threads", type=int, default=None, help=f"trial workers (default ${THREADS_ENV} or 1)")
+    parser.add_argument("--threads", type=int, default=1, help="trial workers")
+    return parser
+
+
+def _add_ancilla(parser):
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--alpha", type=float, default=None,
+                       help="ancilla aspect ratio (default 4); p = alpha * d1 * d2, "
+                            "floored unless within 1e-9 of an integer")
+    group.add_argument("--p", type=int, default=None, help="explicit ancilla dimension")
+    parser.add_argument("--field", choices=["real", "complex"], default="complex")
+
+
+def _add_check(parser):
     parser.add_argument("--check", action="store_true", help="evaluate the built-in threshold; exit 3 on a miss")
     parser.add_argument("--tol", type=float, default=None, help="threshold for --check")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog=PROG, description="Partially transposed Wishart spectra: Monte Carlo and exact combinatorics")
+    parser = _Parser(prog=PROG, allow_abbrev=False,
+                     description="Partially transposed Wishart spectra: Monte Carlo and exact combinatorics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("spectrum", help="eigenvalue distribution of partially transposed samples")
-    _add_common(sp, "spectrum")
+    sp = _add_common(sub, "spectrum", "eigenvalue distribution of partially transposed samples")
+    _add_ancilla(sp)
+    _add_check(sp)
     sp.add_argument("--ensemble", choices=["wishart", "induced", "mixture"], default="wishart")
+    sp.add_argument("--bins", type=int, default=100)
 
-    ex = sub.add_parser("extremes", help="extreme eigenvalues of partially transposed Wishart samples")
-    _add_common(ex, "extremes")
+    ex = _add_common(sub, "extremes", "extreme eigenvalues of partially transposed Wishart samples")
+    _add_ancilla(ex)
+    _add_check(ex)
 
-    pp = sub.add_parser("ppt", help="PPT frequency sweep across ancilla aspect ratios")
-    _add_common(pp, "ppt")
+    pp = _add_common(sub, "ppt", "PPT frequency sweep across ancilla aspect ratios")
     pp.add_argument("--ensemble", choices=["induced", "mixture"], default="induced")
     pp.add_argument("--alphas", type=float, nargs="+", default=[2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
 
-    pu = sub.add_parser("pure", help="spectrum of partially transposed uniform pure states")
-    _add_common(pu, "pure")
+    pu = _add_common(sub, "pure", "spectrum of partially transposed uniform pure states")
+    _add_check(pu)
     pu.add_argument("--method", choices=["schmidt", "eigh"], default="schmidt",
                     help="schmidt-coefficient formula or direct eigendecomposition")
+    pu.set_defaults(ensemble="pure")
 
-    st = sub.add_parser("selftest", help="exhaustive combinatorics and law-identity checks")
+    st = sub.add_parser("selftest", help="exhaustive combinatorics and law-identity checks", allow_abbrev=False)
     st.add_argument("--format", choices=["csv", "json"], default="json")
     st.add_argument("--out", default=None)
 
-    lw = sub.add_parser("laws", help="closed-form moment and density tables")
+    lw = sub.add_parser("laws", help="closed-form moment and density tables", allow_abbrev=False)
     lw.add_argument("--alpha", type=float, default=4.0)
     lw.add_argument("--bins", type=int, default=100)
     lw.add_argument("--format", choices=["csv", "json"], default="json")
@@ -107,49 +120,13 @@ def _resolve_dims(args) -> tuple[int, int]:
     return d_default, d_default
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-
-
 def _build_config(args) -> experiments.ExperimentConfig:
-    d1, d2 = _resolve_dims(args)
-    alpha, p = args.alpha, args.p
-    if args.subcommand == "ppt":
-        if alpha is not None or p is not None:
-            raise _UsageError("the ppt sweep takes its grid from --alphas")
-    elif args.subcommand == "pure":
-        if alpha is not None or p is not None:
-            raise _UsageError("pure-state runs take no ancilla parameter")
-    else:
-        if alpha is not None and p is not None:
-            raise _UsageError("give exactly one of --alpha and --p")
-        if alpha is None and p is None:
-            alpha = 4.0
-    return experiments.ExperimentConfig(
-        subcommand=args.subcommand,
-        d1=d1,
-        d2=d2,
-        trials=args.trials,
-        alpha=alpha,
-        p=p,
-        field=args.field,
-        ensemble=getattr(args, "ensemble", "wishart" if args.subcommand != "pure" else "pure"),
-        master_seed=args.seed,
-        bins=args.bins,
-        threads=_resolve_threads(args),
-        alphas=tuple(args.alphas) if getattr(args, "alphas", None) else None,
-        method=getattr(args, "method", "schmidt"),
-        check=args.check,
-        tol=args.tol,
-    )
+    opts = {k: v for k, v in vars(args).items() if k not in ("d", "format", "out")}
+    opts["d1"], opts["d2"] = _resolve_dims(args)
+    # spectrum and extremes run at alpha = 4 unless --alpha or --p is given
+    if "p" in opts and opts["alpha"] is None and opts["p"] is None:
+        opts["alpha"] = 4.0
+    return experiments.ExperimentConfig(**opts)
 
 
 def _check_out(path: str):

@@ -62,11 +62,17 @@ SUPPORT_PAD = 0.5
 
 MATRIX_ENSEMBLES = ("wishart", "induced", "mixture")
 STATE_ENSEMBLES = ("induced", "mixture")
+MAX_BINS = 10**5
 
 
 def _check_alpha(alpha: float):
     if not (isfinite(alpha) and alpha > 0):
         raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
+
+
+def _check_bins(bins: int):
+    if not 1 <= bins <= MAX_BINS:
+        raise ParameterError(f"bins must be between 1 and {MAX_BINS}, got {bins}")
 
 
 @dataclass
@@ -94,8 +100,7 @@ class ExperimentConfig:
             raise ParameterError(f"factor dimensions must be >= 1, got ({self.d1}, {self.d2})")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.bins < 1:
-            raise ParameterError(f"bins must be >= 1, got {self.bins}")
+        _check_bins(self.bins)
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
         if self.alphas is not None:
@@ -105,8 +110,8 @@ class ExperimentConfig:
                 _check_alpha(alpha)
         if self.p is not None and not self.p >= 1:
             raise ParameterError(f"p must be >= 1, got {self.p}")
-        if self.tol is not None and not isfinite(self.tol):
-            raise ParameterError(f"tol must be finite, got {self.tol}")
+        if self.tol is not None and not (isfinite(self.tol) and self.tol >= 0):
+            raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
         if self.ensemble != "wishart" and self.field != "complex":
             raise ParameterError(f"field must be complex for the {self.ensemble} ensemble")
 
@@ -537,8 +542,7 @@ def run_selftest() -> dict:
 def run_laws(alpha: float = 4.0, bins: int = 100) -> dict:
     """Theory tables: moments and density grids for the three limit laws."""
     _check_alpha(alpha)
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     laws = [
         ("semicircle_std", Semicircle(0.0, 1.0)),
         ("semicircle_shifted", Semicircle(1.0, 1.0 / alpha)),

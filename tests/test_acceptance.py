@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, printed as a pass/fail line each.
 
-Combinatorial criteria 1-3 assert the exact items of one run_selftest() call
-and hold its elapsed time to each criterion's runtime budget; Monte Carlo
-criteria run at fixed seeds with the stated finite-size margins.
+Combinatorial criteria 1-3 and the Catalan identity of criterion 4 assert the
+exact items of one run_selftest() call, and criteria 1-3 hold its elapsed time
+to each criterion's runtime budget; Monte Carlo criteria run at fixed seeds
+with the stated finite-size margins.
 """
 
 import time
@@ -19,7 +20,6 @@ from ptwishart import (
     WishartParams,
     catalan,
     hermitian_eigenvalues,
-    mp_moment_via_noncrossing,
     partial_trace,
     partial_transpose,
     pt_spectrum_from_schmidt,
@@ -53,7 +53,7 @@ def _criterion(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def selftest_items():
-    """One run_selftest() call for criteria 1-3: its items by name and its elapsed time."""
+    """One run_selftest() call for criteria 1-4: its items by name and its elapsed time."""
     start = time.monotonic()
     report = run_selftest()
     return {item["name"]: item for item in report["items"]}, time.monotonic() - start
@@ -89,13 +89,10 @@ def test_criterion_3_wishart_moment_oracle(selftest_items):
     _criterion("criterion 3: Wishart moment-method oracle", ok and elapsed < 60.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_4_law_identities():
-    ok = True
-    std = Semicircle(0.0, 1.0)
-    for k in range(0, 9):
-        want = float(catalan(k))
-        ok = ok and std.moment(2 * k) == want
-        ok = ok and mp_moment_via_noncrossing(1.0, k) == want
+def test_criterion_4_law_identities(selftest_items):
+    items, _ = selftest_items
+    # SC(0,1) moment 2k == catalan(k) == MP(1) moment k for k <= 8
+    ok = _item_is(items, "sc_mp_catalan_identity", "ok")
     laws = [
         Semicircle(0.0, 1.0),
         Semicircle(1.0, 0.25),

@@ -18,7 +18,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["spectrum", "--alpha", "2", "--p", "8"], "--p"),
         (["spectrum", "--d", "4", "--d1", "4"], "--d1"),
         (["spectrum", "--d1", "4"], "--d2"),
-        (["ppt", "--alpha", "2"], "--alphas"),
+        (["ppt", "--alpha", "2"], "unrecognized arguments: --alpha"),
         (["nonsense"], "nonsense"),
         (["spectrum", "--format", "xml"], "xml"),
         (["spectrum", "--alpha", "0"], "alpha"),
@@ -36,6 +36,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["spectrum", "--check", "--tol", "nan"], "tol"),
         (["ppt", "--field", "real"], "field"),
         (["pure", "--field", "real"], "field"),
+        (["spectrum", "--check", "--tol", "-1"], "tol must be finite and >= 0"),
+        (["spectrum", "--bins", "100001"], "bins"),
+        (["laws", "--bins", "100001"], "bins"),
+        # options a subcommand's runner does not read are refused, and never abbreviated
+        (["ppt", "--check"], "--check"),
+        (["ppt", "--tol", "1"], "--tol"),
+        (["extremes", "--bins", "5"], "--bins"),
+        (["pure", "--bins", "5"], "--bins"),
+        (["pure", "--alpha", "2"], "--alpha"),
+        (["pure", "--p", "4"], "--p"),
+        (["spectrum", "--thr", "2"], "--thr"),
     ]
     for argv, word in rows:
         assert run_cli(argv) == 1, argv
@@ -100,14 +111,6 @@ def test_laws_subcommand_stdout(capsys):
     report = json.loads(captured.out)
     values = {rec["statistic"]: rec["value"] for rec in report["records"]}
     assert values["marchenko_pastur:moment_k3"] == 5.0
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    out = tmp_path / "t.json"
-    assert run_cli(["spectrum", "--d", "4", "--trials", "2", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["config"]["threads"] == 2
 
 
 def test_unbalanced_shape(tmp_path):
