@@ -52,7 +52,10 @@ def _add_common(sub, subcommand, help):
     parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--threads", type=int, default=1, help="trial workers")
+    parser.add_argument("--threads", type=int, default=1,
+                        help=f"trial workers (1..{experiments.MAX_THREADS}, at most one per trial); "
+                             "with two or more, each OpenBLAS copy runs its start-up thread "
+                             "count // workers threads (at least 1) while they run")
     return parser
 
 
@@ -164,6 +167,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     start = time.monotonic()
+    budget = ""
     try:
         if args.out:
             _check_out(args.out)
@@ -180,6 +184,7 @@ def main(argv=None) -> int:
                 "pure": experiments.run_pure_state,
             }[args.subcommand]
             report = runner(config)
+            budget = f" ({experiments.thread_budget(config)})"
     except (_UsageError, ParameterError) as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -194,8 +199,8 @@ def main(argv=None) -> int:
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
-    # timing is provenance for the console only; reports stay byte-reproducible
-    print(f"{PROG}: {args.subcommand} finished in {elapsed:.2f}s", file=sys.stderr)
+    # timing and thread budget are provenance for the console only; reports stay byte-reproducible
+    print(f"{PROG}: {args.subcommand} finished in {elapsed:.2f}s{budget}", file=sys.stderr)
 
     if args.subcommand == "selftest" and not report["all_pass"]:
         return EXIT_SELFTEST

@@ -3,10 +3,15 @@
 Each public runner validates its config, defines one trial as a function of
 its SampleStream, and hands it to `_run_trials`, the one trial loop.  That
 loop builds stream `first_stream + t` inside the thread that runs trial t and
-returns the per-trial statistics in stream order, so a report is a pure
-function of its config regardless of thread count.  `_record` builds every
-report row and `_report` assembles config echo, platform and RNG provenance,
-and the `--check` block around the runner's aggregates and theory block.
+returns the per-trial statistics in stream order.  With two or more trial
+workers it sets every OpenBLAS copy to max(1, start-up thread count // workers)
+while they run, so the cores are split, not oversubscribed.  A report is a pure
+function of its config, `threads` included, on a given machine; with two or
+more workers its values can differ from a one-worker run in the last bits,
+because the BLAS thread count changes the order of floating-point sums.
+`_record` builds every report row and `_report` assembles config echo,
+platform and RNG provenance, and the `--check` block around the runner's
+aggregates and theory block.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from . import reporting
+from . import _blas, reporting
 from .ensembles import (
     SampleStream,
     WishartParams,
@@ -63,6 +68,7 @@ SUPPORT_PAD = 0.5
 MATRIX_ENSEMBLES = ("wishart", "induced", "mixture")
 STATE_ENSEMBLES = ("induced", "mixture")
 MAX_BINS = 10**5
+MAX_THREADS = 64
 
 
 def _check_alpha(alpha: float):
@@ -101,8 +107,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         _check_bins(self.bins)
-        if self.threads < 1:
-            raise ParameterError(f"threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ParameterError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
         if self.alphas is not None:
             self.alphas = tuple(float(a) for a in self.alphas)
         for alpha in (self.alpha,) + (self.alphas or ()):
@@ -141,6 +147,22 @@ def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field=""
     return dict(zip(reporting.CSV_COLUMNS, row))
 
 
+def _trial_workers(config: ExperimentConfig) -> int:
+    return min(config.threads, config.trials)
+
+
+def thread_budget(config: ExperimentConfig) -> str:
+    """How `_run_trials` splits the cores, e.g. "2 trial workers x 1 BLAS thread"."""
+    workers = _trial_workers(config)
+    if workers == 1:
+        return "1 trial worker x default BLAS threads"
+    counts = _blas.per_worker_counts(workers)
+    if not counts:
+        return f"{workers} trial workers, BLAS threads not managed"
+    blas = max(counts)
+    return f"{workers} trial workers x {blas} BLAS thread{'' if blas == 1 else 's'}"
+
+
 def _run_trials(config: ExperimentConfig, trial, p, alpha, first_stream: int = 0):
     """The one trial loop: maps `trial(stream)` over streams first_stream + t, t < trials;
     returns its dicts of named statistics in stream order and their records."""
@@ -148,8 +170,10 @@ def _run_trials(config: ExperimentConfig, trial, p, alpha, first_stream: int = 0
     def one(t: int) -> dict:
         return trial(SampleStream(config.master_seed, first_stream + t))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    workers = _trial_workers(config)
+    if workers > 1:
+        # the pool is joined before the BLAS thread counts are restored
+        with _blas.split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(one, range(config.trials)))
     else:
         per_trial = [one(t) for t in range(config.trials)]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["pure", "--alpha", "2"], "--alpha"),
         (["pure", "--p", "4"], "--p"),
         (["spectrum", "--thr", "2"], "--thr"),
+        # rejected by the config, before any trial worker starts
+        (["spectrum", "--threads", "65"], "threads must be between 1 and 64"),
     ]
     for argv, word in rows:
         assert run_cli(argv) == 1, argv
@@ -103,6 +106,19 @@ def test_ppt_subcommand(tmp_path):
     assert run_cli(["ppt", "--d", "3", "--trials", "3", "--alphas", "2", "8", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert [e["alpha"] for e in report["aggregates"]["per_alpha"]] == [2.0, 8.0]
+
+
+def test_thread_budget_goes_to_stderr_only(capsys):
+    argv = ["ppt", "--d", "3", "--trials", "3", "--alphas", "2", "8", "--format", "csv"]
+    budgets = {
+        "1": r"1 trial worker x default BLAS threads",
+        "2": r"2 trial workers (x \d+ BLAS threads?|, BLAS threads not managed)",
+    }
+    for threads, budget in budgets.items():
+        assert run_cli(argv + ["--threads", threads]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"ptwishart: ppt finished in \d+\.\d\ds \({budget}\)\n", captured.err), captured.err
+        assert "finished" not in captured.out and "worker" not in captured.out
 
 
 def test_laws_subcommand_stdout(capsys):

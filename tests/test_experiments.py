@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptwishart import reporting
+from ptwishart import _blas, experiments, reporting
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
     ExperimentConfig,
+    _run_trials,
     run_extremes,
     run_laws,
     run_ppt_sweep,
@@ -62,6 +67,9 @@ def test_reports_are_deterministic():
         (run_extremes, small_config(subcommand="extremes")),
         (run_pure_state, small_config(subcommand="pure", ensemble="pure", alpha=None)),
         (run_ppt_sweep, small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))),
+        # two trial workers, each with its share of the BLAS threads
+        (run_ppt_sweep, small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0),
+                                     threads=2)),
     ]:
         first = reporting.emit_json(runner(config))
         second = reporting.emit_json(runner(config))
@@ -73,6 +81,61 @@ def test_reports_independent_of_thread_count():
     two = run_spectrum(small_config(threads=2))
     assert one["records"] == two["records"]
     assert one["aggregates"] == two["aggregates"]
+
+
+def blas_counts() -> list[int]:
+    return [get() for get, _, _ in _blas._copies()]
+
+
+def test_trial_workers_split_the_blas_threads():
+    if not _blas._copies():
+        pytest.skip("no OpenBLAS copy is mapped into this process")
+    before = blas_counts()
+    starts = [start for _, _, start in _blas._copies()]
+    for workers in (2, 3):
+        seen = []
+        config = small_config(threads=workers, trials=workers)
+        _run_trials(config, lambda stream: seen.append(blas_counts()) or {}, p=1, alpha=1.0)
+        assert seen == [[max(1, start // workers) for start in starts]] * workers
+        assert blas_counts() == before
+
+    def boom(stream):
+        raise RuntimeError("trial failed")
+
+    with pytest.raises(RuntimeError, match="trial failed"):
+        _run_trials(small_config(threads=2), boom, p=1, alpha=1.0)
+    assert blas_counts() == before
+
+
+def test_one_worker_leaves_blas_alone(monkeypatch):
+    def refuse(workers):
+        raise AssertionError("one worker must not touch the BLAS thread counts")
+
+    monkeypatch.setattr(experiments._blas, "split", refuse)
+    for config in (small_config(threads=1), small_config(threads=2, trials=1)):
+        assert experiments._trial_workers(config) == 1
+        assert experiments.thread_budget(config) == "1 trial worker x default BLAS threads"
+        run_spectrum(config)
+
+
+def test_two_workers_match_one_worker_at_the_per_worker_blas_count(tmp_path):
+    counts = _blas.per_worker_counts(2)
+    if not counts:
+        pytest.skip("no OpenBLAS copy is mapped into this process")
+    # one environment variable sets every copy, so they must agree
+    assert len(set(counts)) == 1, counts
+    root = Path(__file__).resolve().parent.parent
+    base = [sys.executable, "-m", "ptwishart", "ppt", "--d", "15", "--trials", "4", "--seed", "5"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    reports = []
+    for threads, extra_env in (("2", {}), ("1", {"OPENBLAS_NUM_THREADS": str(counts[0])})):
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run(base + ["--threads", threads, "--out", str(out)], env={**env, **extra_env},
+                       check=True, capture_output=True, timeout=300)
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["records"] == reports[1]["records"]
+    assert reports[0]["aggregates"] == reports[1]["aggregates"]
+
 
 
 def test_json_round_trip():
