@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
                 "pure": experiments.run_pure_state,
             }[args.subcommand]
             report = runner(config)
-            budget = f" ({experiments.thread_budget(config)})"
+            budget = f"{experiments.thread_budget(config)}, "
     except (_UsageError, ParameterError) as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -199,8 +200,9 @@ def main(argv=None) -> int:
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
-    # timing and thread budget are provenance for the console only; reports stay byte-reproducible
-    print(f"{PROG}: {args.subcommand} finished in {elapsed:.2f}s{budget}", file=sys.stderr)
+    # timing, thread budget and peak memory are provenance for the console only; reports stay byte-reproducible
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # ru_maxrss is in KiB on Linux
+    print(f"{PROG}: {args.subcommand} finished in {elapsed:.2f}s ({budget}peak RSS {peak_rss_mb:.0f} MB)", file=sys.stderr)
 
     if args.subcommand == "selftest" and not report["all_pass"]:
         return EXIT_SELFTEST

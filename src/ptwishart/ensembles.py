@@ -5,6 +5,13 @@ Monte Carlo run parallelizes by giving each trial its own stream index and
 the output is reproducible bit for bit regardless of scheduling.  Complex
 Gaussian entries follow the unit-total-variance convention: real and
 imaginary parts are independent N(0, 1/2), so E|entry|^2 = 1.
+
+Draw layout: every sampler takes its Gaussian vectors as the rows of one
+(count, 2*size) standard normal draw viewed as complex, so a complex entry is
+two consecutive normals (real part first); the real field draws (count, size).
+An n x p Ginibre matrix G is the transpose of such a (p, n) draw, and a row
+block of the draw is a contiguous run of the stream, which lets
+`sample_wishart` draw G^T in row blocks without changing any value.
 """
 
 from __future__ import annotations
@@ -13,11 +20,15 @@ from dataclasses import dataclass
 from math import floor, sqrt
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import ParameterError
 from .linalg import BipartiteShape
 
 FIELDS = ("real", "complex")
+
+# ancilla rows of G^T drawn per Gram update; bounds sample_wishart's working memory
+GRAM_CHUNK = 512
 
 
 def _check_field(field: str):
@@ -78,25 +89,48 @@ class WishartParams:
             raise ParameterError(f"ancilla count must be >= 1, got {self.p}")
 
 
+def _standard_normal_rows(rng: np.random.Generator, count: int, size: int, field: str) -> np.ndarray:
+    """count x size standard normals; a complex entry is two consecutive draws
+    (real, imaginary), unscaled, so E|entry|^2 = 2."""
+    if field == "real":
+        return rng.standard_normal((count, size))
+    return rng.standard_normal((count, 2 * size)).view(np.complex128)
+
+
 def sample_ginibre(rows: int, cols: int, field: str, stream: SampleStream) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal entries (real or complex)."""
+    """rows x cols matrix of i.i.d. standard normal entries (real or complex):
+    the transpose of a (cols, rows) draw in the module's layout."""
     if rows < 1 or cols < 1:
         raise ParameterError(f"matrix dimensions must be >= 1, got ({rows}, {cols})")
     _check_field(field)
-    rng = stream.generator()
-    if field == "real":
-        return rng.standard_normal((rows, cols))
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / sqrt(2.0)
+    g = _standard_normal_rows(stream.generator(), cols, rows, field).T
+    return g if field == "real" else g / sqrt(2.0)
 
 
 def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
-    """Wishart sample (1/p) G G^dagger; Hermitian positive semidefinite."""
-    g = sample_ginibre(params.n, params.p, params.field, stream)
-    w = g @ g.conj().T / params.p
-    # enforce exact self-adjointness against rounding in the product
-    return (w + w.conj().T) / 2.0
+    """Wishart sample (1/p) G G^dagger, G = sample_ginibre(n, p, field, stream);
+    exactly Hermitian, positive semidefinite.
+
+    G^T is drawn GRAM_CHUNK rows at a time and each block is added to the lower
+    triangle of the Gram by zherk/dsyrk, so working memory is O(n^2 + n * GRAM_CHUNK).
+    The chunk size changes W only by rounding in the accumulation.
+    """
+    n, p, field = params.n, params.p, params.field
+    rng = stream.generator()
+    if field == "real":
+        update, alpha, dtype = blas.dsyrk, 1.0 / p, np.float64
+    else:
+        # the unscaled complex draw has E|entry|^2 = 2
+        update, alpha, dtype = blas.zherk, 0.5 / p, np.complex128
+    c = np.zeros((n, n), dtype=dtype, order="F")
+    for start in range(0, p, GRAM_CHUNK):
+        block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n, field)
+        # block.T is the F-ordered n x rows slice of G: c += alpha * G_k G_k^dagger
+        c = update(alpha, block.T, beta=1.0, c=c, lower=1, overwrite_c=1)
+    # mirror the lower triangle; the diagonal is counted twice
+    w = c + c.conj().T
+    w[np.diag_indices(n)] *= 0.5
+    return w
 
 
 def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
@@ -113,10 +147,7 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
     """Uniform average of p independent Haar-random rank-one projectors on C^n."""
     if n < 1 or p < 1:
         raise ParameterError(f"dimensions must be >= 1, got (n={n}, p={p})")
-    rng = stream.generator()
-    re = rng.standard_normal((n, p))
-    im = rng.standard_normal((n, p))
-    vectors = re + 1j * im
+    vectors = _standard_normal_rows(stream.generator(), p, n, "complex").T
     vectors /= np.linalg.norm(vectors, axis=0)
     rho = vectors @ vectors.conj().T / p
     return (rho + rho.conj().T) / 2.0
@@ -124,8 +155,5 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
 
 def sample_pure_state(shape: BipartiteShape, stream: SampleStream) -> np.ndarray:
     """Haar-uniform unit vector on C^(d1*d2): normalized complex Gaussian."""
-    rng = stream.generator()
-    re = rng.standard_normal(shape.n)
-    im = rng.standard_normal(shape.n)
-    v = re + 1j * im
+    v = _standard_normal_rows(stream.generator(), 1, shape.n, "complex")[0]
     return v / np.linalg.norm(v)

@@ -117,8 +117,8 @@ def test_thread_budget_goes_to_stderr_only(capsys):
     for threads, budget in budgets.items():
         assert run_cli(argv + ["--threads", threads]) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch(rf"ptwishart: ppt finished in \d+\.\d\ds \({budget}\)\n", captured.err), captured.err
-        assert "finished" not in captured.out and "worker" not in captured.out
+        assert re.fullmatch(rf"ptwishart: ppt finished in \d+\.\d\ds \({budget}, peak RSS [1-9]\d* MB\)\n", captured.err), captured.err
+        assert "finished" not in captured.out and "worker" not in captured.out and "RSS" not in captured.out
 
 
 def test_laws_subcommand_stdout(capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ptwishart import ensembles
 from ptwishart import (
     BipartiteShape,
     SampleStream,
@@ -97,6 +100,39 @@ def test_wishart_recomputed_by_scalar_loops():
             for k in range(1):
                 expected[i, j] += g[i, k] * np.conj(g[j, k])
     np.testing.assert_allclose(w, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [1, ensembles.GRAM_CHUNK + 3, 2 * ensembles.GRAM_CHUNK])
+def test_wishart_is_the_gram_of_the_ginibre_draw(field, p):
+    # one partial, one plus-a-remainder and two full ancilla chunks
+    stream = SampleStream(17, 3)
+    w = sample_wishart(WishartParams(n=7, p=p, field=field), stream)
+    g = sample_ginibre(7, p, field, stream)
+    np.testing.assert_allclose(w, g @ g.conj().T / p, rtol=0, atol=1e-13)
+    assert np.array_equal(w, w.conj().T)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_wishart_chunk_size_changes_only_rounding(monkeypatch, field, chunk):
+    params = WishartParams(n=6, p=2 * ensembles.GRAM_CHUNK + 5, field=field)
+    expected = sample_wishart(params, SampleStream(23, 1))
+    monkeypatch.setattr(ensembles, "GRAM_CHUNK", chunk)
+    w = sample_wishart(params, SampleStream(23, 1))
+    assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(w, w.conj().T)
+
+
+def test_wishart_never_holds_the_ginibre_matrix():
+    # G alone would take 16 * 100 * 20000 bytes = 32 MB
+    tracemalloc.start()
+    try:
+        sample_wishart(WishartParams(n=100, p=20_000), SampleStream(3, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_wishart_diagonal_near_one():
