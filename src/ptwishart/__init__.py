@@ -8,7 +8,6 @@ command-line experiment harness.
 from .ensembles import (
     SampleStream,
     WishartParams,
-    sample_ginibre,
     sample_induced_state,
     sample_mixture_state,
     sample_pure_state,
@@ -98,7 +97,6 @@ __all__ = [
     "pt_spectrum_from_schmidt",
     "quadrature_moment",
     "remove_diagonal",
-    "sample_ginibre",
     "sample_induced_state",
     "sample_mixture_state",
     "sample_pure_state",

@@ -2,22 +2,27 @@
 
 Every sampler is a pure function of its parameters and a SampleStream, so a
 Monte Carlo run parallelizes by giving each trial its own stream index and
-the output is reproducible bit for bit regardless of scheduling.  Complex
-Gaussian entries follow the unit-total-variance convention: real and
-imaginary parts are independent N(0, 1/2), so E|entry|^2 = 1.
+the output is reproducible bit for bit regardless of scheduling.  Wishart
+samples are scaled for the unit-total-variance convention: the entries of G
+in W = G G^dagger / p have E|entry|^2 = 1 (complex: real and imaginary parts
+independent N(0, 1/2)), so E W = Id.
 
 Draw layout: every sampler takes its Gaussian vectors as the rows of one
 (count, 2*size) standard normal draw viewed as complex, so a complex entry is
 two consecutive normals (real part first); the real field draws (count, size).
-An n x p Ginibre matrix G is the transpose of such a (p, n) draw, and a row
-block of the draw is a contiguous run of the stream, which lets
-`sample_wishart` draw G^T in row blocks without changing any value.
+A row block of such a draw is a contiguous run of the stream, which lets
+`sample_mixture_state` draw its vectors in row blocks without changing any
+value.  `sample_wishart` draws no n x p Ginibre matrix: it draws W's Bartlett
+factor L (Edelman & Rao, Random matrix theory, Acta Numerica 2005), first the
+min(n, p) diagonal chi-square variates in diagonal order, then the strictly
+lower entries column by column, each column top to bottom, a complex entry
+again two consecutive normals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, sqrt
+from math import floor
 
 import numpy as np
 from scipy.linalg import blas
@@ -27,7 +32,7 @@ from .linalg import BipartiteShape
 
 FIELDS = ("real", "complex")
 
-# ancilla rows of G^T drawn per Gram update; bounds sample_wishart's working memory
+# vectors drawn per Gram update; bounds sample_mixture_state's working memory
 GRAM_CHUNK = 512
 
 
@@ -97,40 +102,50 @@ def _standard_normal_rows(rng: np.random.Generator, count: int, size: int, field
     return rng.standard_normal((count, 2 * size)).view(np.complex128)
 
 
-def sample_ginibre(rows: int, cols: int, field: str, stream: SampleStream) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal entries (real or complex):
-    the transpose of a (cols, rows) draw in the module's layout."""
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"matrix dimensions must be >= 1, got ({rows}, {cols})")
-    _check_field(field)
-    g = _standard_normal_rows(stream.generator(), cols, rows, field).T
-    return g if field == "real" else g / sqrt(2.0)
+def _bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np.ndarray:
+    """F-ordered n x min(n, p) lower-trapezoidal L with L L^dagger equal in law to
+    G G^dagger for an n x p draw G in the module's layout.
+
+    Diagonal entry j is the square root of a chi-square variate with p - j degrees
+    of freedom, 2(p - j) for the complex field (matching E|entry|^2 = 2); the
+    entries below it are independent normals.
+    """
+    m = min(n, p)
+    diagonal = np.sqrt(rng.chisquare((p - np.arange(m)) * (1 if field == "real" else 2)))
+    factor = np.zeros((n, m), dtype=np.float64 if field == "real" else np.complex128, order="F")
+    factor[np.diag_indices(m)] = diagonal
+    for j in range(m):
+        # the column below the diagonal is contiguous; a complex entry is two normals
+        rng.standard_normal(out=factor[j + 1:, j].view(np.float64))
+    return factor
+
+
+def _mirror_lower(c: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian matrix with the lower triangle of c, whose strict upper
+    triangle is zero: c + c^dagger with the doubly counted diagonal halved."""
+    w = c.conj().T
+    w += c
+    w[np.diag_indices(len(w))] *= 0.5
+    return w
 
 
 def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
-    """Wishart sample (1/p) G G^dagger, G = sample_ginibre(n, p, field, stream);
-    exactly Hermitian, positive semidefinite.
+    """Wishart sample (1/p) G G^dagger of an n x p Gaussian G (real or complex with
+    E|entry|^2 = 1); exactly Hermitian, positive semidefinite, of rank min(n, p).
 
-    G^T is drawn GRAM_CHUNK rows at a time and each block is added to the lower
-    triangle of the Gram by zherk/dsyrk, so working memory is O(n^2 + n * GRAM_CHUNK).
-    The chunk size changes W only by rounding in the accumulation.
+    Computed as (1/p) L L^dagger from the Bartlett factor L, one zherk/dsyrk on
+    the n x min(n, p) factor: about n^2/2 normals in place of the n * p of G.
     """
     n, p, field = params.n, params.p, params.field
-    rng = stream.generator()
     if field == "real":
         update, alpha, dtype = blas.dsyrk, 1.0 / p, np.float64
     else:
         # the unscaled complex draw has E|entry|^2 = 2
         update, alpha, dtype = blas.zherk, 0.5 / p, np.complex128
     c = np.zeros((n, n), dtype=dtype, order="F")
-    for start in range(0, p, GRAM_CHUNK):
-        block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n, field)
-        # block.T is the F-ordered n x rows slice of G: c += alpha * G_k G_k^dagger
-        c = update(alpha, block.T, beta=1.0, c=c, lower=1, overwrite_c=1)
-    # mirror the lower triangle; the diagonal is counted twice
-    w = c + c.conj().T
-    w[np.diag_indices(n)] *= 0.5
-    return w
+    # the factor is a temporary, released before the mirror allocates
+    c = update(alpha, _bartlett_factor(stream.generator(), n, p, field), c=c, lower=1, overwrite_c=1)
+    return _mirror_lower(c)
 
 
 def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
@@ -144,13 +159,22 @@ def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
 
 
 def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
-    """Uniform average of p independent Haar-random rank-one projectors on C^n."""
+    """Uniform average of p independent Haar-random rank-one projectors on C^n;
+    exactly Hermitian.
+
+    The vectors are drawn GRAM_CHUNK at a time, normalized and added to the lower
+    triangle by zherk, so working memory is O(n^2 + n * GRAM_CHUNK).
+    """
     if n < 1 or p < 1:
         raise ParameterError(f"dimensions must be >= 1, got (n={n}, p={p})")
-    vectors = _standard_normal_rows(stream.generator(), p, n, "complex").T
-    vectors /= np.linalg.norm(vectors, axis=0)
-    rho = vectors @ vectors.conj().T / p
-    return (rho + rho.conj().T) / 2.0
+    rng = stream.generator()
+    c = np.zeros((n, n), dtype=np.complex128, order="F")
+    for start in range(0, p, GRAM_CHUNK):
+        block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n, "complex")
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        # block.T is F-ordered n x rows: c += (1/p) sum of v v^dagger over the block
+        c = blas.zherk(1.0 / p, block.T, beta=1.0, c=c, lower=1, overwrite_c=1)
+    return _mirror_lower(c)
 
 
 def sample_pure_state(shape: BipartiteShape, stream: SampleStream) -> np.ndarray:

@@ -1,15 +1,16 @@
+import itertools
 import tracemalloc
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from ptwishart import ensembles
 from ptwishart import (
     BipartiteShape,
     SampleStream,
     WishartParams,
     hermitian_eigenvalues,
-    sample_ginibre,
+    partial_transpose,
     sample_induced_state,
     sample_mixture_state,
     sample_pure_state,
@@ -45,15 +46,6 @@ def test_wishart_params():
         WishartParams(n=4, p=3, field="quaternion")
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_ginibre_determinism(field):
-    a = sample_ginibre(3, 5, field, SampleStream(42, 7))
-    b = sample_ginibre(3, 5, field, SampleStream(42, 7))
-    np.testing.assert_array_equal(a, b)
-    c = sample_ginibre(3, 5, field, SampleStream(42, 8))
-    assert not np.array_equal(a, c)
-
-
 def test_sampler_determinism_across_ensembles():
     stream = SampleStream(99, 3)
     pairs = [
@@ -66,62 +58,100 @@ def test_sampler_determinism_across_ensembles():
         np.testing.assert_array_equal(a, b)
 
 
-def test_ginibre_real_mean_near_zero():
-    total = 0.0
-    count = 0
-    for t in range(100_000):
-        g = sample_ginibre(3, 5, "real", SampleStream(2024, t))
-        total += g.sum()
-        count += g.size
-    mean = total / count
-    assert abs(mean) <= 4.0 / np.sqrt(count)
-
-
-def test_ginibre_complex_unit_second_moment():
-    total = 0.0
-    count = 0
-    for t in range(100_000):
-        g = sample_ginibre(3, 5, "complex", SampleStream(2025, t))
-        total += (np.abs(g) ** 2).sum()
-        count += g.size
-    mean = total / count
-    # Var |entry|^2 = 1 for the unit-total-variance complex normal
-    assert abs(mean - 1.0) <= 4.0 / np.sqrt(count)
-
-
 def test_wishart_recomputed_by_scalar_loops():
-    stream = SampleStream(5, 0)
-    params = WishartParams(n=2, p=1, field="complex")
-    w = sample_wishart(params, stream)
-    g = sample_ginibre(2, 1, "complex", stream)
-    expected = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(1):
-                expected[i, j] += g[i, k] * np.conj(g[j, k])
-    np.testing.assert_allclose(w, expected, atol=1e-14)
+    # the documented Bartlett layout, drawn one variate at a time from the same stream
+    for field, n, p in [("complex", 4, 6), ("complex", 5, 3), ("real", 4, 6), ("real", 5, 3)]:
+        stream = SampleStream(5, n + p)
+        w = sample_wishart(WishartParams(n=n, p=p, field=field), stream)
+        rng = stream.generator()
+        m = min(n, p)
+        factor = np.zeros((n, m), dtype=complex)
+        for j in range(m):
+            factor[j, j] = sqrt(rng.chisquare((p - j) * (1 if field == "real" else 2)))
+        for j in range(m):
+            for i in range(j + 1, n):
+                factor[i, j] = rng.standard_normal()
+                if field == "complex":
+                    factor[i, j] += 1j * rng.standard_normal()
+        scale = 1.0 / p if field == "real" else 0.5 / p
+        expected = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                for k in range(m):
+                    expected[i, j] += scale * factor[i, k] * np.conj(factor[j, k])
+        assert w.dtype == (np.float64 if field == "real" else np.complex128)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-13)
+        assert np.array_equal(w, w.conj().T)
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return count
+
+
+def _genus_sum(k, d1, d2, p):
+    """E Tr ((G G^dagger / p)^Gamma)^k for complex G of size d1*d2 x p with
+    E|entry|^2 = 1: p^-k sum over S_k of p^#sigma d1^#(gamma^-1 sigma) d2^#(gamma sigma)."""
+    gamma = [(i + 1) % k for i in range(k)]
+    gamma_inv = [(i - 1) % k for i in range(k)]
+    total = 0
+    for sigma in itertools.permutations(range(k)):
+        total += (p ** _cycles(sigma) * d1 ** _cycles([gamma_inv[s] for s in sigma])
+                  * d2 ** _cycles([gamma[s] for s in sigma]))
+    return total / p**k
+
+
+def _z_scores(samples, exact):
+    """(mean - exact) / standard error, one per column of samples."""
+    samples = np.asarray(samples)
+    return (samples.mean(axis=0) - exact) / (samples.std(axis=0, ddof=1) / sqrt(len(samples)))
+
+
+@pytest.mark.parametrize("p", [36, 5])
+def test_complex_wishart_exact_finite_size_moments(p):
+    d, trials = 3, 10_000
+    n = d * d
+    diagonals, traces = [], []
+    for t in range(trials):
+        w = sample_wishart(WishartParams(n=n, p=p), SampleStream(70 + p, t))
+        x = partial_transpose(w, BipartiteShape(d, d))
+        x2 = x @ x
+        diagonals.append(np.diagonal(w).real)
+        traces.append([np.trace(x).real, np.trace(x2).real, np.vdot(x, x2).real, np.vdot(x2, x2).real])
+    # E W_jj = 1 for each j separately: the degrees of freedom follow the diagonal
+    assert np.all(np.abs(_z_scores(diagonals, 1.0)) <= 4.0)
+    exact = [_genus_sum(k, d, d, p) for k in range(1, 5)]
+    # Gamma keeps the trace and the Frobenius norm: E Tr W = n, E Tr W^2 = n(n + p)/p
+    assert exact[:2] == pytest.approx([n, n * (n + p) / p], rel=1e-15)
+    assert np.all(np.abs(_z_scores(traces, exact)) <= 4.0)
+
+
+@pytest.mark.parametrize("p", [20, 4])
+def test_real_wishart_exact_finite_size_moments(p):
+    n, trials = 9, 10_000
+    diagonals, traces = [], []
+    for t in range(trials):
+        w = sample_wishart(WishartParams(n=n, p=p, field="real"), SampleStream(80 + p, t))
+        diagonals.append(np.diagonal(w))
+        traces.append([np.trace(w), np.vdot(w, w)])
+    assert np.all(np.abs(_z_scores(diagonals, 1.0)) <= 4.0)
+    assert np.all(np.abs(_z_scores(traces, [n, n * (n + p + 1) / p])) <= 4.0)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("p", [1, ensembles.GRAM_CHUNK + 3, 2 * ensembles.GRAM_CHUNK])
-def test_wishart_is_the_gram_of_the_ginibre_draw(field, p):
-    # one partial, one plus-a-remainder and two full ancilla chunks
-    stream = SampleStream(17, 3)
-    w = sample_wishart(WishartParams(n=7, p=p, field=field), stream)
-    g = sample_ginibre(7, p, field, stream)
-    np.testing.assert_allclose(w, g @ g.conj().T / p, rtol=0, atol=1e-13)
+def test_wishart_rank_is_the_ancilla_count(field):
+    n, p = 12, 5
+    w = sample_wishart(WishartParams(n=n, p=p, field=field), SampleStream(19, 2))
     assert np.array_equal(w, w.conj().T)
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_wishart_chunk_size_changes_only_rounding(monkeypatch, field, chunk):
-    params = WishartParams(n=6, p=2 * ensembles.GRAM_CHUNK + 5, field=field)
-    expected = sample_wishart(params, SampleStream(23, 1))
-    monkeypatch.setattr(ensembles, "GRAM_CHUNK", chunk)
-    w = sample_wishart(params, SampleStream(23, 1))
-    assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert np.array_equal(w, w.conj().T)
+    vals = np.abs(hermitian_eigenvalues(w))
+    assert np.sum(vals <= 1e-12 * vals.max()) == n - p
+    assert np.sum(vals >= 1e-3 * vals.max()) == p
 
 
 def test_wishart_never_holds_the_ginibre_matrix():
@@ -198,6 +228,20 @@ def test_mixture_state_rank_bound_and_trace():
 def test_mixture_state_concentrates_to_maximally_mixed():
     rho = sample_mixture_state(4, 100_000, SampleStream(56, 0))
     assert np.linalg.norm(rho - np.eye(4) / 4, 2) <= 0.05
+
+
+def test_mixture_state_never_holds_all_vectors():
+    # the vectors alone would take 16 * 100 * 20000 bytes = 32 MB
+    tracemalloc.start()
+    try:
+        rho = sample_mixture_state(100, 20_000, SampleStream(3, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.array_equal(rho, rho.conj().T)
+    # every partial block of vectors is counted once
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
 
 def test_pure_state_norm_and_phase():
