@@ -5,6 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from ptwishart import ensembles
 from ptwishart import (
     BipartiteShape,
     SampleStream,
@@ -152,6 +153,24 @@ def test_wishart_rank_is_the_ancilla_count(field):
     vals = np.abs(hermitian_eigenvalues(w))
     assert np.sum(vals <= 1e-12 * vals.max()) == n - p
     assert np.sum(vals >= 1e-3 * vals.max()) == p
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_wishart_chunk_size_changes_only_rounding(monkeypatch, field, chunk):
+    # GRAM_CHUNK bounds working memory only: neither the Wishart sample nor the
+    # mixture state, whose vectors are accumulated in GRAM_CHUNK blocks, may move
+    # by more than rounding when it changes
+    params = WishartParams(n=6, p=2 * ensembles.GRAM_CHUNK + 5, field=field)
+    expected = sample_wishart(params, SampleStream(23, 1))
+    expected_mixture = sample_mixture_state(params.n, params.p, SampleStream(23, 1))
+    monkeypatch.setattr(ensembles, "GRAM_CHUNK", chunk)
+    w = sample_wishart(params, SampleStream(23, 1))
+    assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(w, w.conj().T)
+    rho = sample_mixture_state(params.n, params.p, SampleStream(23, 1))
+    assert np.max(np.abs(rho - expected_mixture)) <= 1e-13 * np.max(np.abs(expected_mixture))
+    assert np.array_equal(rho, rho.conj().T)
 
 
 def test_wishart_never_holds_the_ginibre_matrix():
