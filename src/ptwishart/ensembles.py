@@ -35,6 +35,10 @@ FIELDS = ("real", "complex")
 # vectors drawn per Gram update; bounds sample_mixture_state's working memory
 GRAM_CHUNK = 512
 
+# largest ancilla count, well inside the int64 range of the chi-square degrees of
+# freedom p - j that sample_wishart draws with
+MAX_ANCILLA = 2**62
+
 
 def _check_field(field: str):
     if field not in FIELDS:
@@ -64,13 +68,22 @@ class SampleStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def check_ancilla(p, origin: str = ""):
+    """Refuse an ancilla count outside 1..MAX_ANCILLA; `origin` says where p came from."""
+    if not 1 <= p <= MAX_ANCILLA:
+        raise ParameterError(f"p must be between 1 and 2**62, got {p}{origin}")
+
+
 def ancilla_dim(alpha: float, n: int) -> int:
     """Ancilla count p = alpha * n: the nearest integer when alpha * n is within
     1e-9 of one, else the floor.  Plain flooring would turn 4.1 * 100 =
-    409.99999999999994 into 409."""
-    x = alpha * n
-    nearest = round(x)
-    return nearest if abs(x - nearest) <= 1e-9 else int(floor(x))
+    409.99999999999994 into 409.  Raises ParameterError unless 1 <= p <= MAX_ANCILLA."""
+    p = alpha * n
+    if p <= MAX_ANCILLA:  # a larger p, inf included, is refused unrounded
+        nearest = round(p)
+        p = nearest if abs(p - nearest) <= 1e-9 else int(floor(p))
+    check_ancilla(p, f" from alpha {alpha} at n={n}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -90,8 +103,7 @@ class WishartParams:
             raise ParameterError("exactly one of p and alpha must be given")
         if self.p is None:
             object.__setattr__(self, "p", ancilla_dim(self.alpha, self.n))
-        if self.p < 1:
-            raise ParameterError(f"ancilla count must be >= 1, got {self.p}")
+        check_ancilla(self.p)
 
 
 def _standard_normal_rows(rng: np.random.Generator, count: int, size: int, field: str) -> np.ndarray:
@@ -111,7 +123,8 @@ def _bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np
     entries below it are independent normals.
     """
     m = min(n, p)
-    diagonal = np.sqrt(rng.chisquare((p - np.arange(m)) * (1 if field == "real" else 2)))
+    # doubled in float64: 2(p - j) in int64 would wrap for p near MAX_ANCILLA
+    diagonal = np.sqrt(rng.chisquare((p - np.arange(m)) * (1.0 if field == "real" else 2.0)))
     factor = np.zeros((n, m), dtype=np.float64 if field == "real" else np.complex128, order="F")
     factor[np.diag_indices(m)] = diagonal
     for j in range(m):

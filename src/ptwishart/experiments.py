@@ -27,6 +27,7 @@ from .ensembles import (
     SampleStream,
     WishartParams,
     ancilla_dim,
+    check_ancilla,
     sample_induced_state,
     sample_mixture_state,
     sample_pure_state,
@@ -114,8 +115,9 @@ class ExperimentConfig:
         for alpha in (self.alpha,) + (self.alphas or ()):
             if alpha is not None:
                 _check_alpha(alpha)
-        if self.p is not None and not self.p >= 1:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
+                ancilla_dim(alpha, self.n)  # refuses an empty or oversized ancilla before any trial
+        if self.p is not None:
+            check_ancilla(self.p)
         if self.tol is not None and not (isfinite(self.tol) and self.tol >= 0):
             raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
         if self.ensemble != "wishart" and self.field != "complex":
@@ -264,12 +266,12 @@ def run_spectrum(config: ExperimentConfig) -> dict:
         stats["ks_semicircle"] = ks_distance(sample, law)
         stats["lambda_min"], stats["lambda_max"] = extremes(sample)
         stats["support_fraction"] = esd_fraction(sample, lo_edge - SUPPORT_PAD, hi_edge + SUPPORT_PAD)
-        hist = histogram(sample, bins=config.bins)
+        edges, counts = histogram(sample, bins=config.bins)
         # stream index == trial index here; each trial fills its own slot
         spectra[stream.stream_index] = {
             "trial": stream.stream_index,
             "eigenvalues": sample.eigenvalues.tolist(),
-            "histogram": {"bin_edges": hist.bin_edges.tolist(), "counts": hist.counts.tolist()},
+            "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
         }
         return stats
 
@@ -339,8 +341,6 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
     per_alpha = []
     for ai, alpha in enumerate(config.alphas):
         p = ancilla_dim(alpha, n)
-        if p < 1:
-            raise ParameterError(f"alpha {alpha} gives an empty ancilla at n={n}")
 
         def one_trial(stream: SampleStream) -> dict:
             result = ppt_gauge(_sample_state(config.ensemble, n, p, stream), shape)
@@ -577,7 +577,11 @@ def run_laws(alpha: float = 4.0, bins: int = 100) -> dict:
     density_tables = {}
     for name, law in laws:
         for k in range(0, 9):
-            records.append(_record("laws", f"{name}:moment_k{k}", law.moment(k), alpha=alpha))
+            try:
+                moment = law.moment(k)
+            except OverflowError:
+                raise ParameterError(f"alpha {alpha} is too small: the {name} moment k={k} overflows") from None
+            records.append(_record("laws", f"{name}:moment_k{k}", moment, alpha=alpha))
         if hasattr(law, "density"):
             lo, hi = law.support
             grid = np.linspace(lo, hi, bins + 1)

@@ -32,20 +32,10 @@ class BipartiteShape:
         if self.d1 < 1 or self.d2 < 1:
             raise ParameterError(f"factor dimensions must be >= 1, got ({self.d1}, {self.d2})")
 
-    @classmethod
-    def square(cls, d: int) -> "BipartiteShape":
-        return cls(d, d)
-
     @property
     def n(self) -> int:
         """Total dimension d1*d2."""
         return self.d1 * self.d2
-
-    def flat_index(self, i: int, k: int) -> int:
-        """Flatten the product-basis label (i, k), 0-based, to [0, n)."""
-        if not (0 <= i < self.d1 and 0 <= k < self.d2):
-            raise ParameterError(f"index ({i}, {k}) outside [0,{self.d1}) x [0,{self.d2})")
-        return i * self.d2 + k
 
 
 def _as_square(a) -> np.ndarray:
@@ -55,33 +45,12 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _as_bipartite(a, shape: BipartiteShape) -> np.ndarray:
-    a = _as_square(a)
-    if a.shape[0] != shape.n:
-        raise ShapeError(
-            f"matrix of size {a.shape[0]} does not match bipartite shape "
-            f"({shape.d1}, {shape.d2}) with total dimension {shape.n}"
-        )
-    return a
-
-
-def as_blocks(a, shape: BipartiteShape) -> np.ndarray:
-    """View a as a 4-index array B with B[i, k, j, l] = entry in block (i, j) at (k, l)."""
-    return _as_bipartite(a, shape).reshape(shape.d1, shape.d2, shape.d1, shape.d2)
-
-
-def block_entry(a, shape: BipartiteShape, i: int, j: int, k: int, l: int):
-    """Entry of a in block row i, block column j, inner row k, inner column l (0-based)."""
-    a = _as_bipartite(a, shape)
-    return a[shape.flat_index(i, k), shape.flat_index(j, l)]
-
-
-def is_hermitian(a, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(a) -> bool:
     a = _as_square(a)
     scale = float(np.abs(a).max()) if a.size else 0.0
     if scale == 0.0:
         return True
-    return float(np.abs(a - a.conj().T).max()) <= rtol * scale
+    return float(np.abs(a - a.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
 def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
@@ -91,30 +60,15 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     The operation is an involution and preserves trace, Frobenius norm,
     and self-adjointness.
     """
-    blocks = as_blocks(a, shape)
+    a = _as_square(a)
+    if a.shape[0] != shape.n:
+        raise ShapeError(
+            f"matrix of size {a.shape[0]} does not match bipartite shape "
+            f"({shape.d1}, {shape.d2}) with total dimension {shape.n}"
+        )
+    # blocks[i, k, j, l] is the entry of block (i, j) at inner position (k, l)
+    blocks = a.reshape(shape.d1, shape.d2, shape.d1, shape.d2)
     return blocks.swapaxes(1, 3).reshape(shape.n, shape.n).copy()
-
-
-def partial_trace(a, shape: BipartiteShape, keep: str = "first") -> np.ndarray:
-    """Trace out one tensor factor; `keep` selects the surviving factor.
-
-    keep="first" returns the d1 x d1 matrix M[i, j] = sum_k a[i, j; k, k];
-    keep="second" the d2 x d2 matrix M[k, l] = sum_i a[i, i; k, l].
-    The full trace is preserved either way.
-    """
-    blocks = as_blocks(a, shape)
-    if keep == "first":
-        return np.einsum("ikjk->ij", blocks)
-    if keep == "second":
-        return np.einsum("ikil->kl", blocks)
-    raise ParameterError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def remove_diagonal(a) -> np.ndarray:
-    """Copy of a with the main diagonal zeroed."""
-    out = _as_square(a).copy()
-    np.fill_diagonal(out, 0)
-    return out
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

@@ -279,14 +279,12 @@ class WishartMatchingStats:
     matches          every couple in the alternating list occurs evenly often
     distinct_values  distinct entries of a plus distinct entries of c
     distinct_couples distinct couples in the alternating list
-    twice_count      list positions whose couple occurs exactly twice
     heavy_count      list positions whose couple occurs four or more times
     """
 
     matches: bool
     distinct_values: int
     distinct_couples: int
-    twice_count: int
     heavy_count: int
 
 
@@ -297,7 +295,6 @@ def wishart_matching_stats(a: Sequence, c: Sequence) -> WishartMatchingStats:
         matches=all(v % 2 == 0 for v in counts.values()),
         distinct_values=len(set(a)) + len(set(c)),
         distinct_couples=len(counts),
-        twice_count=sum(1 for cp in couples if counts[cp] == 2),
         heavy_count=sum(1 for cp in couples if counts[cp] >= 4),
     )
 

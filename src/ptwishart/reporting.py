@@ -30,10 +30,6 @@ def emit_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def parse_json(text: str) -> dict:
-    return json.loads(text)
-
-
 def emit_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")

@@ -18,6 +18,9 @@ from .linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose
 # this far below zero, relative to the spectral radius, and still count.
 PPT_EIGENVALUE_RTOL = 1e-10
 
+# A state handed to ppt_gauge must have unit trace to within this.
+STATE_TRACE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectralSample:
@@ -62,57 +65,30 @@ def extremes(sample: SpectralSample) -> tuple[float, float]:
     return float(e[0]), float(e[-1])
 
 
-def ks_distance(sample: SpectralSample, law, shift: float = 0.0, scale: float = 1.0) -> float:
-    """Kolmogorov-Smirnov distance between the sample (affinely mapped by
-    x -> (x - shift)/scale) and the law's CDF; supremum over jump points."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    x = (sample.eigenvalues - shift) / scale
+def ks_distance(sample: SpectralSample, law) -> float:
+    """Kolmogorov-Smirnov distance between the sample and the law's CDF;
+    supremum over jump points."""
     n = sample.n
-    cdf_vals = law.cdf(x)
+    cdf_vals = law.cdf(sample.eigenvalues)
     steps = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(steps / n - cdf_vals))
     d_minus = float(np.max(cdf_vals - (steps - 1.0) / n))
     return min(max(d_plus, d_minus, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Fixed-width count histogram of a spectral sample."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ParameterError("bin edges must be strictly increasing")
-        if counts.shape != (edges.size - 1,) or np.any(counts < 0):
-            raise ParameterError("counts must be nonnegative with one entry per bin")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def histogram(sample: SpectralSample, bins: int = 100, lo: float | None = None, hi: float | None = None) -> Histogram:
-    """Histogram over [lo, hi]; defaults pad the sample range by 1% per side."""
+def histogram(sample: SpectralSample, bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """(bin edges, counts) of a fixed-width histogram over the sample range
+    padded by 1% per side."""
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
     e = sample.eigenvalues
     span = float(e[-1] - e[0])
     pad = 0.01 * span if span > 0 else 0.5
-    if lo is None:
-        lo = float(e[0]) - pad
-    if hi is None:
-        hi = float(e[-1]) + pad
+    lo, hi = float(e[0]) - pad, float(e[-1]) + pad
     if lo >= hi:
         raise ParameterError(f"histogram range is empty: [{lo}, {hi}]")
     counts, edges = np.histogram(e, bins=bins, range=(lo, hi))
-    return Histogram(edges, counts)
+    return edges, counts
 
 
 def diag_deviation(w) -> float:
@@ -136,12 +112,12 @@ class PPTResult:
     gauge: float | None
 
 
-def ppt_gauge(rho, shape: BipartiteShape, trace_tol: float = 1e-8) -> PPTResult:
+def ppt_gauge(rho, shape: BipartiteShape) -> PPTResult:
     """PPT test and gauge for a unit-trace state on the given bipartition."""
     rho = np.asarray(rho)
     trace = complex(np.trace(rho)).real
-    if abs(trace - 1.0) > trace_tol:
-        raise ParameterError(f"state trace must be 1 within {trace_tol}, got {trace}")
+    if abs(trace - 1.0) > STATE_TRACE_TOL:
+        raise ParameterError(f"state trace must be 1 within {STATE_TRACE_TOL}, got {trace}")
     eigs = hermitian_eigenvalues(partial_transpose(rho, shape))
     lam_min = float(eigs[0])
     spectral_radius = max(abs(float(eigs[0])), abs(float(eigs[-1])))

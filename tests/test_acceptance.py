@@ -20,7 +20,6 @@ from ptwishart import (
     WishartParams,
     catalan,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
     pt_spectrum_from_schmidt,
     quadrature_moment,
@@ -201,8 +200,6 @@ def test_criterion_9_structural_invariants():
         ok = ok and np.array_equal(partial_transpose(b, shape), a)
         ok = ok and abs(np.trace(b) - np.trace(a)) <= 1e-12 * abs(np.trace(a))
         ok = ok and abs(np.linalg.norm(b) - np.linalg.norm(a)) <= 1e-12 * np.linalg.norm(a)
-        kept = partial_trace(a, shape, keep="first")
-        ok = ok and abs(np.trace(kept) - np.trace(a)) <= 1e-12 * max(1.0, abs(np.trace(a)))
     # Wishart positive semidefiniteness
     for field in ("real", "complex"):
         w = sample_wishart(WishartParams(n=16, p=24, field=field), SampleStream(SEED, 5))

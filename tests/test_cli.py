@@ -34,6 +34,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["spectrum", "--p", "0"], "p must"),
         (["extremes", "--p", "0"], "p must"),
         (["spectrum", "--p", "-4"], "p must"),
+        # an ancilla beyond 2**62 is refused before any draw
+        (["spectrum", "--d", "3", "--p", "100000000000000000000"], "p must"),
+        (["spectrum", "--d", "3", "--p", "5000000000000000000"], "p must"),
+        (["spectrum", "--alpha", "1e300"], "p must"),
+        (["ppt", "--alphas", "1e300"], "p must"),
+        (["ppt", "--d", "2", "--ensemble", "mixture", "--alphas", "1e300"], "p must"),
+        (["laws", "--alpha", "1e-100"], "alpha"),
         (["spectrum", "--check", "--tol", "nan"], "tol"),
         (["ppt", "--field", "real"], "field"),
         (["pure", "--field", "real"], "field"),

@@ -12,11 +12,10 @@ from ptwishart import (
     WishartParams,
     hermitian_eigenvalues,
     partial_transpose,
-    sample_induced_state,
-    sample_mixture_state,
     sample_pure_state,
     sample_wishart,
 )
+from ptwishart.ensembles import sample_induced_state, sample_mixture_state
 from ptwishart.errors import ParameterError
 
 
@@ -43,6 +42,13 @@ def test_wishart_params():
         WishartParams(n=4)
     with pytest.raises(ParameterError):
         WishartParams(n=4, alpha=0.01)
+    # p = 2**62 is the largest ancilla; the complex field's 2p degrees of freedom must not wrap
+    w = sample_wishart(WishartParams(n=2, p=2**62), SampleStream(0, 0))
+    assert np.all(np.isfinite(w)) and np.all(np.diagonal(w).real > 0)
+    with pytest.raises(ParameterError):
+        WishartParams(n=2, p=2**62 + 1)
+    with pytest.raises(ParameterError):
+        WishartParams(n=4, alpha=1e300)
     with pytest.raises(ParameterError):
         WishartParams(n=4, p=3, field="quaternion")
 
@@ -261,6 +267,18 @@ def test_mixture_state_never_holds_all_vectors():
     assert np.array_equal(rho, rho.conj().T)
     # every partial block of vectors is counted once
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("sampler, exact", [
+    (sample_induced_state, lambda n, p: (n + p) / (n * p + 1)),
+    (sample_mixture_state, lambda n, p: 1 / p + (p - 1) / (p * n)),
+], ids=["induced", "mixture"])
+@pytest.mark.parametrize("n, p", [(4, 6), (6, 3), (3, 1030)])
+def test_state_exact_finite_size_purity(sampler, exact, n, p):
+    # E Tr rho^2 at finite n and p; p = 1030 ends the mixture draw in a partial GRAM_CHUNK block
+    trials = 10_000
+    purities = [np.vdot(rho, rho).real for rho in (sampler(n, p, SampleStream(90, t)) for t in range(trials))]
+    assert abs(_z_scores(purities, exact(n, p))) <= 4.0
 
 
 def test_pure_state_norm_and_phase():

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from ptwishart import (
-    BipartiteShape,
-    block_entry,
-    hermitian_eigenvalues,
-    is_hermitian,
-    partial_trace,
-    partial_transpose,
-    remove_diagonal,
-)
+from ptwishart import BipartiteShape, hermitian_eigenvalues, partial_transpose
 from ptwishart.errors import NumericError, ParameterError, ShapeError
+from ptwishart.linalg import is_hermitian
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -27,15 +20,6 @@ def test_shape_validation():
     with pytest.raises(ParameterError):
         BipartiteShape(2, -1)
     assert BipartiteShape(2, 3).n == 6
-    assert BipartiteShape.square(4).n == 16
-
-
-def test_flat_index_bijection():
-    shape = BipartiteShape(3, 4)
-    seen = {shape.flat_index(i, k) for i in range(3) for k in range(4)}
-    assert seen == set(range(12))
-    with pytest.raises(ParameterError):
-        shape.flat_index(3, 0)
 
 
 def test_partial_transpose_identity():
@@ -44,15 +28,15 @@ def test_partial_transpose_identity():
 
 
 def test_partial_transpose_moves_single_entry():
-    # entry in block (0, 1) at inner position (0, 1) moves to inner (1, 0)
+    # entry in block (0, 1) at inner position (0, 1) moves to inner (1, 0);
+    # block (i, j) at inner (k, l) sits at row-major [i*d2 + k, j*d2 + l]
     shape = BipartiteShape(2, 2)
     a = np.zeros((4, 4))
-    a[shape.flat_index(0, 0), shape.flat_index(1, 1)] = 5.0
+    a[0 * 2 + 0, 1 * 2 + 1] = 5.0
     b = partial_transpose(a, shape)
     expected = np.zeros((4, 4))
-    expected[shape.flat_index(0, 1), shape.flat_index(1, 0)] = 5.0
+    expected[0 * 2 + 1, 1 * 2 + 0] = 5.0
     np.testing.assert_array_equal(b, expected)
-    assert block_entry(b, shape, 0, 1, 1, 0) == 5.0
 
 
 def test_partial_transpose_involution():
@@ -79,56 +63,6 @@ def test_partial_transpose_shape_mismatch():
         partial_transpose(np.eye(5), BipartiteShape(2, 2))
     with pytest.raises(ShapeError):
         partial_transpose(np.zeros((4, 3)), BipartiteShape(2, 2))
-
-
-def test_partial_trace_identity_blocks():
-    shape = BipartiteShape(2, 3)
-    out = partial_trace(np.eye(6), shape, keep="first")
-    np.testing.assert_allclose(out, 3.0 * np.eye(2))
-    out2 = partial_trace(np.eye(6), shape, keep="second")
-    np.testing.assert_allclose(out2, 2.0 * np.eye(3))
-
-
-def test_partial_trace_rank_one_projector():
-    # projector onto (e1 (x) e1 + e2 (x) e2)/sqrt(2); reduced state is I/2,
-    # cross-checked here by summing block diagonals with explicit loops
-    shape = BipartiteShape(2, 2)
-    psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    proj = np.outer(psi, psi)
-    expected = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                expected[i, j] += proj[2 * i + k, 2 * j + k]
-    np.testing.assert_allclose(expected, np.eye(2) / 2)
-    np.testing.assert_allclose(partial_trace(proj, shape, keep="first"), expected, atol=1e-15)
-
-
-def test_partial_trace_scalar_second_factor():
-    rng = np.random.default_rng(3)
-    a = random_hermitian(4, rng)
-    np.testing.assert_array_equal(partial_trace(a, BipartiteShape(4, 1), keep="first"), a)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(5)
-    shape = BipartiteShape(3, 4)
-    a = random_hermitian(12, rng)
-    for keep in ("first", "second"):
-        out = partial_trace(a, shape, keep=keep)
-        assert abs(np.trace(out) - np.trace(a)) <= 1e-12 * max(1.0, abs(np.trace(a)))
-    with pytest.raises(ParameterError):
-        partial_trace(a, shape, keep="third")
-    with pytest.raises(ShapeError):
-        partial_trace(np.eye(5), shape)
-
-
-def test_remove_diagonal():
-    np.testing.assert_array_equal(remove_diagonal(np.eye(3)), np.zeros((3, 3)))
-    a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_array_equal(remove_diagonal(a), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = np.array([[0.0, 2.0], [2.0, 0.0]])
-    np.testing.assert_array_equal(remove_diagonal(b), b)
 
 
 def test_eigenvalues_simple():
