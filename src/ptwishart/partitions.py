@@ -372,8 +372,9 @@ def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
     return out
 
 
-def admissible_triples(k: int) -> Iterator[tuple[Partition, Partition, Partition]]:
-    """Canonical admissible triples of partitions of [k], each class once.
+def admissible_triples(couples: Sequence[tuple]) -> Iterator[tuple[Partition, Partition, Partition]]:
+    """Canonical admissible triples of partitions of [k], each class once, where
+    `couples` is wishart_admissible_couples(k); k is read from the couples.
 
     An admissible triple forces both (a, c) and (b, c) to satisfy the Wishart
     matching condition, and its weight splits as the sum of the two couple
@@ -381,10 +382,8 @@ def admissible_triples(k: int) -> Iterator[tuple[Partition, Partition, Partition
     wishart_admissible_couples and only b remains free.  Every candidate is
     still checked against the full triple definition.
     """
-    if not 1 <= k <= MAX_TRIPLE_SIZE:
-        raise ParameterError(f"triple enumeration supports 1 <= k <= {MAX_TRIPLE_SIZE}")
-    parts = list(set_partitions(k))
-    for pa, pc in wishart_admissible_couples(k):
+    parts = list(set_partitions(couples[0][0].k)) if couples else []
+    for pa, pc in couples:
         for pb in parts:
             if triple_admissibility(pa.rgs, pb.rgs, pc.rgs).admissible:
                 yield pa, pb, pc
@@ -392,7 +391,7 @@ def admissible_triples(k: int) -> Iterator[tuple[Partition, Partition, Partition
 
 def count_admissible_classes(k: int) -> int:
     """Number of classes of admissible triples: catalan(k/2) for even k, else 0."""
-    return sum(1 for _ in admissible_triples(k))
+    return sum(1 for _ in admissible_triples(wishart_admissible_couples(k)))
 
 
 def mp_moment_via_noncrossing(alpha: float, k: int) -> float:

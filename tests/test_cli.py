@@ -40,6 +40,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["spectrum", "--alpha", "1e300"], "p must"),
         (["ppt", "--alphas", "1e300"], "p must"),
         (["ppt", "--d", "2", "--ensemble", "mixture", "--alphas", "1e300"], "p must"),
+        # a mixture state costs time linear in n * p, which is bounded by 2**30
+        (["ppt", "--d", "2", "--ensemble", "mixture", "--alphas", "1e9", "--trials", "1"], "mixture"),
+        (["spectrum", "--d", "2", "--ensemble", "mixture", "--p", "4000000000", "--trials", "1"], "mixture"),
         (["laws", "--alpha", "1e-100"], "alpha"),
         (["spectrum", "--check", "--tol", "nan"], "tol"),
         (["ppt", "--field", "real"], "field"),

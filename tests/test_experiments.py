@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptwishart import _blas, experiments, reporting
+from ptwishart import _blas, experiments, partitions, reporting
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
     ExperimentConfig,
@@ -39,6 +39,24 @@ def test_config_resolves_p_from_alpha():
         _ = small_config(alpha=2.0, p=10).resolved_p
     with pytest.raises(ParameterError):
         _ = small_config(alpha=None, p=None).resolved_p
+
+
+def test_mixture_work_bound():
+    # configs only: nothing is sampled at either side of n * p = 2**30
+    bound = experiments.MAX_MIXTURE_ENTRIES
+    assert bound == 2**30
+    mixture = dict(subcommand="spectrum", ensemble="mixture", alpha=None)
+    ppt = dict(subcommand="ppt", ensemble="mixture", alpha=None, d1=2, d2=2)
+    assert small_config(**mixture, d1=1, d2=1, p=bound).resolved_p == bound
+    assert small_config(**ppt, alphas=(2.0, bound / 16)).alphas == (2.0, bound / 16)
+    for config in (dict(mixture, d1=1, d2=1, p=bound + 1),
+                   dict(mixture, d1=5, d2=1, p=None, alpha=(bound + 1) / 5),
+                   dict(ppt, alphas=(2.0, bound / 16 + 0.25))):
+        with pytest.raises(ParameterError, match="mixture"):
+            small_config(**config)
+    # the Wishart and induced draws cost O(n^2 min(n, p)) and keep only the 2**62 bound
+    for ensemble in ("wishart", "induced"):
+        assert small_config(ensemble=ensemble, alpha=None, d1=1, d2=1, p=bound + 1).resolved_p == bound + 1
 
 
 def test_spectrum_report_structure_and_rescaling():
@@ -196,8 +214,25 @@ def test_pure_state_requires_square_shape():
         run_pure_state(small_config(subcommand="pure", ensemble="pure", alpha=None, d1=2, d2=3))
 
 
-def test_selftest_all_pass():
+def test_selftest_all_pass(monkeypatch):
+    # each order's couples and triples are enumerated once and shared by every check
+    couple_orders, triple_orders = [], []
+    enumerate_couples = partitions.wishart_admissible_couples
+    enumerate_triples = partitions.admissible_triples
+
+    def counting_couples(k):
+        couple_orders.append(k)
+        return enumerate_couples(k)
+
+    def counting_triples(couples):
+        triple_orders.append(couples[0][0].k)
+        return enumerate_triples(couples)
+
+    for module in (partitions, experiments):
+        monkeypatch.setattr(module, "wishart_admissible_couples", counting_couples)
+        monkeypatch.setattr(module, "admissible_triples", counting_triples)
     report = run_selftest()
+    assert sorted(couple_orders) == sorted(triple_orders) == [1, 2, 3, 4, 5, 6]
     assert report["all_pass"] is True
     names = [item["name"] for item in report["items"]]
     assert "nc_count_k8" in names

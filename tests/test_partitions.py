@@ -10,6 +10,7 @@ from ptwishart import (
     mp_moment_via_noncrossing,
     set_partitions,
     triple_admissibility,
+    wishart_admissible_couples,
     wishart_matching_stats,
 )
 from ptwishart.errors import ParameterError
@@ -230,33 +231,37 @@ def test_triple_length_mismatch():
         triple_admissibility((1, 2), (1, 2, 3), (1, 1))
 
 
-def brute_force_admissible_count(k):
-    """Unpruned scan over all Bell(k)^3 canonical triples."""
+def brute_force_admissible_triples(k):
+    """Unpruned scan over all Bell(k)^3 canonical triples; their rgs."""
     parts = list(set_partitions(k))
-    return sum(
-        1
+    return {
+        (pa.rgs, pb.rgs, pc.rgs)
         for pa in parts
         for pb in parts
         for pc in parts
         if triple_admissibility(pa.rgs, pb.rgs, pc.rgs).admissible
-    )
+    }
 
 
 @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (3, 0), (4, 2)])
 def test_admissible_count_matches_unpruned_enumeration(k, expected):
     assert count_admissible_classes(k) == expected
-    assert brute_force_admissible_count(k) == expected
+    unpruned = brute_force_admissible_triples(k)
+    assert len(unpruned) == expected
+    pruned = {tuple(q.rgs for q in t) for t in admissible_triples(wishart_admissible_couples(k))}
+    assert pruned == unpruned
 
 
 def test_admissible_counts_even_odd():
     assert count_admissible_classes(5) == 0
     assert count_admissible_classes(6) == 5
+    assert list(admissible_triples([])) == []
     with pytest.raises(ParameterError):
         count_admissible_classes(7)
 
 
 def test_admissible_triples_have_equal_row_column_partitions():
-    for pa, pb, pc in admissible_triples(4):
+    for pa, pb, pc in admissible_triples(wishart_admissible_couples(4)):
         assert pa == pb
         assert pc.n_blocks == 2
         assert all(len(blk) == 2 for blk in pc.blocks())
