@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pu = _add_common(sub, "pure", "spectrum of partially transposed uniform pure states")
     _add_check(pu)
-    pu.add_argument("--method", choices=["schmidt", "eigh"], default="schmidt",
-                    help="schmidt-coefficient formula or direct eigendecomposition")
     pu.set_defaults(ensemble="pure")
 
     st = sub.add_parser("selftest", help="exhaustive combinatorics and law-identity checks", allow_abbrev=False)

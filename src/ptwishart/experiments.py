@@ -1,12 +1,13 @@
 """Monte Carlo experiment runners behind the command-line interface.
 
-Each public runner validates its config, defines one trial as a function of
-its SampleStream, and hands it to `_run_trials`, the one trial loop.  That
-loop builds stream `first_stream + t` inside the thread that runs trial t and
-returns the per-trial statistics in stream order.  With two or more trial
-workers it sets every OpenBLAS copy to max(1, start-up thread count // workers)
-while they run, so the cores are split, not oversubscribed.  A report is a pure
-function of its config, `threads` included, on a given machine; with two or
+`ExperimentConfig.__post_init__` does every check of a run, so a bad input is
+refused before any computation.  Each public runner defines one trial as a
+function of its SampleStream and hands it to `_run_trials`, the one trial
+loop.  That loop builds stream `first_stream + t` inside the thread that runs
+trial t and returns the per-trial statistics in stream order.  With two or
+more trial workers it sets every OpenBLAS copy to max(1, start-up thread
+count // workers) while they run, so the cores are split, not oversubscribed.
+A report is a pure function of its config, `threads` included, on a given machine; with two or
 more workers its values can differ from a one-worker run in the last bits,
 because the BLAS thread count changes the order of floating-point sums.
 `_record` builds every report row and `_report` assembles config echo,
@@ -65,8 +66,13 @@ from .spectra import (
 MOMENT_ORDERS = tuple(range(1, 9))
 SUPPORT_PAD = 0.5
 
-MATRIX_ENSEMBLES = ("wishart", "induced", "mixture")
-STATE_ENSEMBLES = ("induced", "mixture")
+# subcommand: the ensembles its runner samples
+ENSEMBLES = {
+    "spectrum": ("wishart", "induced", "mixture"),
+    "extremes": ("wishart",),
+    "ppt": ("induced", "mixture"),
+    "pure": ("pure",),
+}
 MAX_BINS = 10**5
 MAX_THREADS = 64
 # largest n * p of a mixture state: sample_mixture_state costs 65-90 ns per
@@ -100,54 +106,73 @@ class ExperimentConfig:
     bins: int = 100
     threads: int = 1
     alphas: tuple[float, ...] | None = None
-    method: str = "schmidt"
     check: bool = False
     tol: float | None = None
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ParameterError(f"factor dimensions must be >= 1, got ({self.d1}, {self.d2})")
+        shape = self.shape  # refuses a factor dimension < 1
+        if self.subcommand not in ENSEMBLES:
+            raise ParameterError(f"subcommand must be one of {tuple(ENSEMBLES)}, got {self.subcommand!r}")
+        if self.ensemble not in ENSEMBLES[self.subcommand]:
+            raise ParameterError(f"{self.subcommand} ensemble must be one of {ENSEMBLES[self.subcommand]}, "
+                                 f"got {self.ensemble!r}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        SampleStream(self.master_seed)  # refuses a seed outside 0..2**64-1
         _check_bins(self.bins)
         if not 1 <= self.threads <= MAX_THREADS:
             raise ParameterError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
         if self.alphas is not None:
             self.alphas = tuple(float(a) for a in self.alphas)
+        if self.subcommand == "ppt":
+            if not self.alphas or self.alpha is not None or self.p is not None:
+                raise ParameterError("ppt needs a nonempty alpha grid and no single alpha or p")
+        elif self.alphas is not None:
+            raise ParameterError(f"an alpha grid is read by ppt only, not by {self.subcommand}")
+        elif self.subcommand == "pure":
+            if self.alpha is not None or self.p is not None:
+                raise ParameterError("pure-state runs have no ancilla: give no alpha or p")
+            if self.d1 != self.d2:
+                raise ParameterError("pure-state spectra require a square bipartition d1 == d2")
+        elif (self.p is None) == (self.alpha is None):
+            raise ParameterError("exactly one of alpha and p must be given")
         ancillas = []
         for alpha in (self.alpha,) + (self.alphas or ()):
             if alpha is not None:
                 _check_alpha(alpha)
-                ancillas.append(ancilla_dim(alpha, self.n))  # refuses an empty or oversized ancilla
+                ancillas.append(ancilla_dim(alpha, shape.n))  # refuses an empty or oversized ancilla
         if self.p is not None:
             check_ancilla(self.p)
             ancillas.append(self.p)
+        # the monotone block compares neighbouring grid entries
+        if self.alphas and any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
+            raise ParameterError(f"the alpha grid must be strictly increasing, got {list(self.alphas)}")
         p = max(ancillas, default=0)
-        if self.ensemble == "mixture" and self.n * p > MAX_MIXTURE_ENTRIES:
-            raise ParameterError(f"mixture states need n * p <= 2**30, got n={self.n}, p={p}")
+        if self.ensemble == "mixture" and shape.n * p > MAX_MIXTURE_ENTRIES:
+            raise ParameterError(f"mixture states need n * p <= 2**30, got n={shape.n}, p={p}")
         if self.tol is not None and not (isfinite(self.tol) and self.tol >= 0):
             raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.tol is not None and not self.check:
+            raise ParameterError("tol is the check threshold, so it needs check")
         if self.ensemble != "wishart" and self.field != "complex":
             raise ParameterError(f"field must be complex for the {self.ensemble} ensemble")
 
     @property
-    def n(self) -> int:
-        return self.d1 * self.d2
+    def shape(self) -> BipartiteShape:
+        return BipartiteShape(self.d1, self.d2)
 
     @property
     def resolved_p(self) -> int:
         """Ancilla dimension: explicit p, or ancilla_dim(alpha, d1 * d2)."""
-        if (self.p is None) == (self.alpha is None):
-            raise ParameterError("exactly one of alpha and p must be given")
         if self.p is not None:
             return self.p
-        return ancilla_dim(self.alpha, self.n)
+        return ancilla_dim(self.alpha, self.shape.n)
 
     @property
     def effective_alpha(self) -> float:
         if self.alpha is not None:
             return float(self.alpha)
-        return self.resolved_p / self.n
+        return self.resolved_p / self.shape.n
 
 
 def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field="", trial="") -> dict:
@@ -234,11 +259,8 @@ def _report(config: ExperimentConfig, records: list[dict], check=None, **section
 
 
 def _sample_state(ensemble: str, n: int, p: int, stream: SampleStream) -> np.ndarray:
-    if ensemble == "induced":
-        return sample_induced_state(n, p, stream)
-    if ensemble == "mixture":
-        return sample_mixture_state(n, p, stream)
-    raise ParameterError(f"unknown state ensemble {ensemble!r}")
+    sample = sample_induced_state if ensemble == "induced" else sample_mixture_state
+    return sample(n, p, stream)
 
 
 def run_spectrum(config: ExperimentConfig) -> dict:
@@ -247,9 +269,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     Wishart samples are used raw; states are rescaled by the total dimension
     n so the limit law is O(1) in both modes.
     """
-    if config.ensemble not in MATRIX_ENSEMBLES:
-        raise ParameterError(f"spectrum ensemble must be one of {MATRIX_ENSEMBLES}")
-    shape = BipartiteShape(config.d1, config.d2)
+    shape = config.shape
     n, p = shape.n, config.resolved_p
     alpha = config.effective_alpha
     law = Semicircle(1.0, 1.0 / alpha)
@@ -300,9 +320,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
 
 def run_extremes(config: ExperimentConfig) -> dict:
     """Extreme eigenvalues of partially transposed Wishart samples."""
-    if config.ensemble != "wishart":
-        raise ParameterError("extremes runs on the wishart ensemble only")
-    shape = BipartiteShape(config.d1, config.d2)
+    shape = config.shape
     n, p = shape.n, config.resolved_p
     alpha = config.effective_alpha
     edge_lo = 1.0 - 2.0 / sqrt(alpha)
@@ -338,11 +356,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
 
     The alpha at grid position ai draws streams ai * trials + t.
     """
-    if config.ensemble not in STATE_ENSEMBLES:
-        raise ParameterError(f"ppt ensemble must be one of {STATE_ENSEMBLES}")
-    if not config.alphas:
-        raise ParameterError("ppt sweep needs a nonempty alpha grid")
-    shape = BipartiteShape(config.d1, config.d2)
+    shape = config.shape
     n = shape.n
     records = []
     per_alpha = []
@@ -396,24 +410,13 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
 
 def run_pure_state(config: ExperimentConfig) -> dict:
     """Spectrum of d * rho^PT for uniform pure states on a square bipartition."""
-    if config.ensemble != "pure":
-        raise ParameterError("pure-state runs use the pure ensemble")
-    if config.d1 != config.d2:
-        raise ParameterError("pure-state spectra require a square bipartition d1 == d2")
-    if config.method not in ("schmidt", "eigh"):
-        raise ParameterError(f"method must be 'schmidt' or 'eigh', got {config.method!r}")
-    d = config.d1
-    shape = BipartiteShape(d, d)
+    shape = config.shape
+    d = shape.d1
     law = ProductSemicircle()
 
     def one_trial(stream: SampleStream) -> dict:
         psi = sample_pure_state(shape, stream)
-        if config.method == "schmidt":
-            values = d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, shape))
-        else:
-            rho = np.outer(psi, psi.conj())
-            values = d * hermitian_eigenvalues(partial_transpose(rho, shape))
-        sample = SpectralSample(values)
+        sample = SpectralSample(d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, shape)))
         return {f"moment_k{k}": empirical_moment(sample, k) for k in range(1, 7)}
 
     # no ancilla in the pure-state model; blank p and alpha in the records

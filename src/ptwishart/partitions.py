@@ -82,18 +82,8 @@ class Partition:
             k = len(elements)
         if sorted(elements) != list(range(1, k + 1)):
             raise ParameterError(f"blocks do not partition [{k}]: {blocks}")
-        owner = {}
-        for group, block in enumerate(blocks):
-            for e in block:
-                owner[int(e)] = group
-        labels: dict[int, int] = {}
-        rgs = []
-        for e in range(1, k + 1):
-            group = owner[e]
-            if group not in labels:
-                labels[group] = len(labels)
-            rgs.append(labels[group])
-        return cls(tuple(rgs))
+        owner = {int(e): group for group, block in enumerate(blocks) for e in block}
+        return induced_partition([owner[e] for e in range(1, k + 1)])
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks())

@@ -178,7 +178,7 @@ def test_criterion_8_pure_state_pt():
             ok = ok and np.max(np.abs(formula - direct)) <= 1e-8
     config = ExperimentConfig(
         subcommand="pure", d1=50, d2=50, trials=20, ensemble="pure",
-        master_seed=SEED, method="schmidt",
+        master_seed=SEED,
     )
     stats = run_pure_state(config)["aggregates"]["statistics"]
     law = ProductSemicircle()

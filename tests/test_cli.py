@@ -13,7 +13,10 @@ def run_cli(args):
     return cli.main(args)
 
 
-def test_usage_error_exit_code(tmp_path, capsys):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
+    # every refusal comes before any runner starts
+    for runner in ("run_spectrum", "run_extremes", "run_ppt_sweep", "run_pure_state"):
+        monkeypatch.setattr(cli.experiments, runner, lambda config: pytest.fail("a runner started"))
     # argv, and a word the one-line message must contain
     rows = [
         (["spectrum", "--alpha", "2", "--p", "8"], "--p"),
@@ -60,6 +63,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["spectrum", "--thr", "2"], "--thr"),
         # rejected by the config, before any trial worker starts
         (["spectrum", "--threads", "65"], "threads must be between 1 and 64"),
+        (["spectrum", "--seed", "-1"], "master_seed"),
+        (["pure", "--d1", "2", "--d2", "3"], "square"),
+        (["spectrum", "--tol", "0.1"], "needs check"),
+        (["ppt", "--alphas", "8", "2"], "strictly increasing"),
+        (["pure", "--method", "eigh"], "--method"),
     ]
     for argv, word in rows:
         assert run_cli(argv) == 1, argv
@@ -105,7 +113,7 @@ def test_check_mode_threshold_miss(tmp_path):
 
 def test_pure_subcommand(tmp_path):
     out = tmp_path / "pure.json"
-    assert run_cli(["pure", "--d", "6", "--trials", "2", "--method", "eigh", "--out", str(out)]) == 0
+    assert run_cli(["pure", "--d", "6", "--trials", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["config"]["ensemble"] == "pure"
     assert report["theory"]["moments"]["moment_k2"] == 1.0

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ptwishart import _blas, experiments, partitions, reporting
@@ -35,10 +34,45 @@ def test_config_resolves_p_from_alpha():
     config = small_config(alpha=None, p=77)
     assert config.resolved_p == 77
     assert config.effective_alpha == pytest.approx(77 / 36)
-    with pytest.raises(ParameterError):
-        _ = small_config(alpha=2.0, p=10).resolved_p
-    with pytest.raises(ParameterError):
-        _ = small_config(alpha=None, p=None).resolved_p
+
+
+PURE = dict(subcommand="pure", ensemble="pure", alpha=None)
+PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
+
+
+# one row per check in ExperimentConfig.__post_init__: overrides of small_config,
+# and a word the refusal must contain
+@pytest.mark.parametrize("overrides, word", [
+    pytest.param(dict(d2=0), "factor dimensions", id="dimension"),
+    pytest.param(dict(subcommand="laws"), "subcommand", id="unknown-subcommand"),
+    pytest.param(dict(subcommand="extremes", ensemble="induced"), "ensemble", id="extremes-induced"),
+    pytest.param(dict(PPT, ensemble="wishart"), "ensemble", id="ppt-wishart"),
+    pytest.param(dict(trials=0), "trials", id="trials"),
+    pytest.param(dict(master_seed=-1), "master_seed", id="seed-negative"),
+    pytest.param(dict(master_seed=2**64), "master_seed", id="seed-too-large"),
+    pytest.param(dict(bins=0), "bins", id="bins"),
+    pytest.param(dict(threads=65), "threads", id="threads"),
+    pytest.param(dict(PPT, alphas=()), "nonempty alpha grid", id="ppt-empty-grid"),
+    pytest.param(dict(PPT, alpha=4.0), "no single alpha or p", id="ppt-alpha"),
+    pytest.param(dict(PPT, p=10), "no single alpha or p", id="ppt-p"),
+    pytest.param(dict(alphas=(2.0, 8.0)), "ppt only", id="spectrum-grid"),
+    pytest.param(dict(PURE, p=10), "no ancilla", id="pure-ancilla"),
+    pytest.param(dict(PURE, d1=2, d2=3), "square", id="pure-nonsquare"),
+    pytest.param(dict(p=10), "exactly one of alpha and p", id="alpha-and-p"),
+    pytest.param(dict(alpha=None), "exactly one of alpha and p", id="no-ancilla"),
+    pytest.param(dict(alpha=float("nan")), "alpha must be finite", id="alpha-nan"),
+    pytest.param(dict(alpha=1e300), "p must be", id="alpha-oversized"),
+    pytest.param(dict(alpha=None, p=0), "p must be", id="p-empty"),
+    pytest.param(dict(PPT, alphas=(8.0, 2.0)), "strictly increasing", id="ppt-unordered-grid"),
+    pytest.param(dict(PPT, alphas=(2.0, 2.0)), "strictly increasing", id="ppt-repeated-alpha"),
+    pytest.param(dict(ensemble="mixture", alpha=None, d1=1, d2=1, p=2**30 + 1), "mixture", id="mixture-work"),
+    pytest.param(dict(check=True, tol=-1.0), "tol must be finite", id="tol-negative"),
+    pytest.param(dict(tol=0.1), "needs check", id="tol-without-check"),
+    pytest.param(dict(ensemble="induced", field="real"), "field", id="state-field"),
+])
+def test_config_refuses(overrides, word):
+    with pytest.raises(ParameterError, match=word):
+        small_config(**overrides)
 
 
 def test_mixture_work_bound():
@@ -172,11 +206,6 @@ def test_csv_schema():
     assert first[0] == "extremes" and first[1] == "6" and first[2] == "6"
 
 
-def test_extremes_requires_wishart():
-    with pytest.raises(ParameterError):
-        run_extremes(small_config(subcommand="extremes", ensemble="induced"))
-
-
 def test_extremes_check_mode():
     report = run_extremes(small_config(subcommand="extremes", check=True, tol=1e-9))
     assert report["all_checks_pass"] is False
@@ -193,25 +222,9 @@ def test_ppt_sweep_structure():
     for entry in per_alpha:
         assert 0.0 <= entry["ci_low"] <= entry["ppt_frequency"] <= entry["ci_high"] <= 1.0
     assert set(report["aggregates"]["monotone"]) == {"frequencies", "non_decreasing", "adjacent_inversions"}
-    with pytest.raises(ParameterError):
-        run_ppt_sweep(small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=()))
     config = small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(8.2,), trials=1,
                           d1=15, d2=15)
     assert run_ppt_sweep(config)["aggregates"]["per_alpha"][0]["p"] == 1845
-
-
-def test_pure_state_methods_agree():
-    base = dict(subcommand="pure", ensemble="pure", alpha=None, d1=6, d2=6, trials=5, master_seed=3)
-    formula = run_pure_state(ExperimentConfig(**base, method="schmidt"))
-    direct = run_pure_state(ExperimentConfig(**base, method="eigh"))
-    for rec_f, rec_d in zip(formula["records"], direct["records"]):
-        assert rec_f["statistic"] == rec_d["statistic"]
-        assert rec_f["value"] == pytest.approx(rec_d["value"], abs=1e-8)
-
-
-def test_pure_state_requires_square_shape():
-    with pytest.raises(ParameterError):
-        run_pure_state(small_config(subcommand="pure", ensemble="pure", alpha=None, d1=2, d2=3))
 
 
 def test_selftest_all_pass(monkeypatch):

@@ -171,12 +171,6 @@ def test_kreweras_matches_greedy_coarsest_completion(k):
         assert kreweras_complement(p) == greedy_coarsest_completion(p)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_kreweras_block_count_sum(k):
-    for p in noncrossing_partitions(k):
-        assert p.n_blocks + kreweras_complement(p).n_blocks == k + 1
-
-
 def test_induced_partition():
     p = induced_partition((1, 4, 1, 2))
     assert p.blocks() == ((1, 3), (2,), (4,))
@@ -258,13 +252,6 @@ def test_admissible_counts_even_odd():
     assert list(admissible_triples([])) == []
     with pytest.raises(ParameterError):
         count_admissible_classes(7)
-
-
-def test_admissible_triples_have_equal_row_column_partitions():
-    for pa, pb, pc in admissible_triples(wishart_admissible_couples(4)):
-        assert pa == pb
-        assert pc.n_blocks == 2
-        assert all(len(blk) == 2 for blk in pc.blocks())
 
 
 def test_mp_moment_via_noncrossing():
