@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ancilla(sp)
     _add_check(sp)
     sp.add_argument("--ensemble", choices=["wishart", "induced", "mixture"], default="wishart")
-    sp.add_argument("--bins", type=int, default=100)
+    sp.add_argument("--bins", type=int, default=experiments.DEFAULT_BINS)
 
     ex = _add_common(sub, "extremes", "extreme eigenvalues of partially transposed Wishart samples")
     _add_ancilla(ex)
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lw = sub.add_parser("laws", help="closed-form moment and density tables", allow_abbrev=False)
     lw.add_argument("--alpha", type=float, default=4.0)
-    lw.add_argument("--bins", type=int, default=100)
+    lw.add_argument("--bins", type=int, default=experiments.DEFAULT_BINS)
     lw.add_argument("--format", choices=["csv", "json"], default="json")
     lw.add_argument("--out", default=None)
     return parser

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import floor
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .errors import ParameterError
 from .linalg import BipartiteShape
@@ -34,6 +34,13 @@ FIELDS = ("real", "complex")
 
 # vectors drawn per Gram update; bounds sample_mixture_state's working memory
 GRAM_CHUNK = 512
+
+# smallest n whose square Bartlett factor goes to lauum.  OpenBLAS's lauum
+# result depends on the BLAS thread count at every n, zherk's did at no n
+# measured, and numpy's complex eigvalsh not up to n = 160; so below the bound
+# a complex report does not depend on the trial-worker count.  lauum would
+# save under 1 ms per trial there.
+LAUUM_MIN_N = 256
 
 # largest ancilla count, well inside the int64 range of the chi-square degrees of
 # freedom p - j that sample_wishart draws with
@@ -146,19 +153,33 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     """Wishart sample (1/p) G G^dagger of an n x p Gaussian G (real or complex with
     E|entry|^2 = 1); exactly Hermitian, positive semidefinite, of rank min(n, p).
 
-    Computed as (1/p) L L^dagger from the Bartlett factor L, one zherk/dsyrk on
-    the n x min(n, p) factor: about n^2/2 normals in place of the n * p of G.
+    Computed as (1/p) L L^dagger from the Bartlett factor L: about n^2/2 normals
+    in place of the n * p of G.  For p >= n the factor is square, and with J the
+    index reversal, U = J L J is upper triangular and L L^dagger = J (U U^dagger) J.
+    From n = LAUUM_MIN_N, zlauum/dlauum forms U U^dagger in place in about half
+    the time of a zherk, which would multiply the zero upper triangle of L.
+    lauum was written for the Cholesky factors of potri and reads only the real
+    part of the diagonal; the Bartlett diagonal is a square root of a
+    chi-square variate, real, so nothing is lost.  Otherwise one zherk/dsyrk
+    forms L L^dagger; for p < n the factor is not square.
     """
     n, p, field = params.n, params.p, params.field
-    if field == "real":
-        update, alpha, dtype = blas.dsyrk, 1.0 / p, np.float64
-    else:
-        # the unscaled complex draw has E|entry|^2 = 2
-        update, alpha, dtype = blas.zherk, 0.5 / p, np.complex128
-    c = np.zeros((n, n), dtype=dtype, order="F")
-    # the factor is a temporary, released before the mirror allocates
-    c = update(alpha, _bartlett_factor(stream.generator(), n, p, field), c=c, lower=1, overwrite_c=1)
-    return _mirror_lower(c)
+    # the unscaled complex draw has E|entry|^2 = 2
+    scale = 1.0 / p if field == "real" else 0.5 / p
+    factor = _bartlett_factor(stream.generator(), n, p, field)
+    if p < n or n < LAUUM_MIN_N:
+        update = blas.dsyrk if field == "real" else blas.zherk
+        c = update(scale, factor, c=np.zeros((n, n), dtype=factor.dtype, order="F"), lower=1, overwrite_c=1)
+        del factor  # released before the mirror allocates
+        return _mirror_lower(c)
+    lauum = lapack.dlauum if field == "real" else lapack.zlauum
+    # the reversed factor is copied into F order, which lauum then overwrites
+    u, _ = lauum(factor[::-1, ::-1], overwrite_c=1)
+    del factor
+    # reversed back, U U^dagger's upper triangle is L L^dagger's lower one
+    w = _mirror_lower(u[::-1, ::-1])
+    w *= scale
+    return w
 
 
 def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:

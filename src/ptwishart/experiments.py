@@ -73,6 +73,7 @@ ENSEMBLES = {
     "ppt": ("induced", "mixture"),
     "pure": ("pure",),
 }
+DEFAULT_BINS = 100
 MAX_BINS = 10**5
 MAX_THREADS = 64
 # largest n * p of a mixture state: sample_mixture_state costs 65-90 ns per
@@ -103,7 +104,7 @@ class ExperimentConfig:
     field: str = "complex"
     ensemble: str = "wishart"
     master_seed: int = 0
-    bins: int = 100
+    bins: int = DEFAULT_BINS
     threads: int = 1
     alphas: tuple[float, ...] | None = None
     check: bool = False
@@ -120,6 +121,8 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         SampleStream(self.master_seed)  # refuses a seed outside 0..2**64-1
         _check_bins(self.bins)
+        if self.bins != DEFAULT_BINS and self.subcommand != "spectrum":
+            raise ParameterError(f"bins is read by spectrum only, not by {self.subcommand}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ParameterError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
         if self.alphas is not None:
@@ -152,6 +155,8 @@ class ExperimentConfig:
             raise ParameterError(f"mixture states need n * p <= 2**30, got n={shape.n}, p={p}")
         if self.tol is not None and not (isfinite(self.tol) and self.tol >= 0):
             raise ParameterError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.subcommand == "ppt" and (self.check or self.tol is not None):
+            raise ParameterError("ppt has no threshold check: give no check or tol")
         if self.tol is not None and not self.check:
             raise ParameterError("tol is the check threshold, so it needs check")
         if self.ensemble != "wishart" and self.field != "complex":
@@ -571,7 +576,7 @@ def run_selftest() -> dict:
     }
 
 
-def run_laws(alpha: float = 4.0, bins: int = 100) -> dict:
+def run_laws(alpha: float = 4.0, bins: int = DEFAULT_BINS) -> dict:
     """Theory tables: moments and density grids for the three limit laws."""
     _check_alpha(alpha)
     _check_bins(bins)

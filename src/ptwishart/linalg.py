@@ -5,8 +5,10 @@ ndarray.  Basis vectors are flattened row-major on (first-factor index,
 second-factor index), so the matrix is a d1 x d1 grid of contiguous
 d2 x d2 blocks and the entry in block (i, j) at inner position (k, l)
 sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
-float64 arrays take the real-symmetric LAPACK path, complex128 the
-Hermitian one.
+float64 arrays take numpy's real-symmetric eigensolver, complex arrays its
+Hermitian one, except that complex matrices of size TWO_STAGE_MIN_N and up
+go to LAPACK's two-stage tridiagonal reduction (zheevd_2stage; Haidar,
+Ltaief & Dongarra, SC'11), which numpy and scipy do not wrap.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import NumericError, ParameterError, ShapeError
 
 # Relative tolerance for the structural self-adjointness check.
 HERMITICITY_RTOL = 1e-10
+
+# Smallest complex matrix that takes the two-stage eigensolver.  On 2 cores at
+# the default 2 BLAS threads it is 12% slower than eigvalsh at n = 1225 and
+# 4-12% faster from n = 1296 on; with one BLAS thread it wins from n = 625.
+TWO_STAGE_MIN_N = 1250
+
+# LAPACKE's matrix_layout value for column-major storage
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -75,12 +86,33 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
     Real-symmetric input (float dtype) is dispatched by LAPACK to real
-    arithmetic automatically.  Raises NumericError on non-finite entries or
-    when the input is not self-adjoint to within HERMITICITY_RTOL.
+    arithmetic automatically.  A complex matrix of size TWO_STAGE_MIN_N or
+    more goes to zheevd_2stage when the loaded OpenBLAS exports it; the
+    input is never written.  Raises NumericError on non-finite entries, when
+    the input is not self-adjoint to within HERMITICITY_RTOL, or when the
+    two-stage solver does not converge.
     """
     a = _as_square(a)
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix has non-finite entries")
     if not is_hermitian(a):
         raise NumericError("matrix is not self-adjoint within tolerance")
+    if np.iscomplexobj(a) and len(a) >= TWO_STAGE_MIN_N:
+        solver = _blas.zheevd_2stage()
+        if solver is not None:
+            return _two_stage_eigenvalues(solver, a)
     return np.linalg.eigvalsh(a)
+
+
+def _two_stage_eigenvalues(solver, a: np.ndarray) -> np.ndarray:
+    # The working copy takes the place of the one eigvalsh makes.  Read
+    # column-major, the C-ordered copy is the transpose of a, i.e. its
+    # conjugate, which has the same eigenvalues; its upper triangle is a's
+    # lower one, the triangle eigvalsh reads.
+    work = np.array(a, dtype=np.complex128, order="C")
+    n = len(work)
+    eigenvalues = np.empty(n)
+    info = solver(_LAPACK_COL_MAJOR, b"N", b"U", n, work.ctypes.data, n, eigenvalues.ctypes.data)
+    if info != 0:
+        raise NumericError(f"zheevd_2stage failed with info {info}")
+    return eigenvalues

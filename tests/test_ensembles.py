@@ -5,7 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from ptwishart import ensembles
+from ptwishart import _blas, ensembles
 from ptwishart import (
     BipartiteShape,
     SampleStream,
@@ -89,6 +89,30 @@ def test_wishart_recomputed_by_scalar_loops():
         assert w.dtype == (np.float64 if field == "real" else np.complex128)
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-13)
         assert np.array_equal(w, w.conj().T)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [300, 301])
+def test_wishart_blocked_gram_matches_the_factor(field, p):
+    # the scalar-loop test reaches only zherk/dsyrk; n = 300 runs lauum's blocked kernel
+    n = 300
+    assert n >= ensembles.LAUUM_MIN_N
+    stream = SampleStream(29, p)
+    w = sample_wishart(WishartParams(n=n, p=p, field=field), stream)
+    factor = ensembles._bartlett_factor(stream.generator(), n, p, field)
+    expected = factor @ factor.conj().T * (1.0 / p if field == "real" else 0.5 / p)
+    assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(w, w.conj().T)
+
+
+def test_complex_wishart_below_the_lauum_bound_ignores_the_blas_thread_count():
+    # lauum's product depends on the BLAS thread count, zherk's does not; below
+    # LAUUM_MIN_N a complex report must not depend on the trial-worker count
+    params = WishartParams(n=ensembles.LAUUM_MIN_N - 1, alpha=4.0)
+    expected = sample_wishart(params, SampleStream(47, 0))
+    with _blas.split(2):
+        w = sample_wishart(params, SampleStream(47, 0))
+    assert np.array_equal(w, expected)
 
 
 def _cycles(perm):

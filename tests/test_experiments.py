@@ -69,6 +69,11 @@ PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
     pytest.param(dict(check=True, tol=-1.0), "tol must be finite", id="tol-negative"),
     pytest.param(dict(tol=0.1), "needs check", id="tol-without-check"),
     pytest.param(dict(ensemble="induced", field="real"), "field", id="state-field"),
+    pytest.param(dict(PPT, check=True), "no threshold check", id="ppt-check"),
+    pytest.param(dict(PPT, tol=0.1), "no threshold check", id="ppt-tol"),
+    pytest.param(dict(subcommand="extremes", bins=7), "spectrum only", id="extremes-bins"),
+    pytest.param(dict(PPT, bins=7), "spectrum only", id="ppt-bins"),
+    pytest.param(dict(PURE, bins=7), "spectrum only", id="pure-bins"),
 ])
 def test_config_refuses(overrides, word):
     with pytest.raises(ParameterError, match=word):

@@ -1,9 +1,20 @@
+from concurrent.futures import ThreadPoolExecutor
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from ptwishart import BipartiteShape, hermitian_eigenvalues, partial_transpose
+from ptwishart import (
+    BipartiteShape,
+    SampleStream,
+    WishartParams,
+    _blas,
+    hermitian_eigenvalues,
+    partial_transpose,
+    sample_wishart,
+)
 from ptwishart.errors import NumericError, ParameterError, ShapeError
-from ptwishart.linalg import is_hermitian
+from ptwishart.linalg import TWO_STAGE_MIN_N, is_hermitian
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -118,3 +129,77 @@ def test_psd_product_is_numerically_psd():
     w = (w + w.conj().T) / 2
     vals = hermitian_eigenvalues(w)
     assert vals[0] >= -1e-10 * np.abs(vals).max()
+
+
+def _two_stage_solver():
+    solver = _blas.zheevd_2stage()
+    if solver is None:
+        pytest.skip("the loaded OpenBLAS exports no LAPACKE_zheevd_2stage")
+    return solver
+
+
+def _spy(monkeypatch, solver):
+    """Count the calls that reach the two-stage solver."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3])
+        return solver(*args)
+
+    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: spy)
+    return calls
+
+
+def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
+    calls = _spy(monkeypatch, _two_stage_solver())
+    d = isqrt(TWO_STAGE_MIN_N - 1) + 1
+    shape = BipartiteShape(d, d)
+    a = partial_transpose(sample_wishart(WishartParams(n=shape.n, alpha=4.0), SampleStream(31, 0)), shape)
+    before = a.copy()
+    vals = hermitian_eigenvalues(a)
+    assert calls == [shape.n]
+    assert np.array_equal(a, before)
+    expected = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(np.diff(vals) >= 0)
+    # an F-ordered input (the conjugate of a) is copied into the C order the solver reads
+    np.testing.assert_allclose(hermitian_eigenvalues(a.T), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+    # the real field and smaller matrices stay on eigvalsh
+    hermitian_eigenvalues(a.real)
+    hermitian_eigenvalues(a[:TWO_STAGE_MIN_N - 1, :TWO_STAGE_MIN_N - 1])
+    assert calls == [shape.n, shape.n]
+
+
+def test_two_stage_falls_back_without_the_symbol(monkeypatch):
+    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: None)
+    a = random_hermitian(TWO_STAGE_MIN_N, np.random.default_rng(37))
+    np.testing.assert_array_equal(hermitian_eigenvalues(a), np.linalg.eigvalsh(a))
+
+
+def test_two_stage_path_still_refuses_bad_input(monkeypatch):
+    calls = _spy(monkeypatch, _two_stage_solver())
+    a = random_hermitian(TWO_STAGE_MIN_N, np.random.default_rng(41))
+    bad = a.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        hermitian_eigenvalues(bad)
+    bad = a.copy()
+    bad[3, 5] += 1.0
+    with pytest.raises(NumericError, match="self-adjoint"):
+        hermitian_eigenvalues(bad)
+    assert calls == []
+
+
+def test_two_stage_concurrent_calls_match_serial(monkeypatch):
+    # trial workers call the solver from a thread pool, with the BLAS threads split among them
+    calls = _spy(monkeypatch, _two_stage_solver())
+    rng = np.random.default_rng(43)
+    matrices = [random_hermitian(TWO_STAGE_MIN_N, rng) for _ in range(2)]
+    workers = 3
+    with _blas.split(workers):
+        serial = [hermitian_eigenvalues(a) for a in matrices]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            concurrent = list(pool.map(hermitian_eigenvalues, matrices + matrices, timeout=300))
+    assert len(calls) == 6
+    for vals, expected in zip(concurrent, serial + serial):
+        np.testing.assert_array_equal(vals, expected)
