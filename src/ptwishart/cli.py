@@ -69,6 +69,11 @@ def _add_ancilla(parser):
     parser.add_argument("--field", choices=["real", "complex"], default="complex")
 
 
+def _add_ensemble(parser, subcommand):
+    choices = experiments.ENSEMBLES[subcommand]
+    parser.add_argument("--ensemble", choices=choices, default=choices[0])
+
+
 def _add_check(parser):
     parser.add_argument("--check", action="store_true", help="evaluate the built-in threshold; exit 3 on a miss")
     parser.add_argument("--tol", type=float, default=None, help="threshold for --check")
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _add_common(sub, "spectrum", "eigenvalue distribution of partially transposed samples")
     _add_ancilla(sp)
     _add_check(sp)
-    sp.add_argument("--ensemble", choices=["wishart", "induced", "mixture"], default="wishart")
+    _add_ensemble(sp, "spectrum")
     sp.add_argument("--bins", type=int, default=experiments.DEFAULT_BINS)
 
     ex = _add_common(sub, "extremes", "extreme eigenvalues of partially transposed Wishart samples")
@@ -90,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check(ex)
 
     pp = _add_common(sub, "ppt", "PPT frequency sweep across ancilla aspect ratios")
-    pp.add_argument("--ensemble", choices=["induced", "mixture"], default="induced")
+    _add_ensemble(pp, "ppt")
     pp.add_argument("--alphas", type=float, nargs="+", default=[2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
 
     pu = _add_common(sub, "pure", "spectrum of partially transposed uniform pure states")
     _add_check(pu)
-    pu.set_defaults(ensemble="pure")
+    pu.set_defaults(ensemble=experiments.ENSEMBLES["pure"][0])
 
     st = sub.add_parser("selftest", help="exhaustive combinatorics and law-identity checks", allow_abbrev=False)
     st.add_argument("--format", choices=["csv", "json"], default="json")

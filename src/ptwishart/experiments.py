@@ -2,15 +2,16 @@
 
 `ExperimentConfig.__post_init__` does every check of a run, so a bad input is
 refused before any computation.  Each public runner defines one trial as a
-function of its SampleStream and hands it to `_run_trials`, the one trial
-loop.  That loop builds stream `first_stream + t` inside the thread that runs
-trial t and returns the per-trial statistics in stream order.  With two or
-more trial workers it sets every OpenBLAS copy to max(1, start-up thread
-count // workers) while they run, so the cores are split, not oversubscribed.
+function of its SampleStream and maps it with `_run_trials`, the one trial
+loop, over streams 0..count-1 (ppt maps its whole grid at once: grid point ai
+draws streams ai * trials + t).  With two or more trial workers the loop sets
+every OpenBLAS copy to max(1, start-up thread count // workers) while they
+run, so the cores are split, not oversubscribed.  A trial binds no name to
+its `_draw`, so only the partial transpose lives through the eigensolve.
 A report is a pure function of its config, `threads` included, on a given machine; with two or
 more workers its values can differ from a one-worker run in the last bits,
 because the BLAS thread count changes the order of floating-point sums.
-`_record` builds every report row and `_report` assembles config echo,
+`_records` builds the report rows and `_report` assembles config echo,
 platform and RNG provenance, and the `--check` block around the runner's
 aggregates and theory block.
 """
@@ -76,6 +77,8 @@ ENSEMBLES = {
 DEFAULT_BINS = 100
 MAX_BINS = 10**5
 MAX_THREADS = 64
+# bounds the number of streams a run maps, not the size of its report
+MAX_TRIALS = 10**5
 # largest n * p of a mixture state: sample_mixture_state costs 65-90 ns per
 # entry on 2 cores, so one trial at the bound takes about 70-90 s
 MAX_MIXTURE_ENTRIES = 2**30
@@ -117,8 +120,8 @@ class ExperimentConfig:
         if self.ensemble not in ENSEMBLES[self.subcommand]:
             raise ParameterError(f"{self.subcommand} ensemble must be one of {ENSEMBLES[self.subcommand]}, "
                                  f"got {self.ensemble!r}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
         SampleStream(self.master_seed)  # refuses a seed outside 0..2**64-1
         _check_bins(self.bins)
         if self.bins != DEFAULT_BINS and self.subcommand != "spectrum":
@@ -202,27 +205,25 @@ def thread_budget(config: ExperimentConfig) -> str:
     return f"{workers} trial workers x {blas} BLAS thread{'' if blas == 1 else 's'}"
 
 
-def _run_trials(config: ExperimentConfig, trial, p, alpha, first_stream: int = 0):
-    """The one trial loop: maps `trial(stream)` over streams first_stream + t, t < trials;
-    returns its dicts of named statistics in stream order and their records."""
+def _run_trials(config: ExperimentConfig, trial, count: int) -> list:
+    """The one trial loop: `trial(SampleStream(master_seed, s))` for s < count, in
+    stream order, each stream built in its worker; ppt passes its whole grid."""
 
-    def one(t: int) -> dict:
-        return trial(SampleStream(config.master_seed, first_stream + t))
+    def one(s: int):
+        return trial(SampleStream(config.master_seed, s))
 
     workers = _trial_workers(config)
-    if workers > 1:
-        # the pool is joined before the BLAS thread counts are restored
-        with _blas.split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(one, range(config.trials)))
-    else:
-        per_trial = [one(t) for t in range(config.trials)]
-    records = [
-        _record(config.subcommand, name, stats[name], config.d1, config.d2, p, alpha,
-                config.field, t)
-        for t, stats in enumerate(per_trial)
-        for name in sorted(stats)
-    ]
-    return per_trial, records
+    if workers == 1:
+        return [one(s) for s in range(count)]
+    # the pool is joined before the BLAS thread counts are restored
+    with _blas.split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(count)))
+
+
+def _records(config: ExperimentConfig, per_trial: list[dict], p, alpha) -> list[dict]:
+    """The report rows of trials 0..len(per_trial)-1, statistics sorted by name."""
+    return [_record(config.subcommand, name, stats[name], config.d1, config.d2, p, alpha, config.field, t)
+            for t, stats in enumerate(per_trial) for name in sorted(stats)]
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -263,8 +264,12 @@ def _report(config: ExperimentConfig, records: list[dict], check=None, **section
     return report
 
 
-def _sample_state(ensemble: str, n: int, p: int, stream: SampleStream) -> np.ndarray:
-    sample = sample_induced_state if ensemble == "induced" else sample_mixture_state
+def _draw(config: ExperimentConfig, p: int, stream: SampleStream) -> np.ndarray:
+    """One trial's matrix: a Wishart sample, or a state of the config's ensemble."""
+    n = config.shape.n
+    if config.ensemble == "wishart":
+        return sample_wishart(WishartParams(n=n, p=p, field=config.field), stream)
+    sample = sample_induced_state if config.ensemble == "induced" else sample_mixture_state
     return sample(n, p, stream)
 
 
@@ -280,15 +285,11 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     law = Semicircle(1.0, 1.0 / alpha)
     centered_law = Semicircle(0.0, 1.0 / alpha)
     lo_edge, hi_edge = law.support
-    spectra = [None] * config.trials
 
-    def one_trial(stream: SampleStream) -> dict:
-        if config.ensemble == "wishart":
-            w = sample_wishart(WishartParams(n=n, p=p, field=config.field), stream)
-            mat = partial_transpose(w, shape)
-        else:
-            rho = _sample_state(config.ensemble, n, p, stream)
-            mat = n * partial_transpose(rho, shape)
+    def one_trial(stream: SampleStream) -> tuple[dict, dict]:
+        mat = partial_transpose(_draw(config, p, stream), shape)
+        if config.ensemble != "wishart":
+            mat *= n
         sample = SpectralSample(hermitian_eigenvalues(mat))
         centered = SpectralSample(sample.eigenvalues - 1.0)
         stats = {}
@@ -299,15 +300,15 @@ def run_spectrum(config: ExperimentConfig) -> dict:
         stats["lambda_min"], stats["lambda_max"] = extremes(sample)
         stats["support_fraction"] = esd_fraction(sample, lo_edge - SUPPORT_PAD, hi_edge + SUPPORT_PAD)
         edges, counts = histogram(sample, bins=config.bins)
-        # stream index == trial index here; each trial fills its own slot
-        spectra[stream.stream_index] = {
+        return stats, {
             "trial": stream.stream_index,
             "eigenvalues": sample.eigenvalues.tolist(),
             "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
         }
-        return stats
 
-    per_trial, records = _run_trials(config, one_trial, p, alpha)
+    results = _run_trials(config, one_trial, config.trials)
+    per_trial = [stats for stats, _ in results]
+    spectra = [entry for _, entry in results]
     aggregates = _aggregate_stats(per_trial)
     theory = {
         "law": {"kind": "semicircle", "mean": 1.0, "variance": 1.0 / alpha},
@@ -317,7 +318,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     }
     mean_ks = aggregates["statistics"]["ks_semicircle"]["mean"]
     return _report(
-        config, records, ("mean_ks_semicircle", mean_ks, 0.08),
+        config, _records(config, per_trial, p, alpha), ("mean_ks_semicircle", mean_ks, 0.08),
         scale="wishart_raw" if config.ensemble == "wishart" else "state_rescaled",
         aggregates=aggregates, spectra=spectra, theory=theory,
     )
@@ -325,24 +326,23 @@ def run_spectrum(config: ExperimentConfig) -> dict:
 
 def run_extremes(config: ExperimentConfig) -> dict:
     """Extreme eigenvalues of partially transposed Wishart samples."""
-    shape = config.shape
-    n, p = shape.n, config.resolved_p
+    shape, p = config.shape, config.resolved_p
     alpha = config.effective_alpha
     edge_lo = 1.0 - 2.0 / sqrt(alpha)
     edge_hi = 1.0 + 2.0 / sqrt(alpha)
 
     def one_trial(stream: SampleStream) -> dict:
-        w = sample_wishart(WishartParams(n=n, p=p, field=config.field), stream)
-        eigs = hermitian_eigenvalues(partial_transpose(w, shape))
-        lam_lo, lam_hi = extremes(SpectralSample(eigs))
-        return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": diag_deviation(w)}
+        mat = partial_transpose(_draw(config, p, stream), shape)
+        lam_lo, lam_hi = extremes(SpectralSample(hermitian_eigenvalues(mat)))
+        # the partial transpose keeps W's diagonal entry for entry
+        return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": diag_deviation(mat)}
 
-    per_trial, records = _run_trials(config, one_trial, p, alpha)
+    per_trial = _run_trials(config, one_trial, config.trials)
     worst = max(
         max(abs(s["lambda_max"] - edge_hi), abs(s["lambda_min"] - edge_lo)) for s in per_trial
     )
     return _report(
-        config, records, ("extreme_eigenvalue_deviation", worst, 0.25),
+        config, _records(config, per_trial, p, alpha), ("extreme_eigenvalue_deviation", worst, 0.25),
         scale="wishart_raw", aggregates=_aggregate_stats(per_trial),
         theory={"edge_low": edge_lo, "edge_high": edge_hi},
     )
@@ -359,35 +359,36 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[floa
 def run_ppt_sweep(config: ExperimentConfig) -> dict:
     """PPT frequency of random states across a grid of ancilla aspect ratios.
 
-    The alpha at grid position ai draws streams ai * trials + t.
+    The whole grid is one map: grid point ai draws streams ai * trials + t,
+    and its records number those trials t.
     """
     shape = config.shape
-    n = shape.n
-    records = []
-    per_alpha = []
-    for ai, alpha in enumerate(config.alphas):
-        p = ancilla_dim(alpha, n)
+    n, trials = shape.n, config.trials
+    ps = [ancilla_dim(alpha, n) for alpha in config.alphas]
 
-        def one_trial(stream: SampleStream) -> dict:
-            result = ppt_gauge(_sample_state(config.ensemble, n, p, stream), shape)
-            stats = {
-                "is_ppt": 1.0 if result.is_ppt else 0.0,
-                "min_eigenvalue_scaled": n * result.min_eigenvalue,
-            }
-            if result.gauge is not None:
-                stats["gauge"] = result.gauge
-            return stats
+    def one_trial(stream: SampleStream) -> dict:
+        result = ppt_gauge(_draw(config, ps[stream.stream_index // trials], stream), shape)
+        stats = {
+            "is_ppt": 1.0 if result.is_ppt else 0.0,
+            "min_eigenvalue_scaled": n * result.min_eigenvalue,
+        }
+        if result.gauge is not None:
+            stats["gauge"] = result.gauge
+        return stats
 
-        per_trial, alpha_records = _run_trials(config, one_trial, p, alpha, ai * config.trials)
-        records += alpha_records
+    results = _run_trials(config, one_trial, len(ps) * trials)
+    records, per_alpha = [], []
+    for ai, (alpha, p) in enumerate(zip(config.alphas, ps)):
+        per_trial = results[ai * trials:(ai + 1) * trials]
+        records += _records(config, per_trial, p, alpha)
         hits = sum(int(s["is_ppt"]) for s in per_trial)
-        ci_low, ci_high = _wilson_interval(hits, config.trials)
+        ci_low, ci_high = _wilson_interval(hits, trials)
         min_scaled = [s["min_eigenvalue_scaled"] for s in per_trial]
         entry = {
             "alpha": alpha,
             "p": p,
-            "trials": config.trials,
-            "ppt_frequency": hits / config.trials,
+            "trials": trials,
+            "ppt_frequency": hits / trials,
             "ci_low": ci_low,
             "ci_high": ci_high,
             "mean_min_eigenvalue_scaled": _aggregate(min_scaled)["mean"],
@@ -424,12 +425,12 @@ def run_pure_state(config: ExperimentConfig) -> dict:
         sample = SpectralSample(d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, shape)))
         return {f"moment_k{k}": empirical_moment(sample, k) for k in range(1, 7)}
 
-    # no ancilla in the pure-state model; blank p and alpha in the records
-    per_trial, records = _run_trials(config, one_trial, p="", alpha="")
+    per_trial = _run_trials(config, one_trial, config.trials)
     aggregates = _aggregate_stats(per_trial)
     dev = abs(aggregates["statistics"]["moment_k2"]["mean"] - law.moment(2))
+    # no ancilla in the pure-state model; blank p and alpha in the records
     return _report(
-        config, records, ("mean_moment_k2_deviation", dev, 0.1),
+        config, _records(config, per_trial, p="", alpha=""), ("mean_moment_k2_deviation", dev, 0.1),
         scale="state_rescaled", aggregates=aggregates,
         theory={"moments": {f"moment_k{k}": law.moment(k) for k in range(1, 7)}},
     )

@@ -63,6 +63,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["spectrum", "--thr", "2"], "--thr"),
         # rejected by the config, before any trial worker starts
         (["spectrum", "--threads", "65"], "threads must be between 1 and 64"),
+        # the trial count bounds the number of streams a run maps
+        (["spectrum", "--d", "2", "--trials", "1000000000000"], "trials must be between 1 and 100000"),
+        (["spectrum", "--d", "2", "--trials", "100000000000000000000"], "trials must be between 1 and 100000"),
         (["spectrum", "--seed", "-1"], "master_seed"),
         (["pure", "--d1", "2", "--d2", "3"], "square"),
         (["spectrum", "--tol", "0.1"], "needs check"),

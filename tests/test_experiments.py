@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from ptwishart import _blas, experiments, partitions, reporting
+from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
     ExperimentConfig,
@@ -48,6 +50,8 @@ PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
     pytest.param(dict(subcommand="extremes", ensemble="induced"), "ensemble", id="extremes-induced"),
     pytest.param(dict(PPT, ensemble="wishart"), "ensemble", id="ppt-wishart"),
     pytest.param(dict(trials=0), "trials", id="trials"),
+    pytest.param(dict(trials=10**5 + 1), "trials must be between 1 and 100000",
+                 id="trials-too-many"),
     pytest.param(dict(master_seed=-1), "master_seed", id="seed-negative"),
     pytest.param(dict(master_seed=2**64), "master_seed", id="seed-too-large"),
     pytest.param(dict(bins=0), "bins", id="bins"),
@@ -152,7 +156,7 @@ def test_trial_workers_split_the_blas_threads():
     for workers in (2, 3):
         seen = []
         config = small_config(threads=workers, trials=workers)
-        _run_trials(config, lambda stream: seen.append(blas_counts()) or {}, p=1, alpha=1.0)
+        _run_trials(config, lambda stream: seen.append(blas_counts()) or {}, workers)
         assert seen == [[max(1, start // workers) for start in starts]] * workers
         assert blas_counts() == before
 
@@ -160,7 +164,7 @@ def test_trial_workers_split_the_blas_threads():
         raise RuntimeError("trial failed")
 
     with pytest.raises(RuntimeError, match="trial failed"):
-        _run_trials(small_config(threads=2), boom, p=1, alpha=1.0)
+        _run_trials(small_config(threads=2), boom, 3)
     assert blas_counts() == before
 
 
@@ -193,6 +197,42 @@ def test_two_workers_match_one_worker_at_the_per_worker_blas_count(tmp_path):
     assert reports[0]["records"] == reports[1]["records"]
     assert reports[0]["aggregates"] == reports[1]["aggregates"]
 
+
+
+@pytest.mark.parametrize("runner, subcommand", [(run_spectrum, "spectrum"), (run_extremes, "extremes")])
+def test_wishart_draw_is_freed_before_the_eigensolve(monkeypatch, runner, subcommand):
+    # only W's partial transpose may be alive through validation and the eigensolve
+    draws, alive = [], []
+    sample, solve = experiments.sample_wishart, experiments.hermitian_eigenvalues
+
+    def tracked_sample(params, stream):
+        w = sample(params, stream)
+        draws.append(weakref.ref(w))
+        return w
+
+    def checked_solve(a):
+        alive.append(draws[-1]() is not None)
+        return solve(a)
+
+    monkeypatch.setattr(experiments, "sample_wishart", tracked_sample)
+    monkeypatch.setattr(experiments, "hermitian_eigenvalues", checked_solve)
+    runner(small_config(subcommand=subcommand))
+    assert alive == [False] * 3
+
+
+def test_ppt_grid_maps_one_stream_per_grid_point_and_trial():
+    # grid point ai draws stream ai * trials + t and numbers its records t;
+    # at n = 9 no path depends on the BLAS thread count, so values compare exactly
+    config = small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0), trials=3,
+                          d1=3, d2=3, threads=2)
+    rows = [r for r in run_ppt_sweep(config)["records"] if r["statistic"] == "min_eigenvalue_scaled"]
+    expected = []
+    for ai, alpha in enumerate(config.alphas):
+        p = ancilla_dim(alpha, 9)
+        for t in range(3):
+            rho = sample_induced_state(9, p, SampleStream(config.master_seed, ai * 3 + t))
+            expected.append((alpha, p, t, 9 * experiments.ppt_gauge(rho, config.shape).min_eigenvalue))
+    assert [(r["alpha"], r["p"], r["trial"], r["value"]) for r in rows] == expected
 
 
 def test_json_round_trip():

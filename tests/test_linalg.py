@@ -64,6 +64,7 @@ def test_partial_transpose_preserves_trace_frobenius_hermiticity():
         a = random_hermitian(shape.n, rng)
         b = partial_transpose(a, shape)
         assert is_hermitian(b)
+        np.testing.assert_array_equal(np.diagonal(b), np.diagonal(a))
         assert abs(np.trace(b) - np.trace(a)) <= 1e-12 * abs(np.trace(a))
         fa, fb = np.linalg.norm(a), np.linalg.norm(b)
         assert abs(fb - fa) <= 1e-12 * fa

@@ -1,0 +1,81 @@
+"""Compare the reports of two ptwishart source trees, byte for byte.
+
+    python3 tools/same_reports.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout with the package under `src/`.  Every argv in ARGVS
+runs in JSON and in CSV, once per tree and one process at a time, as
+`PYTHONPATH=<tree>/src python3 -m ptwishart ARGV --format F --out FILE`.
+One line per run says "same" or "differs" and gives both exit codes; a run is
+the same when the exit codes are equal and so are the report files (or both
+are missing, as after a usage error).  The exit code is 1 if any run differs
+and 2 on a bad command line.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# one process runs for at most this long
+TIMEOUT_S = 600
+
+ARGVS = [
+    # spectrum: every ensemble and field, threads, an unbalanced shape, and both
+    # sides of the two-stage eigensolve bound (n = 1250)
+    ["spectrum", "--d", "6", "--trials", "3", "--seed", "11"],
+    ["spectrum", "--d", "8", "--trials", "3", "--field", "real", "--threads", "2"],
+    ["spectrum", "--d", "6", "--trials", "3", "--ensemble", "induced"],
+    ["spectrum", "--d", "5", "--trials", "3", "--ensemble", "mixture", "--check"],
+    ["spectrum", "--d1", "3", "--d2", "5", "--trials", "3"],
+    ["spectrum", "--d", "4", "--trials", "2", "--threads", "3"],
+    ["spectrum", "--d", "17", "--trials", "2"],
+    ["spectrum", "--alpha", "4", "--check", "--threads", "1", "--d", "30", "--trials", "2", "--seed", "1"],
+    # extremes: a threshold pass and a miss (exit 3), the real field, and n = 1600
+    ["extremes", "--d", "10", "--trials", "3", "--check"],
+    ["extremes", "--d", "10", "--trials", "2", "--check", "--tol", "1e-9"],
+    ["extremes", "--d", "17", "--trials", "2", "--field", "real"],
+    ["extremes", "--alpha", "4", "--check", "--threads", "1", "--d", "40", "--trials", "1", "--seed", "1"],
+    # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3
+    ["ppt", "--d", "6", "--trials", "5", "--threads", "2"],
+    ["ppt", "--d", "6", "--trials", "1", "--threads", "2"],
+    ["ppt", "--d", "4", "--trials", "4", "--ensemble", "mixture", "--alphas", "2", "8"],
+    ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
+    ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
+    ["pure", "--d", "6", "--trials", "3", "--check"],
+    # a usage error writes no report
+    ["spectrum", "--trials", "0"],
+]
+
+
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int, bytes | None]:
+    out.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    code = subprocess.run([sys.executable, "-m", "ptwishart", *argv, "--out", str(out)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    return code, out.read_bytes() if out.exists() else None
+
+
+def main(args: list[str]) -> int:
+    trees = [Path(a).resolve() for a in args]
+    if len(trees) != 2 or not all((t / "src" / "ptwishart").is_dir() for t in trees):
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in ARGVS:
+            for fmt in ("json", "csv"):
+                full = argv + ["--format", fmt]
+                (code_a, report_a), (code_b, report_b) = (
+                    run(tree, full, Path(tmp) / f"{side}.{fmt}") for side, tree in zip("ab", trees))
+                same = code_a == code_b and report_a == report_b
+                differing += not same
+                print(f"{'same' if same else 'differs':7s} exit {code_a} {code_b}  {' '.join(full)}", flush=True)
+    print(f"{len(ARGVS) * 2 - differing} same, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
