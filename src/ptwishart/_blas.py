@@ -1,12 +1,18 @@
-"""The OpenBLAS copies loaded into this process: thread counts and one LAPACKE driver.
+"""The OpenBLAS copies loaded into this process: thread counts and LAPACKE eigensolvers.
 
 numpy and scipy each bring their own OpenBLAS, and each starts one thread per
 core (or as many as OPENBLAS_NUM_THREADS says).  Trial workers that all call
 such a BLAS would run workers x cores threads, so `split` gives each copy
 max(1, its start-up count // workers) threads while the workers run.
 
-scipy's copy also exports LAPACKE_zheevd_2stage, which scipy does not wrap;
-`zheevd_2stage` finds it with the same scan of the mapped libraries.
+The copies also export LAPACKE eigenvalue drivers, and a foreign call through
+ctypes releases the GIL, so trial workers can run their eigensolves at the
+same time; numpy's eigvalsh holds the GIL.  `heevd` finds the LAPACKE front
+end of the routine eigvalsh itself calls, LAPACKE_zheevd or LAPACKE_dsyevd in
+numpy's copy (64-bit integers, "64_" suffix), and `zheevd_2stage` finds
+LAPACKE_zheevd_2stage in scipy's copy (32-bit integers), which neither numpy
+nor scipy wraps.  Both resolve through `_lapacke` over the same mapped
+libraries.
 """
 
 from __future__ import annotations
@@ -19,9 +25,6 @@ from functools import cache
 # integers, "64_" suffix) and scipy wheels
 _SYMBOLS = [(f"scipy_openblas_get_num_threads{suffix}", f"scipy_openblas_set_num_threads{suffix}")
             for suffix in ("64_", "")]
-
-# the two-stage Hermitian eigensolver of scipy's copy, with 32-bit integers
-_ZHEEVD_2STAGE = "scipy_LAPACKE_zheevd_2stage"
 
 
 @cache
@@ -50,17 +53,29 @@ def _copies() -> tuple:
 
 
 @cache
-def zheevd_2stage():
-    """LAPACKE_zheevd_2stage(layout, jobz, uplo, n, a, lda, w) -> info, or None
-    when no mapped copy exports it."""
+def _lapacke(name: str):
+    """The LAPACKE eigenvalue driver `name`(layout, jobz, uplo, n, a, lda, w) -> info,
+    or None when no mapped copy exports it.  Its integers are 64-bit when the
+    name ends in "64_" and C ints otherwise."""
+    integer = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
     for lib in _libraries():
-        fn = getattr(lib, _ZHEEVD_2STAGE, None)
+        fn = getattr(lib, name, None)
         if fn is not None:
-            fn.restype = ctypes.c_int
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
-                           ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p]
+            fn.restype = integer
+            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer,
+                           ctypes.c_void_p, integer, ctypes.c_void_p]
             return fn
     return None
+
+
+def heevd(complex_field: bool):
+    """numpy's LAPACKE_zheevd (complex) or LAPACKE_dsyevd (real), or None."""
+    return _lapacke("scipy_LAPACKE_zheevd64_" if complex_field else "scipy_LAPACKE_dsyevd64_")
+
+
+def zheevd_2stage():
+    """scipy's LAPACKE_zheevd_2stage, or None."""
+    return _lapacke("scipy_LAPACKE_zheevd_2stage")
 
 
 def per_worker_counts(workers: int) -> list[int]:

@@ -79,6 +79,11 @@ MAX_BINS = 10**5
 MAX_THREADS = 64
 # bounds the number of streams a run maps, not the size of its report
 MAX_TRIALS = 10**5
+# largest number of values a spectrum report lists: each trial lists its n
+# eigenvalues and a histogram of 2 * bins + 1 values.  A run peaks at about
+# 125 bytes per value (held floats plus the rendered JSON), so about 1.3 GB
+# at the bound
+MAX_SPECTRUM_VALUES = 10**7
 # largest n * p of a mixture state: sample_mixture_state costs 65-90 ns per
 # entry on 2 cores, so one trial at the bound takes about 70-90 s
 MAX_MIXTURE_ENTRIES = 2**30
@@ -126,6 +131,9 @@ class ExperimentConfig:
         _check_bins(self.bins)
         if self.bins != DEFAULT_BINS and self.subcommand != "spectrum":
             raise ParameterError(f"bins is read by spectrum only, not by {self.subcommand}")
+        if self.subcommand == "spectrum" and self.trials * (shape.n + 2 * self.bins + 1) > MAX_SPECTRUM_VALUES:
+            raise ParameterError(f"a spectrum report lists trials * (n + 2 * bins + 1) values, at most "
+                                 f"{MAX_SPECTRUM_VALUES}, got {self.trials} * ({shape.n} + 2 * {self.bins} + 1)")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ParameterError(f"threads must be between 1 and {MAX_THREADS}, got {self.threads}")
         if self.alphas is not None:

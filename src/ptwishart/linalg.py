@@ -5,10 +5,15 @@ ndarray.  Basis vectors are flattened row-major on (first-factor index,
 second-factor index), so the matrix is a d1 x d1 grid of contiguous
 d2 x d2 blocks and the entry in block (i, j) at inner position (k, l)
 sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
-float64 arrays take numpy's real-symmetric eigensolver, complex arrays its
-Hermitian one, except that complex matrices of size TWO_STAGE_MIN_N and up
-go to LAPACK's two-stage tridiagonal reduction (zheevd_2stage; Haidar,
-Ltaief & Dongarra, SC'11), which numpy and scipy do not wrap.
+float64 arrays take the real-symmetric eigensolver, complex arrays the
+Hermitian one.  Both are called through ctypes, which releases the GIL, so
+trial workers overlap their eigensolves.  Below TWO_STAGE_MIN_N, and for the
+real field, the solver is numpy's own LAPACKE_zheevd/LAPACKE_dsyevd, called
+as eigvalsh calls it, so the eigenvalues are eigvalsh's bit for bit.
+Complex matrices of size TWO_STAGE_MIN_N and up go to LAPACK's two-stage
+tridiagonal reduction (zheevd_2stage; Haidar, Ltaief & Dongarra, SC'11),
+which numpy and scipy do not wrap.  Where the loaded OpenBLAS exports
+neither symbol, np.linalg.eigvalsh is the fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ HERMITICITY_RTOL = 1e-10
 # the default 2 BLAS threads it is 12% slower than eigvalsh at n = 1225 and
 # 4-12% faster from n = 1296 on; with one BLAS thread it wins from n = 625.
 TWO_STAGE_MIN_N = 1250
+
+# is_hermitian compares a's rows with its columns in blocks of about this many
+# entries, so its temporaries stay small; a matrix this size or smaller (n up
+# to 256) is one block
+_HERMITICITY_BLOCK_ENTRIES = 2**16
 
 # LAPACKE's matrix_layout value for column-major storage
 _LAPACK_COL_MAJOR = 102
@@ -58,10 +68,17 @@ def _as_square(a) -> np.ndarray:
 
 def is_hermitian(a) -> bool:
     a = _as_square(a)
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    n = len(a)
+    rows = max(1, _HERMITICITY_BLOCK_ENTRIES // max(n, 1))
+    # np.maximum, unlike max(), keeps a NaN
+    scale = deviation = np.float64(0.0)
+    for i in range(0, n, rows):
+        block = a[i:i + rows]
+        scale = np.maximum(scale, np.abs(block).max())
+        deviation = np.maximum(deviation, np.abs(block - a[:, i:i + rows].conj().T).max())
     if scale == 0.0:
         return True
-    return float(np.abs(a - a.conj().T).max()) <= HERMITICITY_RTOL * scale
+    return float(deviation) <= HERMITICITY_RTOL * float(scale)
 
 
 def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
@@ -77,42 +94,53 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
             f"matrix of size {a.shape[0]} does not match bipartite shape "
             f"({shape.d1}, {shape.d2}) with total dimension {shape.n}"
         )
-    # blocks[i, k, j, l] is the entry of block (i, j) at inner position (k, l)
-    blocks = a.reshape(shape.d1, shape.d2, shape.d1, shape.d2)
-    return blocks.swapaxes(1, 3).reshape(shape.n, shape.n).copy()
+    # [i, k, j, l] indexes the entry of block (i, j) at inner position (k, l);
+    # splitting each axis of a 2-d array gives a view, so out is written once
+    blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
+    out = np.empty_like(a, order="C")
+    out.reshape(blocks)[...] = a.reshape(blocks).swapaxes(1, 3)
+    return out
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
-    Real-symmetric input (float dtype) is dispatched by LAPACK to real
-    arithmetic automatically.  A complex matrix of size TWO_STAGE_MIN_N or
-    more goes to zheevd_2stage when the loaded OpenBLAS exports it; the
-    input is never written.  Raises NumericError on non-finite entries, when
-    the input is not self-adjoint to within HERMITICITY_RTOL, or when the
-    two-stage solver does not converge.
+    Real-symmetric input (float dtype) takes the real solver.  A complex
+    matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when the
+    loaded OpenBLAS exports it; otherwise numpy's LAPACKE_zheevd or
+    LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
+    the fallback when that symbol is missing.  The input is never written.
+    Raises NumericError on non-finite entries, when the input is not
+    self-adjoint to within HERMITICITY_RTOL, or when the solver does not
+    converge.
     """
     a = _as_square(a)
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix has non-finite entries")
     if not is_hermitian(a):
         raise NumericError("matrix is not self-adjoint within tolerance")
-    if np.iscomplexobj(a) and len(a) >= TWO_STAGE_MIN_N:
+    complex_field = np.iscomplexobj(a)
+    if complex_field and len(a) >= TWO_STAGE_MIN_N:
         solver = _blas.zheevd_2stage()
         if solver is not None:
-            return _two_stage_eigenvalues(solver, a)
+            # Read column-major, the C-ordered copy is the transpose of a, i.e.
+            # its conjugate, which has the same eigenvalues; its upper triangle
+            # is a's lower one, the triangle eigvalsh reads.
+            return _lapacke_eigenvalues(solver, a, "C", b"U")
+    solver = _blas.heevd(complex_field)
+    if solver is not None:
+        # the column-major copy and the triangle that eigvalsh passes
+        return _lapacke_eigenvalues(solver, a, "F", b"L")
     return np.linalg.eigvalsh(a)
 
 
-def _two_stage_eigenvalues(solver, a: np.ndarray) -> np.ndarray:
-    # The working copy takes the place of the one eigvalsh makes.  Read
-    # column-major, the C-ordered copy is the transpose of a, i.e. its
-    # conjugate, which has the same eigenvalues; its upper triangle is a's
-    # lower one, the triangle eigvalsh reads.
-    work = np.array(a, dtype=np.complex128, order="C")
+def _lapacke_eigenvalues(solver, a: np.ndarray, order: str, uplo: bytes) -> np.ndarray:
+    # The working copy, in the given memory order, takes the place of the one
+    # eigvalsh makes; the solver overwrites it.
+    work = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order=order)
     n = len(work)
     eigenvalues = np.empty(n)
-    info = solver(_LAPACK_COL_MAJOR, b"N", b"U", n, work.ctypes.data, n, eigenvalues.ctypes.data)
+    info = solver(_LAPACK_COL_MAJOR, b"N", uplo, n, work.ctypes.data, max(n, 1), eigenvalues.ctypes.data)
     if info != 0:
-        raise NumericError(f"zheevd_2stage failed with info {info}")
+        raise NumericError(f"{solver.__name__} failed with info {info}")
     return eigenvalues

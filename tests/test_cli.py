@@ -66,6 +66,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         # the trial count bounds the number of streams a run maps
         (["spectrum", "--d", "2", "--trials", "1000000000000"], "trials must be between 1 and 100000"),
         (["spectrum", "--d", "2", "--trials", "100000000000000000000"], "trials must be between 1 and 100000"),
+        # a spectrum report lists every eigenvalue and histogram, so its size is bounded
+        (["spectrum", "--trials", "9083"], "spectrum report lists"),
+        (["spectrum", "--d", "1", "--bins", "100000", "--trials", "50"], "spectrum report lists"),
         (["spectrum", "--seed", "-1"], "master_seed"),
         (["pure", "--d1", "2", "--d2", "3"], "square"),
         (["spectrum", "--tol", "0.1"], "needs check"),

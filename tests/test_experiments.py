@@ -52,6 +52,8 @@ PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
     pytest.param(dict(trials=0), "trials", id="trials"),
     pytest.param(dict(trials=10**5 + 1), "trials must be between 1 and 100000",
                  id="trials-too-many"),
+    pytest.param(dict(d1=30, d2=30, trials=9083), "spectrum report lists", id="spectrum-report-size"),
+    pytest.param(dict(d1=1, d2=1, trials=50, bins=10**5), "spectrum report lists", id="spectrum-report-bins"),
     pytest.param(dict(master_seed=-1), "master_seed", id="seed-negative"),
     pytest.param(dict(master_seed=2**64), "master_seed", id="seed-too-large"),
     pytest.param(dict(bins=0), "bins", id="bins"),
@@ -82,6 +84,18 @@ PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
 def test_config_refuses(overrides, word):
     with pytest.raises(ParameterError, match=word):
         small_config(**overrides)
+
+
+def test_spectrum_report_bound():
+    # configs only: 1000 trials of 1 + 2 * 4999 + 1 values reach the bound exactly
+    assert experiments.MAX_SPECTRUM_VALUES == 10**7
+    at_bound = dict(d1=1, d2=1, bins=4999)
+    assert small_config(**at_bound, trials=1000).trials == 1000
+    with pytest.raises(ParameterError, match="spectrum report"):
+        small_config(**at_bound, trials=1001)
+    # extremes and ppt list no spectra
+    assert small_config(subcommand="extremes", d1=30, d2=30, trials=10**5).trials == 10**5
+    assert small_config(**PPT, d1=30, d2=30, trials=10**5).trials == 10**5
 
 
 def test_mixture_work_bound():

@@ -14,7 +14,7 @@ from ptwishart import (
     sample_wishart,
 )
 from ptwishart.errors import NumericError, ParameterError, ShapeError
-from ptwishart.linalg import TWO_STAGE_MIN_N, is_hermitian
+from ptwishart.linalg import _HERMITICITY_BLOCK_ENTRIES, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -68,6 +68,39 @@ def test_partial_transpose_preserves_trace_frobenius_hermiticity():
         assert abs(np.trace(b) - np.trace(a)) <= 1e-12 * abs(np.trace(a))
         fa, fb = np.linalg.norm(a), np.linalg.norm(b)
         assert abs(fb - fa) <= 1e-12 * fa
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 5), (5, 1), (3, 5), (4, 4)])
+def test_partial_transpose_returns_a_new_array(d1, d2):
+    # with d1 = 1 or d2 = 1 the transposed view reshapes without a copy
+    shape = BipartiteShape(d1, d2)
+    a = random_hermitian(shape.n, np.random.default_rng(29))
+    expected = a.reshape(d1, d2, d1, d2).swapaxes(1, 3).reshape(shape.n, shape.n)
+    for x in (a, np.asfortranarray(a)):
+        b = partial_transpose(x, shape)
+        assert not np.shares_memory(b, x)
+        np.testing.assert_array_equal(b, expected)
+
+
+def _unblocked_is_hermitian(a):
+    scale = float(np.abs(a).max())
+    return scale == 0.0 or float(np.abs(a - a.conj().T).max()) <= HERMITICITY_RTOL * scale
+
+
+@pytest.mark.parametrize("i, j", [(5, 100), (250, 290)], ids=["first-block", "last-block"])
+def test_blocked_hermiticity_check_matches_the_unblocked_formula(i, j):
+    n = 300
+    rows = _HERMITICITY_BLOCK_ENTRIES // n
+    assert rows < n and (j < rows or i >= rows)  # two blocks of rows; i and j lie in the same one
+    a = random_hermitian(n, np.random.default_rng(31)) / 10
+    assert np.abs(a).max() < 1.0
+    a[0, 0] = 1.0  # the scale is exactly 1
+    a[j, i] = 0.0
+    for delta, expected in [(HERMITICITY_RTOL, True), (np.nextafter(HERMITICITY_RTOL, 1.0), False),
+                            (1e-3, False)]:
+        a[i, j] = delta
+        assert is_hermitian(a) == _unblocked_is_hermitian(a) == expected, delta
+        assert is_hermitian(a.conj().T) == expected
 
 
 def test_partial_transpose_shape_mismatch():
@@ -139,16 +172,83 @@ def _two_stage_solver():
     return solver
 
 
-def _spy(monkeypatch, solver):
-    """Count the calls that reach the two-stage solver."""
+def _heevd_solver(complex_field):
+    solver = _blas.heevd(complex_field)
+    if solver is None:
+        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_zheevd/LAPACKE_dsyevd")
+    return solver
+
+
+def _spy(monkeypatch, solver, lookup="zheevd_2stage"):
+    """Count the calls that reach the solver returned by the `_blas` lookup."""
     calls = []
 
     def spy(*args):
         calls.append(args[3])
         return solver(*args)
 
-    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: spy)
+    monkeypatch.setattr(_blas, lookup, lambda *field: spy)
     return calls
+
+
+FIELDS = pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+
+
+@FIELDS
+@pytest.mark.parametrize("n", [1, 2, 9, 225, TWO_STAGE_MIN_N - 1])
+def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
+    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
+    rng = np.random.default_rng(47)
+    a = random_hermitian(n, rng, complex_field)
+    # C-ordered, F-ordered, and a strided view of a larger Hermitian matrix
+    inputs = [a, np.asfortranarray(a), random_hermitian(2 * n, rng, complex_field)[::2, ::2]]
+    for x in inputs:
+        before = x.copy()
+        vals = hermitian_eigenvalues(x)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(vals, np.linalg.eigvalsh(x))
+    assert calls == [n] * len(inputs)
+
+
+@FIELDS
+def test_evd_falls_back_without_the_symbol(monkeypatch, complex_field):
+    monkeypatch.setattr(_blas, "heevd", lambda complex_field: None)
+    fallback = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
+    a = random_hermitian(225, np.random.default_rng(53), complex_field)
+    np.testing.assert_array_equal(hermitian_eigenvalues(a), eigvalsh(a))
+    assert fallback == [225]
+
+
+@FIELDS
+def test_evd_path_still_refuses_bad_input(monkeypatch, complex_field):
+    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
+    a = random_hermitian(225, np.random.default_rng(59), complex_field)
+    bad = a.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        hermitian_eigenvalues(bad)
+    bad = a.copy()
+    bad[3, 5] += 1.0
+    with pytest.raises(NumericError, match="self-adjoint"):
+        hermitian_eigenvalues(bad)
+    assert calls == []
+
+
+@FIELDS
+def test_evd_concurrent_calls_match_serial(monkeypatch, complex_field):
+    # ctypes releases the GIL, so pool workers run their solves at the same time
+    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
+    rng = np.random.default_rng(61)
+    matrices = [random_hermitian(225, rng, complex_field) for _ in range(4)]
+    with _blas.split(2):
+        serial = [hermitian_eigenvalues(a) for a in matrices]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            concurrent = list(pool.map(hermitian_eigenvalues, matrices * 3, timeout=300))
+    assert len(calls) == 16
+    for vals, expected in zip(concurrent, serial * 3):
+        np.testing.assert_array_equal(vals, expected)
 
 
 def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
@@ -165,7 +265,7 @@ def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
     assert np.all(np.diff(vals) >= 0)
     # an F-ordered input (the conjugate of a) is copied into the C order the solver reads
     np.testing.assert_allclose(hermitian_eigenvalues(a.T), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
-    # the real field and smaller matrices stay on eigvalsh
+    # the real field and smaller matrices stay off the two-stage solver
     hermitian_eigenvalues(a.real)
     hermitian_eigenvalues(a[:TWO_STAGE_MIN_N - 1, :TWO_STAGE_MIN_N - 1])
     assert calls == [shape.n, shape.n]
