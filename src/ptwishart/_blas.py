@@ -1,35 +1,67 @@
-"""The OpenBLAS copies loaded into this process: thread counts and LAPACKE eigensolvers.
+"""Every BLAS and LAPACK routine the package calls, and the thread counts of
+the OpenBLAS that runs them.
 
-numpy and scipy each bring their own OpenBLAS, and each starts one thread per
-core (or as many as OPENBLAS_NUM_THREADS says).  Trial workers that all call
-such a BLAS would run workers x cores threads, so `split` gives each copy
-max(1, its start-up count // workers) threads while the workers run.
+The routines come from numpy's own OpenBLAS (64-bit integers, "64_" suffix)
+through ctypes, one cached lookup `_function` for all of them:
 
-The copies also export LAPACKE eigenvalue drivers, and a foreign call through
-ctypes releases the GIL, so trial workers can run their eigensolves at the
-same time; numpy's eigvalsh holds the GIL.  `heevd` finds the LAPACKE front
-end of the routine eigvalsh itself calls, LAPACKE_zheevd or LAPACKE_dsyevd in
-numpy's copy (64-bit integers, "64_" suffix), and `zheevd_2stage` finds
-LAPACKE_zheevd_2stage in scipy's copy (32-bit integers), which neither numpy
-nor scipy wraps.  Both resolve through `_lapacke` over the same mapped
-libraries.
+- `heevd`: LAPACKE_zheevd or LAPACKE_dsyevd, the front end of the routine
+  numpy's eigvalsh itself calls;
+- `zheevd_2stage`: LAPACKE_zheevd_2stage, which numpy does not wrap;
+- `herk`: cblas_zherk or cblas_dsyrk;
+- `lauum`: LAPACKE_zlauum or LAPACKE_dlauum.
+
+A foreign call through ctypes releases the GIL, so trial workers run these
+routines at the same time; numpy's eigvalsh holds the GIL.  Where numpy's
+copy lacks a symbol (numpy < 2, or a numpy built on another BLAS), the
+eigensolver lookups return None and the caller falls back to eigvalsh, while
+`herk` and `lauum` import scipy.linalg and call its wrappers, which run in
+scipy's own OpenBLAS.  This module is the only one that imports scipy, and
+only then.
+
+OpenBLAS starts one thread per core (or as many as OPENBLAS_NUM_THREADS
+says).  Trial workers that all call it would run workers x cores threads, so
+`split` gives each copy in the process max(1, its start-up count // workers)
+threads while the workers run.
 """
 
 from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
+from ctypes import c_char, c_double, c_int, c_int64, c_void_p
 from functools import cache
 
+import numpy as np
+
+from .errors import NumericError
+
 # (get, set) thread-count symbols of the OpenBLAS in the numpy (64-bit
-# integers, "64_" suffix) and scipy wheels
+# integers, "64_" suffix) and scipy wheels; scipy's copy is loaded only when
+# numpy's lacks a Gram routine
 _SYMBOLS = [(f"scipy_openblas_get_num_threads{suffix}", f"scipy_openblas_set_num_threads{suffix}")
             for suffix in ("64_", "")]
 
+# LAPACKE's matrix_layout and the CBLAS enum values for column-major storage,
+# the lower triangle and no transpose
+_COL_MAJOR = 102
+_CBLAS_LOWER = 122
+_CBLAS_NO_TRANS = 111
 
-@cache
-def _libraries() -> tuple:
-    """ctypes handles of the OpenBLAS libraries mapped into this process."""
+# the dtype and the (name, restype, argtypes) of each routine, indexed by "is
+# the field complex"
+_DTYPES = (np.float64, np.complex128)
+_EVD = (c_int64, (c_int, c_char, c_char, c_int64, c_void_p, c_int64, c_void_p))
+_HEEVD = [("scipy_LAPACKE_dsyevd64_", *_EVD), ("scipy_LAPACKE_zheevd64_", *_EVD)]
+_ZHEEVD_2STAGE = ("scipy_LAPACKE_zheevd_2stage64_", *_EVD)
+_UPDATE = (None, (c_int, c_int, c_int, c_int64, c_int64, c_double, c_void_p, c_int64, c_double,
+                  c_void_p, c_int64))
+_HERK = [("scipy_cblas_dsyrk64_", *_UPDATE), ("scipy_cblas_zherk64_", *_UPDATE)]
+_LAUUM = [(name, c_int64, (c_int, c_char, c_int64, c_void_p, c_int64))
+          for name in ("scipy_LAPACKE_dlauum64_", "scipy_LAPACKE_zlauum64_")]
+
+
+def _mapped() -> tuple:
+    """ctypes handles of the OpenBLAS libraries mapped into this process now."""
     try:
         with open("/proc/self/maps") as fh:
             # the path is the sixth field of a mapping line
@@ -40,10 +72,27 @@ def _libraries() -> tuple:
 
 
 @cache
+def _function(name: str, restype, argtypes: tuple):
+    """The routine `name` with the given signature, or None when no mapped copy exports it."""
+    for lib in _mapped():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = restype
+            fn.argtypes = argtypes
+            return fn
+    return None
+
+
+@cache
 def _copies() -> tuple:
-    """(get, set, start-up thread count) of each OpenBLAS mapped into this process."""
+    """(get, set, start-up thread count) of each OpenBLAS mapped into this process.
+
+    When numpy's copy lacks a Gram routine, scipy's copy runs it, so scipy is
+    imported first and the scan covers its copy too."""
+    if any(_function(*routine) is None for routine in _HERK + _LAUUM):
+        import scipy.linalg  # noqa: F401
     copies = []
-    for lib in _libraries():
+    for lib in _mapped():
         for get_name, set_name in _SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -52,30 +101,67 @@ def _copies() -> tuple:
     return tuple(copies)
 
 
-@cache
-def _lapacke(name: str):
-    """The LAPACKE eigenvalue driver `name`(layout, jobz, uplo, n, a, lda, w) -> info,
-    or None when no mapped copy exports it.  Its integers are 64-bit when the
-    name ends in "64_" and C ints otherwise."""
-    integer = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
-    for lib in _libraries():
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            fn.restype = integer
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer,
-                           ctypes.c_void_p, integer, ctypes.c_void_p]
-            return fn
-    return None
-
-
 def heevd(complex_field: bool):
-    """numpy's LAPACKE_zheevd (complex) or LAPACKE_dsyevd (real), or None."""
-    return _lapacke("scipy_LAPACKE_zheevd64_" if complex_field else "scipy_LAPACKE_dsyevd64_")
+    """LAPACKE_zheevd (complex) or LAPACKE_dsyevd (real), or None:
+    solver(layout, jobz, uplo, n, a, lda, w) -> info."""
+    return _function(*_HEEVD[complex_field])
 
 
 def zheevd_2stage():
-    """scipy's LAPACKE_zheevd_2stage, or None."""
-    return _lapacke("scipy_LAPACKE_zheevd_2stage")
+    """LAPACKE_zheevd_2stage, with heevd's signature, or None."""
+    return _function(*_ZHEEVD_2STAGE)
+
+
+def eigenvalues(solver, a: np.ndarray, order: str, uplo: bytes) -> np.ndarray:
+    """The eigenvalues, ascending, that `solver` (from `heevd` or
+    `zheevd_2stage`) finds in triangle `uplo` of a copy of a in memory order
+    `order`, read column-major.  The solver overwrites the copy, never a."""
+    work = np.array(a, dtype=_DTYPES[np.iscomplexobj(a)], order=order)
+    n = len(work)
+    values = np.empty(n)
+    info = solver(_COL_MAJOR, b"N", uplo, n, work.ctypes.data, max(n, 1), values.ctypes.data)
+    if info != 0:
+        raise NumericError(f"{solver.__name__} failed with info {info}")
+    return values
+
+
+def herk(alpha: float, a: np.ndarray, c: np.ndarray, beta: float = 0.0) -> np.ndarray:
+    """alpha a a^dagger + beta c into the lower triangle of c, in place, and c;
+    zherk for complex128 input, dsyrk for float64.  a is n x k, c an F-ordered
+    n x n array of a's dtype."""
+    complex_field = np.iscomplexobj(a)
+    fn = _function(*_HERK[complex_field])
+    if fn is None:
+        from scipy.linalg import blas
+        update = blas.zherk if complex_field else blas.dsyrk
+        return update(alpha, a, beta=beta, c=c, lower=1, overwrite_c=1)
+    a = np.asfortranarray(a, dtype=_DTYPES[complex_field])
+    n, k = a.shape
+    if not (c.flags.f_contiguous and c.shape == (n, n) and c.dtype == a.dtype):
+        raise ValueError(f"c must be an F-ordered {n} x {n} {a.dtype} array")
+    fn(_COL_MAJOR, _CBLAS_LOWER, _CBLAS_NO_TRANS, n, k, alpha, a.ctypes.data, max(n, 1), beta,
+       c.ctypes.data, max(n, 1))
+    return c
+
+
+def lauum(u: np.ndarray) -> np.ndarray:
+    """U U^dagger in the upper triangle of an F-ordered copy of the upper
+    triangular square u, whose strict lower triangle the copy keeps; zlauum for
+    complex128 input, dlauum for float64."""
+    complex_field = np.iscomplexobj(u)
+    fn = _function(*_LAUUM[complex_field])
+    if fn is None:
+        from scipy.linalg import lapack
+        out, info = (lapack.zlauum if complex_field else lapack.dlauum)(u, overwrite_c=1)
+    else:
+        out = np.array(u, dtype=_DTYPES[complex_field], order="F")
+        n = len(out)
+        if out.shape != (n, n):
+            raise ValueError(f"expected a square matrix, got shape {out.shape}")
+        info = fn(_COL_MAJOR, b"U", n, out.ctypes.data, max(n, 1))
+    if info != 0:
+        raise NumericError(f"lauum failed with info {info}")
+    return out
 
 
 def per_worker_counts(workers: int) -> list[int]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from math import floor
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from . import _blas
 from .errors import ParameterError
 from .linalg import BipartiteShape
 
@@ -161,20 +161,19 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     lauum was written for the Cholesky factors of potri and reads only the real
     part of the diagonal; the Bartlett diagonal is a square root of a
     chi-square variate, real, so nothing is lost.  Otherwise one zherk/dsyrk
-    forms L L^dagger; for p < n the factor is not square.
+    forms L L^dagger; for p < n the factor is not square.  `_blas` calls both
+    routines in numpy's OpenBLAS.
     """
     n, p, field = params.n, params.p, params.field
     # the unscaled complex draw has E|entry|^2 = 2
     scale = 1.0 / p if field == "real" else 0.5 / p
     factor = _bartlett_factor(stream.generator(), n, p, field)
     if p < n or n < LAUUM_MIN_N:
-        update = blas.dsyrk if field == "real" else blas.zherk
-        c = update(scale, factor, c=np.zeros((n, n), dtype=factor.dtype, order="F"), lower=1, overwrite_c=1)
+        c = _blas.herk(scale, factor, np.zeros((n, n), dtype=factor.dtype, order="F"))
         del factor  # released before the mirror allocates
         return _mirror_lower(c)
-    lauum = lapack.dlauum if field == "real" else lapack.zlauum
     # the reversed factor is copied into F order, which lauum then overwrites
-    u, _ = lauum(factor[::-1, ::-1], overwrite_c=1)
+    u = _blas.lauum(factor[::-1, ::-1])
     del factor
     # reversed back, U U^dagger's upper triangle is L L^dagger's lower one
     w = _mirror_lower(u[::-1, ::-1])
@@ -197,7 +196,7 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
     exactly Hermitian.
 
     The vectors are drawn GRAM_CHUNK at a time, normalized and added to the lower
-    triangle by zherk, so working memory is O(n^2 + n * GRAM_CHUNK).
+    triangle by `_blas.herk` (zherk), so working memory is O(n^2 + n * GRAM_CHUNK).
     """
     if n < 1 or p < 1:
         raise ParameterError(f"dimensions must be >= 1, got (n={n}, p={p})")
@@ -207,7 +206,7 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
         block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n, "complex")
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         # block.T is F-ordered n x rows: c += (1/p) sum of v v^dagger over the block
-        c = blas.zherk(1.0 / p, block.T, beta=1.0, c=c, lower=1, overwrite_c=1)
+        c = _blas.herk(1.0 / p, block.T, c, beta=1.0)
     return _mirror_lower(c)
 
 

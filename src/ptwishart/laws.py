@@ -8,7 +8,8 @@ covariance), and the symmetric law with Catalan-squared even moments that
 governs partially transposed pure states.
 
 Moments and CDFs are closed forms; only `quadrature_moment`, the independent
-cross-check of the moments, integrates a density numerically.
+cross-check of the moments, integrates a density numerically, by a midpoint
+rule after a cosine substitution.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 from math import comb, pi, sqrt
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError
 from .partitions import catalan, mp_moment_via_noncrossing
+
+# midpoint nodes of `quadrature_moment`
+_QUADRATURE_NODES = 4096
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -153,18 +156,24 @@ class ProductSemicircle:
 
 
 def quadrature_moment(law, k: int) -> float:
-    """Moment by adaptive quadrature of the density plus any atom at zero.
+    """Moment by numerical quadrature of the density plus any atom at zero.
 
     Independent cross-check of the closed-form moments; the atom contributes
-    only to the 0-th moment.
+    only to the 0-th moment.  With t = mid + half * cos(theta) the integral over
+    the support [mid - half, mid + half] becomes half * the integral over
+    [0, pi] of t^k * density(t) * sin(theta), which a _QUADRATURE_NODES-point
+    midpoint rule in theta takes.  The sine cancels the square-root edges of
+    both laws and the 1 / sqrt(x) pole of MarchenkoPastur(1) at zero, so the
+    integrand is smooth and periodic; for k <= 8 the relative error is a few
+    units in the last place.
     """
     if k < 0:
         raise ParameterError(f"moment order must be >= 0, got {k}")
     lo, hi = law.support
-    val, _ = integrate.quad(
-        lambda x: x**k * law.density(x), lo, hi, epsabs=1e-12, epsrel=1e-11, limit=500
-    )
-    atom = getattr(law, "atom", 0.0)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    theta = (np.arange(_QUADRATURE_NODES) + 0.5) * (pi / _QUADRATURE_NODES)
+    t = mid + half * np.cos(theta)
+    val = half * (pi / _QUADRATURE_NODES) * np.sum(t**k * law.density(t) * np.sin(theta))
     if k == 0:
-        val += atom
+        val += getattr(law, "atom", 0.0)
     return float(val)

@@ -6,14 +6,14 @@ second-factor index), so the matrix is a d1 x d1 grid of contiguous
 d2 x d2 blocks and the entry in block (i, j) at inner position (k, l)
 sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
 float64 arrays take the real-symmetric eigensolver, complex arrays the
-Hermitian one.  Both are called through ctypes, which releases the GIL, so
-trial workers overlap their eigensolves.  Below TWO_STAGE_MIN_N, and for the
-real field, the solver is numpy's own LAPACKE_zheevd/LAPACKE_dsyevd, called
-as eigvalsh calls it, so the eigenvalues are eigvalsh's bit for bit.
-Complex matrices of size TWO_STAGE_MIN_N and up go to LAPACK's two-stage
-tridiagonal reduction (zheevd_2stage; Haidar, Ltaief & Dongarra, SC'11),
-which numpy and scipy do not wrap.  Where the loaded OpenBLAS exports
-neither symbol, np.linalg.eigvalsh is the fallback.
+Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
+ctypes calls release the GIL, so trial workers overlap their eigensolves.
+Below TWO_STAGE_MIN_N, and for the real field, the solver is LAPACKE_zheevd
+or LAPACKE_dsyevd, called as eigvalsh calls it, so the eigenvalues are
+eigvalsh's bit for bit.  Complex matrices of size TWO_STAGE_MIN_N and up go
+to LAPACK's two-stage tridiagonal reduction (zheevd_2stage; Haidar, Ltaief &
+Dongarra, SC'11), which numpy does not wrap.  Where the OpenBLAS lacks the
+symbol, np.linalg.eigvalsh is the fallback.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ TWO_STAGE_MIN_N = 1250
 # entries, so its temporaries stay small; a matrix this size or smaller (n up
 # to 256) is one block
 _HERMITICITY_BLOCK_ENTRIES = 2**16
-
-# LAPACKE's matrix_layout value for column-major storage
-_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,10 @@ def is_hermitian(a) -> bool:
     for i in range(0, n, rows):
         block = a[i:i + rows]
         scale = np.maximum(scale, np.abs(block).max())
+        if not np.isfinite(scale):
+            # a NaN or an infinity, for which inf <= HERMITICITY_RTOL * inf would
+            # hold; checked before the subtraction could form inf - inf
+            return False
         deviation = np.maximum(deviation, np.abs(block - a[:, i:i + rows].conj().T).max())
     if scale == 0.0:
         return True
@@ -106,8 +107,8 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
     Real-symmetric input (float dtype) takes the real solver.  A complex
-    matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when the
-    loaded OpenBLAS exports it; otherwise numpy's LAPACKE_zheevd or
+    matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when
+    numpy's OpenBLAS exports it; otherwise LAPACKE_zheevd or
     LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
     the fallback when that symbol is missing.  The input is never written.
     Raises NumericError on non-finite entries, when the input is not
@@ -126,21 +127,9 @@ def hermitian_eigenvalues(a) -> np.ndarray:
             # Read column-major, the C-ordered copy is the transpose of a, i.e.
             # its conjugate, which has the same eigenvalues; its upper triangle
             # is a's lower one, the triangle eigvalsh reads.
-            return _lapacke_eigenvalues(solver, a, "C", b"U")
+            return _blas.eigenvalues(solver, a, "C", b"U")
     solver = _blas.heevd(complex_field)
     if solver is not None:
         # the column-major copy and the triangle that eigvalsh passes
-        return _lapacke_eigenvalues(solver, a, "F", b"L")
+        return _blas.eigenvalues(solver, a, "F", b"L")
     return np.linalg.eigvalsh(a)
-
-
-def _lapacke_eigenvalues(solver, a: np.ndarray, order: str, uplo: bytes) -> np.ndarray:
-    # The working copy, in the given memory order, takes the place of the one
-    # eigvalsh makes; the solver overwrites it.
-    work = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order=order)
-    n = len(work)
-    eigenvalues = np.empty(n)
-    info = solver(_LAPACK_COL_MAJOR, b"N", uplo, n, work.ctypes.data, max(n, 1), eigenvalues.ctypes.data)
-    if info != 0:
-        raise NumericError(f"{solver.__name__} failed with info {info}")
-    return eigenvalues

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +205,13 @@ def test_report_shapes(tmp_path):
     # platform-independent: key names and record keys, never eigenvalues
     expected = json.loads((Path(__file__).parent / "report_shapes.json").read_text())
     assert _report_shapes(tmp_path) == expected
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg and scipy.integrate cost most of a run's start-up, and numpy's
+    # OpenBLAS serves every routine the package calls
+    code = "import sys, ptwishart.cli; print(sorted({'scipy.linalg', 'scipy.integrate'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -84,6 +84,8 @@ def test_partial_transpose_returns_a_new_array(d1, d2):
 
 def _unblocked_is_hermitian(a):
     scale = float(np.abs(a).max())
+    if not np.isfinite(scale):
+        return False
     return scale == 0.0 or float(np.abs(a - a.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
@@ -101,6 +103,19 @@ def test_blocked_hermiticity_check_matches_the_unblocked_formula(i, j):
         a[i, j] = delta
         assert is_hermitian(a) == _unblocked_is_hermitian(a) == expected, delta
         assert is_hermitian(a.conj().T) == expected
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["one-entry", "mirrored"])
+def test_hermiticity_check_refuses_non_finite_entries(value, mirrored):
+    # with an infinite entry the scale and the deviation are both inf, and
+    # inf <= HERMITICITY_RTOL * inf holds
+    a = np.eye(300, dtype=type(value))
+    a[250, 290] = value
+    if mirrored:
+        a[290, 250] = np.conj(value)
+    assert not is_hermitian(a)
+    assert not _unblocked_is_hermitian(a)
 
 
 def test_partial_transpose_shape_mismatch():
