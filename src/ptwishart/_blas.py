@@ -112,12 +112,16 @@ def zheevd_2stage():
     return _function(*_ZHEEVD_2STAGE)
 
 
-def eigenvalues(solver, a: np.ndarray, order: str, uplo: bytes) -> np.ndarray:
-    """The eigenvalues, ascending, that `solver` (from `heevd` or
-    `zheevd_2stage`) finds in triangle `uplo` of a copy of a in memory order
-    `order`, read column-major.  The solver overwrites the copy, never a."""
-    work = np.array(a, dtype=_DTYPES[np.iscomplexobj(a)], order=order)
+def eigenvalues(solver, work: np.ndarray, uplo: bytes) -> np.ndarray:
+    """The eigenvalues, ascending, that `solver` (from `heevd` or `zheevd_2stage`)
+    finds in triangle `uplo` of work read column-major; a C-ordered work reads
+    as its transpose.  work, a C- or F-ordered square float64 or complex128
+    array, is the solver's workspace and is overwritten."""
     n = len(work)
+    if not (work.shape == (n, n) and work.dtype in _DTYPES
+            and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
+        raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
+                         f"got shape {work.shape} and dtype {work.dtype}")
     values = np.empty(n)
     info = solver(_COL_MAJOR, b"N", uplo, n, work.ctypes.data, max(n, 1), values.ctypes.data)
     if info != 0:
@@ -145,16 +149,17 @@ def herk(alpha: float, a: np.ndarray, c: np.ndarray, beta: float = 0.0) -> np.nd
 
 
 def lauum(u: np.ndarray) -> np.ndarray:
-    """U U^dagger in the upper triangle of an F-ordered copy of the upper
-    triangular square u, whose strict lower triangle the copy keeps; zlauum for
-    complex128 input, dlauum for float64."""
+    """U U^dagger in the upper triangle of the upper triangular square u, whose
+    strict lower triangle is kept, and that array; zlauum for complex128 input,
+    dlauum for float64.  Like herk's c, an F-ordered u of its field's dtype is
+    written in place; any other u is copied into one first."""
     complex_field = np.iscomplexobj(u)
     fn = _function(*_LAUUM[complex_field])
     if fn is None:
         from scipy.linalg import lapack
         out, info = (lapack.zlauum if complex_field else lapack.dlauum)(u, overwrite_c=1)
     else:
-        out = np.array(u, dtype=_DTYPES[complex_field], order="F")
+        out = np.asfortranarray(u, dtype=_DTYPES[complex_field])
         n = len(out)
         if out.shape != (n, n):
             raise ValueError(f"expected a square matrix, got shape {out.shape}")

@@ -42,6 +42,9 @@ GRAM_CHUNK = 512
 # save under 1 ms per trial there.
 LAUUM_MIN_N = 256
 
+# _mirror_lower copies a triangle in column blocks of about this many entries
+_MIRROR_BLOCK_ENTRIES = 2**14
+
 # largest ancilla count, well inside the int64 range of the chi-square degrees of
 # freedom p - j that sample_wishart draws with
 MAX_ANCILLA = 2**62
@@ -121,32 +124,68 @@ def _standard_normal_rows(rng: np.random.Generator, count: int, size: int, field
     return rng.standard_normal((count, 2 * size)).view(np.complex128)
 
 
+def _bartlett_diagonal(rng: np.random.Generator, m: int, p: int, field: str) -> np.ndarray:
+    """The Bartlett factor's first m diagonal entries: entry j is the square root
+    of a chi-square variate with p - j degrees of freedom, 2(p - j) for the
+    complex field (matching E|entry|^2 = 2)."""
+    # doubled in float64: 2(p - j) in int64 would wrap for p near MAX_ANCILLA
+    return np.sqrt(rng.chisquare((p - np.arange(m)) * (1.0 if field == "real" else 2.0)))
+
+
 def _bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np.ndarray:
     """F-ordered n x min(n, p) lower-trapezoidal L with L L^dagger equal in law to
     G G^dagger for an n x p draw G in the module's layout.
 
-    Diagonal entry j is the square root of a chi-square variate with p - j degrees
-    of freedom, 2(p - j) for the complex field (matching E|entry|^2 = 2); the
-    entries below it are independent normals.
+    The entries below the diagonal are independent normals.
     """
     m = min(n, p)
-    # doubled in float64: 2(p - j) in int64 would wrap for p near MAX_ANCILLA
-    diagonal = np.sqrt(rng.chisquare((p - np.arange(m)) * (1.0 if field == "real" else 2.0)))
     factor = np.zeros((n, m), dtype=np.float64 if field == "real" else np.complex128, order="F")
-    factor[np.diag_indices(m)] = diagonal
+    factor[np.diag_indices(m)] = _bartlett_diagonal(rng, m, p, field)
     for j in range(m):
         # the column below the diagonal is contiguous; a complex entry is two normals
         rng.standard_normal(out=factor[j + 1:, j].view(np.float64))
     return factor
 
 
+def _reversed_bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np.ndarray:
+    """U = J L J, F-ordered and upper triangular, for the square (p >= n) factor L
+    that `_bartlett_factor` draws from the same variates; J is the index reversal."""
+    dtype = np.float64 if field == "real" else np.complex128
+    u = np.zeros((n, n), dtype=dtype, order="F")
+    u[np.diag_indices(n)] = _bartlett_diagonal(rng, n, p, field)[::-1]
+    column = np.empty(n, dtype=dtype)
+    for j in range(n):
+        below = column[:n - 1 - j]
+        rng.standard_normal(out=below.view(np.float64))
+        # L's column j below the diagonal is U's column n - 1 - j above it, reversed
+        u[:n - 1 - j, n - 1 - j] = below[::-1]
+    return u
+
+
 def _mirror_lower(c: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian matrix with the lower triangle of c, whose strict upper
-    triangle is zero: c + c^dagger with the doubly counted diagonal halved."""
-    w = c.conj().T
-    w += c
-    w[np.diag_indices(len(w))] *= 0.5
-    return w
+    """Make c exactly Hermitian from its lower triangle, in place, and return it.
+
+    The strict upper triangle, zero on entry, becomes the conjugate of the
+    strict lower one, and each diagonal entry d becomes (d + conj(d)) * 0.5:
+    the values of c + c^dagger with the doubly counted diagonal halved, bit
+    for bit unless a Gram entry is exactly zero (x + 0 turns -0.0 into 0.0).
+    The copy runs in column blocks of about _MIRROR_BLOCK_ENTRIES entries, so
+    its temporaries stay small; c may be any 2-d view, such as a reversed one.
+    """
+    n = len(c)
+    cols = max(1, _MIRROR_BLOCK_ENTRIES // max(n, 1))
+    for j in range(0, n, cols):
+        k = min(n, j + cols)
+        np.conjugate(c[j:k, :j].T, out=c[:j, j:k])
+        block = c[j:k, j:k]
+        upper = np.triu_indices(k - j, 1)
+        block[upper] = block.T[upper].conj()
+    diagonal = np.arange(n)
+    d = c[diagonal, diagonal]
+    d += d.conj()
+    d *= 0.5
+    c[diagonal, diagonal] = d
+    return c
 
 
 def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
@@ -156,28 +195,30 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     Computed as (1/p) L L^dagger from the Bartlett factor L: about n^2/2 normals
     in place of the n * p of G.  For p >= n the factor is square, and with J the
     index reversal, U = J L J is upper triangular and L L^dagger = J (U U^dagger) J.
-    From n = LAUUM_MIN_N, zlauum/dlauum forms U U^dagger in place in about half
-    the time of a zherk, which would multiply the zero upper triangle of L.
-    lauum was written for the Cholesky factors of potri and reads only the real
-    part of the diagonal; the Bartlett diagonal is a square root of a
-    chi-square variate, real, so nothing is lost.  Otherwise one zherk/dsyrk
-    forms L L^dagger; for p < n the factor is not square.  `_blas` calls both
-    routines in numpy's OpenBLAS.
+    From n = LAUUM_MIN_N the variates are drawn straight into an F-ordered U,
+    and zlauum/dlauum forms U U^dagger in place of U in about half the time of
+    a zherk, which would multiply the zero upper triangle of L.  lauum was
+    written for the Cholesky factors of potri and reads only the real part of
+    the diagonal; the Bartlett diagonal is a square root of a chi-square
+    variate, real, so nothing is lost.  That product is mirrored and scaled in
+    place, and the sample is returned as the view J (U U^dagger) J of U's
+    buffer, the one n x n array the draw allocates (`linalg.pt_eigenvalues`
+    reads it in that layout).  Otherwise one zherk/dsyrk forms L L^dagger in a
+    zeroed F-ordered array, which is mirrored in place and returned; for
+    p < n the factor is not square.  `_blas` calls both routines in numpy's
+    OpenBLAS.
     """
     n, p, field = params.n, params.p, params.field
     # the unscaled complex draw has E|entry|^2 = 2
     scale = 1.0 / p if field == "real" else 0.5 / p
-    factor = _bartlett_factor(stream.generator(), n, p, field)
     if p < n or n < LAUUM_MIN_N:
+        factor = _bartlett_factor(stream.generator(), n, p, field)
         c = _blas.herk(scale, factor, np.zeros((n, n), dtype=factor.dtype, order="F"))
-        del factor  # released before the mirror allocates
         return _mirror_lower(c)
-    # the reversed factor is copied into F order, which lauum then overwrites
-    u = _blas.lauum(factor[::-1, ::-1])
-    del factor
+    u = _blas.lauum(_reversed_bartlett_factor(stream.generator(), n, p, field))
     # reversed back, U U^dagger's upper triangle is L L^dagger's lower one
     w = _mirror_lower(u[::-1, ::-1])
-    w *= scale
+    u *= scale
     return w
 
 
@@ -185,10 +226,12 @@ def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
     """Random induced state: a complex (n, p)-Wishart sample with unit trace.
 
     Equals in law the partial trace over a p-dimensional ancilla of a
-    uniform pure state on C^n (x) C^p.
+    uniform pure state on C^n (x) C^p.  The sample is divided by its trace in
+    place.
     """
     w = sample_wishart(WishartParams(n=n, p=p, field="complex"), stream)
-    return w / np.trace(w).real
+    w /= np.trace(w).real
+    return w
 
 
 def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:

@@ -6,8 +6,10 @@ function of its SampleStream and maps it with `_run_trials`, the one trial
 loop, over streams 0..count-1 (ppt maps its whole grid at once: grid point ai
 draws streams ai * trials + t).  With two or more trial workers the loop sets
 every OpenBLAS copy to max(1, start-up thread count // workers) while they
-run, so the cores are split, not oversubscribed.  A trial binds no name to
-its `_draw`, so only the partial transpose lives through the eigensolve.
+run, so the cores are split, not oversubscribed.  A trial holds one n x n
+array: `pt_eigenvalues` transposes its `_draw` in place and solves it there,
+and `worker_memory` is what a worker holds at its peak, which the config
+checks against `memory_budget` before any trial.
 A report is a pure function of its config, `threads` included, on a given machine; with two or
 more workers its values can differ from a one-worker run in the last bits,
 because the BLAS thread count changes the order of floating-point sums.
@@ -18,6 +20,7 @@ aggregates and theory block.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import isfinite, sqrt
@@ -26,6 +29,8 @@ import numpy as np
 
 from . import _blas, reporting
 from .ensembles import (
+    GRAM_CHUNK,
+    LAUUM_MIN_N,
     SampleStream,
     WishartParams,
     ancilla_dim,
@@ -37,7 +42,7 @@ from .ensembles import (
 )
 from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
-from .linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose
+from .linalg import BipartiteShape, pt_eigenvalues
 from .partitions import (
     admissible_triples,
     catalan,
@@ -87,6 +92,65 @@ MAX_SPECTRUM_VALUES = 10**7
 # largest n * p of a mixture state: sample_mixture_state costs 65-90 ns per
 # entry on 2 cores, so one trial at the bound takes about 70-90 s
 MAX_MIXTURE_ENTRIES = 2**30
+
+
+# LAPACK's eigensolver workspace, in matrix rows: ru_maxrss rose by 170-305
+# rows' worth during zheevd, dsyevd and zheevd_2stage at n = 900-3600
+SOLVER_WORK_ROWS = 512
+
+
+def _cgroup_limits():
+    """The readable memory limits of this process's cgroups: memory.max for
+    cgroup v2, where "max" is no limit, and memory.limit_in_bytes for v1; each
+    at the process's cgroup path or else at the mount's root, as in a container."""
+    try:
+        with open("/proc/self/cgroup") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return
+    for line in lines:
+        hierarchy, controllers, path = line.split(":", 2)
+        if hierarchy == "0":
+            root, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        for directory in (root + path, root):
+            try:
+                with open(os.path.join(directory, name)) as fh:
+                    value = fh.read().strip()
+            except OSError:
+                continue
+            if value != "max":
+                yield int(value)
+            break
+
+
+def memory_budget() -> int | None:
+    """Bytes the trial workers may hold together: the physical memory, or a
+    lower cgroup limit; None when neither can be read.  Only reads."""
+    limits = list(_cgroup_limits())
+    try:
+        limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (ValueError, OSError):
+        pass
+    return min(limits, default=None)
+
+
+def worker_memory(n: int, p: int, field: str, ensemble: str) -> int:
+    """Bytes one trial worker holds at its peak for an n x n matrix drawn with
+    ancilla p: the trial's one n x n buffer, LAPACK's workspace, and what the
+    draw holds beside the buffer, the Bartlett factor of the zherk path or a
+    GRAM_CHUNK block of mixture vectors."""
+    item = 8 if field == "real" else 16
+    if ensemble == "mixture":
+        draw = 16 * n * min(GRAM_CHUNK, p)
+    elif p < n or n < LAUUM_MIN_N:
+        draw = item * n * min(n, p)
+    else:
+        draw = item * n  # one column of the reversed factor
+    return item * n * (n + SOLVER_WORK_ROWS) + draw
 
 
 def _check_alpha(alpha: float):
@@ -172,6 +236,15 @@ class ExperimentConfig:
             raise ParameterError("tol is the check threshold, so it needs check")
         if self.ensemble != "wishart" and self.field != "complex":
             raise ParameterError(f"field must be complex for the {self.ensemble} ensemble")
+        # a pure-state trial holds no n x n matrix
+        budget = memory_budget() if self.subcommand != "pure" else None
+        if budget is not None:
+            workers = _trial_workers(self)
+            need = max(worker_memory(shape.n, q, self.field, self.ensemble) for q in ancillas)
+            if workers * need > budget:
+                raise ParameterError(f"{workers} trial worker{'s' if workers > 1 else ''} x {need / 2**20:.1f} MB "
+                                     f"= {workers * need / 2**20:.1f} MB is more than the {budget / 2**20:.1f} MB "
+                                     f"of memory here; use fewer threads or a smaller d")
 
     @property
     def shape(self) -> BipartiteShape:
@@ -295,10 +368,10 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     lo_edge, hi_edge = law.support
 
     def one_trial(stream: SampleStream) -> tuple[dict, dict]:
-        mat = partial_transpose(_draw(config, p, stream), shape)
+        w = _draw(config, p, stream)
         if config.ensemble != "wishart":
-            mat *= n
-        sample = SpectralSample(hermitian_eigenvalues(mat))
+            w *= n
+        sample = SpectralSample(pt_eigenvalues(w, shape))
         centered = SpectralSample(sample.eigenvalues - 1.0)
         stats = {}
         for k in MOMENT_ORDERS:
@@ -340,10 +413,12 @@ def run_extremes(config: ExperimentConfig) -> dict:
     edge_hi = 1.0 + 2.0 / sqrt(alpha)
 
     def one_trial(stream: SampleStream) -> dict:
-        mat = partial_transpose(_draw(config, p, stream), shape)
-        lam_lo, lam_hi = extremes(SpectralSample(hermitian_eigenvalues(mat)))
-        # the partial transpose keeps W's diagonal entry for entry
-        return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": diag_deviation(mat)}
+        w = _draw(config, p, stream)
+        # the partial transpose keeps W's diagonal entry for entry; read before
+        # the eigensolve overwrites w
+        deviation = diag_deviation(w)
+        lam_lo, lam_hi = extremes(SpectralSample(pt_eigenvalues(w, shape)))
+        return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": deviation}
 
     per_trial = _run_trials(config, one_trial, config.trials)
     worst = max(
@@ -375,7 +450,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
     ps = [ancilla_dim(alpha, n) for alpha in config.alphas]
 
     def one_trial(stream: SampleStream) -> dict:
-        result = ppt_gauge(_draw(config, ps[stream.stream_index // trials], stream), shape)
+        result = ppt_gauge(_draw(config, ps[stream.stream_index // trials], stream), shape, overwrite=True)
         stats = {
             "is_ppt": 1.0 if result.is_ppt else 0.0,
             "min_eigenvalue_scaled": n * result.min_eigenvalue,

@@ -13,7 +13,9 @@ or LAPACKE_dsyevd, called as eigvalsh calls it, so the eigenvalues are
 eigvalsh's bit for bit.  Complex matrices of size TWO_STAGE_MIN_N and up go
 to LAPACK's two-stage tridiagonal reduction (zheevd_2stage; Haidar, Ltaief &
 Dongarra, SC'11), which numpy does not wrap.  Where the OpenBLAS lacks the
-symbol, np.linalg.eigvalsh is the fallback.
+symbol, np.linalg.eigvalsh is the fallback.  `partial_transpose` and
+`hermitian_eigenvalues` never write their input; `pt_eigenvalues`, which
+the Monte Carlo trials call, does both steps in its input's own memory.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ HERMITICITY_RTOL = 1e-10
 # 4-12% faster from n = 1296 on; with one BLAS thread it wins from n = 625.
 TWO_STAGE_MIN_N = 1250
 
-# is_hermitian compares a's rows with its columns in blocks of about this many
-# entries, so its temporaries stay small; a matrix this size or smaller (n up
-# to 256) is one block
-_HERMITICITY_BLOCK_ENTRIES = 2**16
+# is_hermitian compares a with its conjugate transpose in square tiles of this
+# side, tile (i, j) against tile (j, i).  Its temporaries stay small (24 bytes
+# per tile entry for the complex field, 0.2 MB), and a tile reads contiguous
+# runs of either memory order, where a block of whole rows reads a column
+# block of the other order with a stride
+_HERMITICITY_TILE = 96
 
 
 @dataclass(frozen=True)
@@ -64,22 +68,41 @@ def _as_square(a) -> np.ndarray:
 
 
 def is_hermitian(a) -> bool:
+    """Whether a equals its conjugate transpose to within HERMITICITY_RTOL times
+    its largest entry; False on a non-finite entry."""
     a = _as_square(a)
-    n = len(a)
-    rows = max(1, _HERMITICITY_BLOCK_ENTRIES // max(n, 1))
+    n, t = len(a), _HERMITICITY_TILE
     # np.maximum, unlike max(), keeps a NaN
     scale = deviation = np.float64(0.0)
-    for i in range(0, n, rows):
-        block = a[i:i + rows]
-        scale = np.maximum(scale, np.abs(block).max())
-        if not np.isfinite(scale):
-            # a NaN or an infinity, for which inf <= HERMITICITY_RTOL * inf would
-            # hold; checked before the subtraction could form inf - inf
-            return False
-        deviation = np.maximum(deviation, np.abs(block - a[:, i:i + rows].conj().T).max())
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
+            scale = np.maximum(scale, np.abs(upper).max())
+            if j != i:
+                scale = np.maximum(scale, np.abs(lower).max())
+            if not np.isfinite(scale):
+                # a NaN or an infinity, for which inf <= HERMITICITY_RTOL * inf would
+                # hold; checked before the subtraction could form inf - inf
+                return False
+            # |conj(lower^T) - upper|, entry for entry; subtracting in place holds
+            # one temporary, not two (np.conjugate copies real input too, where
+            # ndarray.conj would return a itself)
+            diff = np.conjugate(lower.T)
+            diff -= upper
+            deviation = np.maximum(deviation, np.abs(diff).max())
     if scale == 0.0:
         return True
     return float(deviation) <= HERMITICITY_RTOL * float(scale)
+
+
+def _bipartite(a, shape: BipartiteShape) -> np.ndarray:
+    a = _as_square(a)
+    if a.shape[0] != shape.n:
+        raise ShapeError(
+            f"matrix of size {a.shape[0]} does not match bipartite shape "
+            f"({shape.d1}, {shape.d2}) with total dimension {shape.n}"
+        )
+    return a
 
 
 def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
@@ -89,18 +112,43 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     The operation is an involution and preserves trace, Frobenius norm,
     and self-adjointness.
     """
-    a = _as_square(a)
-    if a.shape[0] != shape.n:
-        raise ShapeError(
-            f"matrix of size {a.shape[0]} does not match bipartite shape "
-            f"({shape.d1}, {shape.d2}) with total dimension {shape.n}"
-        )
+    a = _bipartite(a, shape)
     # [i, k, j, l] indexes the entry of block (i, j) at inner position (k, l);
     # splitting each axis of a 2-d array gives a view, so out is written once
     blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
     out = np.empty_like(a, order="C")
     out.reshape(blocks)[...] = a.reshape(blocks).swapaxes(1, 3)
     return out
+
+
+def _check_self_adjoint(a: np.ndarray):
+    # is_hermitian is False on a non-finite entry, so the full isfinite pass
+    # runs only to name the failure
+    if not is_hermitian(a):
+        if not np.all(np.isfinite(a)):
+            raise NumericError("matrix has non-finite entries")
+        raise NumericError("matrix is not self-adjoint within tolerance")
+
+
+def _solver(complex_field: bool, n: int):
+    """(solver, memory order, triangle) of the LAPACKE call for an n x n matrix,
+    or None when the OpenBLAS lacks the symbol and eigvalsh is the fallback."""
+    if complex_field and n >= TWO_STAGE_MIN_N:
+        solver = _blas.zheevd_2stage()
+        if solver is not None:
+            # Read column-major, the C-ordered matrix is its transpose, i.e. its
+            # conjugate, which has the same eigenvalues; its upper triangle is
+            # the matrix's lower one, the triangle eigvalsh reads.
+            return solver, "C", b"U"
+    solver = _blas.heevd(complex_field)
+    if solver is not None:
+        # the column-major matrix and the triangle that eigvalsh passes
+        return solver, "F", b"L"
+    return None
+
+
+def _dtype(a: np.ndarray):
+    return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -110,26 +158,88 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when
     numpy's OpenBLAS exports it; otherwise LAPACKE_zheevd or
     LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
-    the fallback when that symbol is missing.  The input is never written.
-    Raises NumericError on non-finite entries, when the input is not
-    self-adjoint to within HERMITICITY_RTOL, or when the solver does not
-    converge.
+    the fallback when that symbol is missing.  The solver works on a copy,
+    so the input is never written.  Raises NumericError on non-finite
+    entries, when the input is not self-adjoint to within HERMITICITY_RTOL,
+    or when the solver does not converge.
     """
     a = _as_square(a)
-    if not np.all(np.isfinite(a)):
-        raise NumericError("matrix has non-finite entries")
-    if not is_hermitian(a):
-        raise NumericError("matrix is not self-adjoint within tolerance")
-    complex_field = np.iscomplexobj(a)
-    if complex_field and len(a) >= TWO_STAGE_MIN_N:
-        solver = _blas.zheevd_2stage()
-        if solver is not None:
-            # Read column-major, the C-ordered copy is the transpose of a, i.e.
-            # its conjugate, which has the same eigenvalues; its upper triangle
-            # is a's lower one, the triangle eigvalsh reads.
-            return _blas.eigenvalues(solver, a, "C", b"U")
-    solver = _blas.heevd(complex_field)
-    if solver is not None:
-        # the column-major copy and the triangle that eigvalsh passes
-        return _blas.eigenvalues(solver, a, "F", b"L")
-    return np.linalg.eigvalsh(a)
+    _check_self_adjoint(a)
+    plan = _solver(np.iscomplexobj(a), len(a))
+    if plan is None:
+        return np.linalg.eigvalsh(a)
+    solver, order, uplo = plan
+    return _blas.eigenvalues(solver, np.array(a, dtype=_dtype(a), order=order), uplo)
+
+
+def _swap_in_place(blocks: np.ndarray, reverse: bool, swap_blocks: bool):
+    """Apply an involution of the 4-index view blocks[i, k, j, l], in place.
+
+    With * the index reversal x -> dim - 1 - x when `reverse` holds, and the
+    identity otherwise, the new blocks[i, k, j, l] is the old
+    blocks[i*, l*, j*, k*] (each block transposed), or with `swap_blocks` the
+    old blocks[j*, k*, i*, l*] (block (i, j) traded for block (j, i)).  Either
+    map is its own inverse, so the entries move by pairwise swaps of slabs,
+    and the copies held are one slab of at most d2 * d1 * d2 entries.
+    """
+    d1 = blocks.shape[0]
+
+    def flip(slab):
+        return slab[::-1, ::-1, ::-1] if reverse else slab
+
+    for i in range(d1):
+        partner = d1 - 1 - i if reverse else i
+        if swap_blocks:
+            # the blocks (i, j) in row i that trade with a block of a later row,
+            # all of them in column `partner`
+            row = blocks[i, :, :partner] if reverse else blocks[i, :, i + 1:]
+            column = blocks[i + 1:, :, partner]
+            saved = row.copy()
+            row[...] = flip(column).transpose(1, 0, 2)
+            column[...] = flip(saved).transpose(1, 0, 2)
+            if reverse:
+                # the one block of row i that trades with itself
+                blocks[i, :, partner] = blocks[i, ::-1, partner, ::-1].copy()
+        elif partner >= i:
+            saved = blocks[i].copy()
+            if partner != i:
+                blocks[i] = flip(blocks[partner]).transpose(2, 1, 0)
+            blocks[partner] = flip(saved).transpose(2, 1, 0)
+
+
+def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
+    """All eigenvalues, ascending, of w's partial transpose, found in w's memory.
+
+    w is consumed: its memory becomes the partial transpose and then the
+    solver's workspace, so a trial holds one n x n buffer from its draw to
+    its eigenvalues.  The values are those of
+    hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit: the
+    solver receives the same bytes.  That holds because the partial
+    transpose, composed with w's memory layout and the layout the solver
+    reads (C order for zheevd_2stage, F order for heevd), is an involution of
+    the entries, which `_swap_in_place` applies.  w may be C- or F-ordered,
+    or such an array reversed in both indices, as sample_wishart's lauum path
+    returns it.  Any other w (another layout or dtype) is first copied, and
+    is then left unchanged.  Raises as hermitian_eigenvalues does.
+    """
+    a = _bipartite(w, shape)
+    dtype = _dtype(a)
+    reverse = not (a.flags.c_contiguous or a.flags.f_contiguous)
+    memory = a[::-1, ::-1] if reverse else a
+    if not (memory.dtype == dtype and (memory.flags.c_contiguous or memory.flags.f_contiguous)
+            and memory.flags.writeable):
+        memory, reverse = np.array(a, dtype=dtype), False
+    plan = _solver(dtype is np.complex128, shape.n)
+    # memory read in C order holds w, or w's transpose when memory is F-ordered;
+    # the solver reads the partial transpose in C order, or its transpose in F order
+    source_f = not memory.flags.c_contiguous
+    target_f = plan is not None and plan[1] == "F"
+    blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
+    _swap_in_place(blocks, reverse, swap_blocks=source_f != target_f)
+    a = blocks.reshape(shape.n, shape.n)
+    if target_f:
+        a = a.T
+    _check_self_adjoint(a)
+    if plan is None:
+        return np.linalg.eigvalsh(a)
+    return _blas.eigenvalues(plan[0], a, plan[2])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose
+from .linalg import BipartiteShape, pt_eigenvalues
 
 # Numerical tolerance for "positive partial transpose": lambda_min may dip
 # this far below zero, relative to the spectral radius, and still count.
@@ -112,13 +112,16 @@ class PPTResult:
     gauge: float | None
 
 
-def ppt_gauge(rho, shape: BipartiteShape) -> PPTResult:
-    """PPT test and gauge for a unit-trace state on the given bipartition."""
+def ppt_gauge(rho, shape: BipartiteShape, overwrite: bool = False) -> PPTResult:
+    """PPT test and gauge for a unit-trace state on the given bipartition.
+
+    rho is not written, unless `overwrite` hands its memory to
+    `pt_eigenvalues` in place of a copy."""
     rho = np.asarray(rho)
     trace = complex(np.trace(rho)).real
     if abs(trace - 1.0) > STATE_TRACE_TOL:
         raise ParameterError(f"state trace must be 1 within {STATE_TRACE_TOL}, got {trace}")
-    eigs = hermitian_eigenvalues(partial_transpose(rho, shape))
+    eigs = pt_eigenvalues(rho if overwrite else rho.copy(order="K"), shape)
     lam_min = float(eigs[0])
     spectral_radius = max(abs(float(eigs[0])), abs(float(eigs[-1])))
     is_ppt = lam_min >= -PPT_EIGENVALUE_RTOL * spectral_radius

@@ -77,6 +77,8 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["spectrum", "--tol", "0.1"], "needs check"),
         (["ppt", "--alphas", "8", "2"], "strictly increasing"),
         (["pure", "--method", "eigh"], "--method"),
+        # one trial's n x n matrix alone (n = 10**6) is 16 TB
+        (["extremes", "--d", "1000", "--trials", "1"], "of memory here"),
     ]
     for argv, word in rows:
         assert run_cli(argv) == 1, argv

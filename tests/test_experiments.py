@@ -1,10 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ptwishart import _blas, experiments, partitions, reporting
@@ -96,6 +97,74 @@ def test_spectrum_report_bound():
     # extremes and ppt list no spectra
     assert small_config(subcommand="extremes", d1=30, d2=30, trials=10**5).trials == 10**5
     assert small_config(**PPT, d1=30, d2=30, trials=10**5).trials == 10**5
+
+
+def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
+    # configs only, with an injected budget: three workers fit, four do not,
+    # and the worker count is never capped to fit
+    need = experiments.worker_memory(36, 144, "complex", "wishart")
+    monkeypatch.setattr(experiments, "memory_budget", lambda: 3 * need)
+    assert small_config(threads=3, trials=4).threads == 3
+    with pytest.raises(ParameterError, match=r"^4 trial workers x [0-9.]+ MB = [0-9.]+ MB is more than the "
+                                             r"[0-9.]+ MB of memory here"):
+        small_config(threads=4, trials=4)
+    # one worker per trial at most, so 4 threads over 3 trials are 3 workers
+    assert small_config(threads=4, trials=3).threads == 4
+    with pytest.raises(ParameterError, match="memory"):
+        small_config(**PPT, threads=4, trials=4)
+    # the largest estimate over a ppt grid counts: at alpha = 0.5 (p < n) the
+    # zherk factor sits beside the buffer, at alpha = 4 one column of lauum's
+    grid = dict(PPT, d1=16, d2=16, trials=1)
+    below = experiments.worker_memory(256, 128, "complex", "induced")
+    assert below > experiments.worker_memory(256, 1024, "complex", "induced")
+    monkeypatch.setattr(experiments, "memory_budget", lambda: below - 1)
+    assert small_config(**dict(grid, alphas=(4.0,))).alphas == (4.0,)
+    with pytest.raises(ParameterError, match="memory"):
+        small_config(**dict(grid, alphas=(0.5, 4.0)))
+    # pure states hold no n x n matrix; an unreadable budget refuses nothing
+    assert small_config(**PURE, threads=4, trials=4).threads == 4
+    monkeypatch.setattr(experiments, "memory_budget", lambda: None)
+    assert small_config(threads=4, trials=4).threads == 4
+
+
+def test_worker_memory_counts_one_buffer_and_what_the_draw_holds_beside_it():
+    rows = experiments.SOLVER_WORK_ROWS
+    n = 1600
+    # the lauum path: the buffer, the workspace and one factor column
+    assert experiments.worker_memory(n, 4 * n, "complex", "wishart") == 16 * n * (n + rows) + 16 * n
+    assert experiments.worker_memory(n, 4 * n, "real", "wishart") == 8 * n * (n + rows) + 8 * n
+    assert experiments.worker_memory(n, 4 * n, "complex", "induced") == 16 * n * (n + rows) + 16 * n
+    # zherk's rectangular factor beside the Gram buffer
+    assert experiments.worker_memory(n, 100, "complex", "wishart") == 16 * n * (n + rows) + 16 * n * 100
+    assert experiments.worker_memory(100, 400, "real", "wishart") == 8 * 100 * (100 + rows) + 8 * 100 * 100
+    # a block of mixture vectors
+    assert experiments.worker_memory(n, 4 * n, "complex", "mixture") == 16 * n * (n + rows) + 16 * n * 512
+
+
+@pytest.mark.parametrize("files, expected", [
+    pytest.param({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "max\n"}, [],
+                 id="v2-no-limit"),
+    pytest.param({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "1073741824\n"},
+                 [2**30], id="v2"),
+    pytest.param({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/memory.max": "4096\n"}, [4096],
+                 id="v2-namespace-root"),
+    pytest.param({"/proc/self/cgroup": "4:memory:/job\n3:cpu:/job\n",
+                  "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "2048\n"}, [2048], id="v1"),
+    pytest.param({"/proc/self/cgroup": "4:cpu,memory:/job\n",
+                  "/sys/fs/cgroup/memory/memory.limit_in_bytes": "2048\n"}, [2048], id="v1-namespace-root"),
+    pytest.param({"/proc/self/cgroup": "3:cpu:/job\n"}, [], id="no-memory-controller"),
+    pytest.param({}, [], id="no-cgroup-file"),
+])
+def test_cgroup_limits_are_read_from_memory_max_or_limit_in_bytes(monkeypatch, files, expected):
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(experiments, "open", fake_open, raising=False)
+    assert list(experiments._cgroup_limits()) == expected
+    budget = experiments.memory_budget()
+    assert budget == min(expected + [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")])
 
 
 def test_mixture_work_bound():
@@ -214,24 +283,28 @@ def test_two_workers_match_one_worker_at_the_per_worker_blas_count(tmp_path):
 
 
 @pytest.mark.parametrize("runner, subcommand", [(run_spectrum, "spectrum"), (run_extremes, "extremes")])
-def test_wishart_draw_is_freed_before_the_eigensolve(monkeypatch, runner, subcommand):
-    # only W's partial transpose may be alive through validation and the eigensolve
-    draws, alive = [], []
-    sample, solve = experiments.sample_wishart, experiments.hermitian_eigenvalues
+@pytest.mark.parametrize("d", [6, 16], ids=["herk", "lauum"])
+def test_wishart_draw_is_the_eigensolve_buffer(monkeypatch, runner, subcommand, d):
+    # a trial holds one n x n buffer: the draw itself is transposed, checked
+    # and solved in place, so no second n x n array is alive through the solve
+    draws, solved = [], []
+    sample, solve = experiments.sample_wishart, experiments.pt_eigenvalues
 
     def tracked_sample(params, stream):
         w = sample(params, stream)
-        draws.append(weakref.ref(w))
+        draws.append((w, w.copy()))
         return w
 
-    def checked_solve(a):
-        alive.append(draws[-1]() is not None)
-        return solve(a)
+    def checked_solve(w, shape):
+        values = solve(w, shape)
+        drawn, before = draws[-1]
+        solved.append(w is drawn and not np.array_equal(w, before))
+        return values
 
     monkeypatch.setattr(experiments, "sample_wishart", tracked_sample)
-    monkeypatch.setattr(experiments, "hermitian_eigenvalues", checked_solve)
-    runner(small_config(subcommand=subcommand))
-    assert alive == [False] * 3
+    monkeypatch.setattr(experiments, "pt_eigenvalues", checked_solve)
+    runner(small_config(subcommand=subcommand, d1=d, d2=d))
+    assert solved == [True] * 3
 
 
 def test_ppt_grid_maps_one_stream_per_grid_point_and_trial():

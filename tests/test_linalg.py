@@ -14,7 +14,7 @@ from ptwishart import (
     sample_wishart,
 )
 from ptwishart.errors import NumericError, ParameterError, ShapeError
-from ptwishart.linalg import _HERMITICITY_BLOCK_ENTRIES, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian
+from ptwishart.linalg import _HERMITICITY_TILE, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -92,8 +92,9 @@ def _unblocked_is_hermitian(a):
 @pytest.mark.parametrize("i, j", [(5, 100), (250, 290)], ids=["first-block", "last-block"])
 def test_blocked_hermiticity_check_matches_the_unblocked_formula(i, j):
     n = 300
-    rows = _HERMITICITY_BLOCK_ENTRIES // n
-    assert rows < n and (j < rows or i >= rows)  # two blocks of rows; i and j lie in the same one
+    tile = _HERMITICITY_TILE
+    # several tiles a side; (i, j) lies in the first row of tiles or the last column of them
+    assert tile < n and (i < tile or j // tile == (n - 1) // tile)
     a = random_hermitian(n, np.random.default_rng(31)) / 10
     assert np.abs(a).max() < 1.0
     a[0, 0] = 1.0  # the scale is exactly 1

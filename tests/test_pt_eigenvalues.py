@@ -1,0 +1,251 @@
+"""The one-buffer trial path against the three-buffer formula it replaced.
+
+`_reference_*` below are test-local copies of the earlier path: the draw
+allocates W next to its Gram array, `partial_transpose` writes a second
+n x n array and `hermitian_eigenvalues` copies that into a third, the
+solver's workspace.  The one-buffer path must hand the solver the same
+bytes, not only give the same eigenvalues: a conjugated layout gives the
+same eigenvalue bits, so eigenvalues alone would not see it.
+"""
+
+import ctypes
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ptwishart import _blas, ensembles, linalg
+from ptwishart.ensembles import (
+    SampleStream,
+    WishartParams,
+    sample_induced_state,
+    sample_mixture_state,
+    sample_wishart,
+)
+from ptwishart.errors import NumericError
+from ptwishart.linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose, pt_eigenvalues
+from ptwishart.spectra import ppt_gauge
+
+
+def _reference_mirror(c):
+    w = c.conj().T
+    w += c
+    w[np.diag_indices(len(w))] *= 0.5
+    return w
+
+
+def _reference_wishart(n, p, field, stream):
+    scale = 1.0 / p if field == "real" else 0.5 / p
+    factor = ensembles._bartlett_factor(stream.generator(), n, p, field)
+    if p < n or n < ensembles.LAUUM_MIN_N:
+        return _reference_mirror(_blas.herk(scale, factor, np.zeros((n, n), dtype=factor.dtype, order="F")))
+    u = _blas.lauum(np.array(factor[::-1, ::-1], order="F"))
+    w = _reference_mirror(u[::-1, ::-1])
+    w *= scale
+    return w
+
+
+def _reference_mixture(n, p, stream):
+    rng = stream.generator()
+    c = np.zeros((n, n), dtype=np.complex128, order="F")
+    for start in range(0, p, ensembles.GRAM_CHUNK):
+        block = rng.standard_normal((min(ensembles.GRAM_CHUNK, p - start), 2 * n)).view(np.complex128)
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        c = _blas.herk(1.0 / p, block.T, c, beta=1.0)
+    return _reference_mirror(c)
+
+
+def _reference_draw(ensemble, field, n, p, stream):
+    if ensemble == "wishart":
+        return _reference_wishart(n, p, field, stream)
+    if ensemble == "induced":
+        w = _reference_wishart(n, p, "complex", stream)
+        return w / np.trace(w).real
+    return _reference_mixture(n, p, stream)
+
+
+def _draw(ensemble, field, n, p, stream):
+    if ensemble == "wishart":
+        return sample_wishart(WishartParams(n=n, p=p, field=field), stream)
+    return (sample_induced_state if ensemble == "induced" else sample_mixture_state)(n, p, stream)
+
+
+def _reference_pt(w, shape):
+    """The partial transpose by the reshape formula, a new C-ordered array."""
+    blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
+    return np.ascontiguousarray(w.reshape(blocks).transpose(0, 3, 2, 1).reshape(shape.n, shape.n))
+
+
+def _solver_spy(monkeypatch):
+    """Record (uplo, bytes of the matrix, its address) for every call that reaches a LAPACKE solver."""
+    seen = []
+
+    def spying(lookup):
+        def wrapped(*complex_field):
+            solver = lookup(*complex_field)
+            if solver is None:
+                pytest.skip("numpy's OpenBLAS lacks a LAPACKE eigensolver")
+            # heevd(complex_field) serves either field, zheevd_2stage() the complex one
+            itemsize = 16 if complex_field in ((), (True,)) else 8
+
+            def spy(layout, jobz, uplo, n, a, lda, w):
+                seen.append((uplo, ctypes.string_at(a, n * n * itemsize), a))
+                return solver(layout, jobz, uplo, n, a, lda, w)
+
+            spy.__name__ = solver.__name__
+            return spy
+        return wrapped
+
+    monkeypatch.setattr(_blas, "heevd", spying(_blas.heevd))
+    monkeypatch.setattr(_blas, "zheevd_2stage", spying(_blas.zheevd_2stage))
+    return seen
+
+
+SHAPES = [(1, 5), (5, 1), (3, 5), (16, 16), (17, 15), (36, 35)]
+
+
+def _cases():
+    for d1, d2 in SHAPES:
+        n = d1 * d2
+        for ensemble, field in [("wishart", "complex"), ("wishart", "real"), ("induced", "complex"),
+                                ("mixture", "complex")]:
+            # (36, 35) is n = 1260, the two-stage solver, with d1 != d2; the
+            # real field and the states there run the same layouts as (17, 15)
+            if n > 1000 and (field, ensemble) != ("complex", "wishart"):
+                continue
+            yield pytest.param(ensemble, field, d1, d2, 4 * n, id=f"{ensemble}-{field}-{d1}x{d2}")
+        # p < n: a rectangular factor on zherk/dsyrk even at n >= LAUUM_MIN_N
+        for ensemble, field in [("wishart", "complex"), ("wishart", "real"), ("induced", "complex")]:
+            if n > 1 and n < 1000:
+                yield pytest.param(ensemble, field, d1, d2, max(1, n // 3), id=f"{ensemble}-{field}-{d1}x{d2}-p<n")
+
+
+@pytest.mark.parametrize("ensemble, field, d1, d2, p", list(_cases()))
+def test_one_buffer_trial_hands_the_solver_the_same_bytes(monkeypatch, ensemble, field, d1, d2, p):
+    shape = BipartiteShape(d1, d2)
+    stream = SampleStream(71, d1 * 100 + d2)
+    seen = _solver_spy(monkeypatch)
+    w = _draw(ensemble, field, shape.n, p, stream)
+    reference = _reference_draw(ensemble, field, shape.n, p, stream)
+    # the draw is equal bit for bit, signed zeros included
+    assert np.ascontiguousarray(w).tobytes() == np.ascontiguousarray(reference).tobytes()
+    # the spectrum runner rescales states by n before the partial transpose
+    if ensemble != "wishart":
+        w *= shape.n
+        reference = reference * shape.n
+    values = pt_eigenvalues(w, shape)
+    expected = hermitian_eigenvalues(_reference_pt(reference, shape))
+    assert len(seen) == 2
+    assert seen[0][:2] == seen[1][:2]
+    assert values.tobytes() == expected.tobytes()
+
+
+# every layout pt_eigenvalues reads in place: C, F and each of them reversed in
+# both indices; and every layout the solver reads (C for the two-stage solver,
+# here forced at small n, F for heevd)
+LAYOUTS = {
+    "C": lambda a: np.array(a, order="C"),
+    "F": lambda a: np.array(a, order="F"),
+    "reversed-C": lambda a: np.array(a[::-1, ::-1], order="C")[::-1, ::-1],
+    "reversed-F": lambda a: np.array(a[::-1, ::-1], order="F")[::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("field, solver", [("real", "heevd"), ("complex", "heevd"), ("complex", "two-stage")])
+@pytest.mark.parametrize("d1, d2", [(1, 4), (4, 1), (3, 4), (4, 3), (5, 5)])
+def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, solver, d1, d2):
+    if solver == "two-stage":
+        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
+    shape = BipartiteShape(d1, d2)
+    w = sample_wishart(WishartParams(n=shape.n, p=shape.n + 2, field=field), SampleStream(5, d1 + 7 * d2))
+    seen = _solver_spy(monkeypatch)
+    buffer = LAYOUTS[layout](w)
+    assert np.array_equal(buffer, w)
+    # the lowest address of the buffer's memory
+    address = (buffer[::-1, ::-1] if layout.startswith("reversed") else buffer).ctypes.data
+    values = pt_eigenvalues(buffer, shape)
+    expected = hermitian_eigenvalues(_reference_pt(w, shape))
+    assert seen[0][:2] == seen[1][:2]
+    assert values.tobytes() == expected.tobytes()
+    # the solver ran in the buffer's own memory
+    assert seen[0][2] == address
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_pt_eigenvalues_copies_other_input_and_leaves_it(monkeypatch, field):
+    shape = BipartiteShape(3, 4)
+    seen = _solver_spy(monkeypatch)
+    w = sample_wishart(WishartParams(n=12, p=30, field=field), SampleStream(9, 1))
+    expected = hermitian_eigenvalues(_reference_pt(w, shape))
+    big = np.zeros((24, 24), dtype=w.dtype)
+    big[::2, ::2] = w
+    frozen = w.copy()
+    frozen.flags.writeable = False
+    # a strided view, another dtype, a read-only array and a list
+    inputs = [big[::2, ::2], w.astype(np.complex64 if field == "complex" else np.float32), frozen, w.tolist()]
+    for x in inputs:
+        before = np.array(x, copy=True)
+        values = pt_eigenvalues(x, shape)
+        np.testing.assert_array_equal(np.asarray(x), before)
+        if np.asarray(x).dtype == w.dtype:
+            assert values.tobytes() == expected.tobytes()
+    assert len(seen) == 1 + len(inputs)
+
+
+def test_pt_eigenvalues_refuses_what_hermitian_eigenvalues_refuses(monkeypatch):
+    shape = BipartiteShape(3, 4)
+    seen = _solver_spy(monkeypatch)
+    w = sample_wishart(WishartParams(n=12, p=20), SampleStream(9, 2))
+    bad = w.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        pt_eigenvalues(bad, shape)
+    bad = w.copy()
+    bad[3, 5] += 1.0
+    with pytest.raises(NumericError, match="self-adjoint"):
+        pt_eigenvalues(bad, shape)
+    with pytest.raises(linalg.ShapeError):
+        pt_eigenvalues(w, BipartiteShape(3, 3))
+    assert seen == []
+
+
+def test_pt_eigenvalues_falls_back_without_the_symbols(monkeypatch):
+    monkeypatch.setattr(_blas, "heevd", lambda complex_field: None)
+    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: None)
+    shape = BipartiteShape(16, 16)
+    w = sample_wishart(WishartParams(n=256, p=1024), SampleStream(9, 3))
+    expected = np.linalg.eigvalsh(_reference_pt(w, shape))
+    np.testing.assert_array_equal(pt_eigenvalues(w, shape), expected)
+
+
+def test_public_functions_leave_their_input_unchanged():
+    shape = BipartiteShape(16, 16)
+    # the lauum path's reversed view, and the F-ordered herk result
+    for w in (sample_wishart(WishartParams(n=256, p=1024), SampleStream(9, 4)),
+              sample_induced_state(256, 100, SampleStream(9, 5))):
+        before = w.copy()
+        pt = partial_transpose(w, shape)
+        assert not np.shares_memory(pt, w)
+        hermitian_eigenvalues(pt)
+        hermitian_eigenvalues(w)
+        rho = w / np.trace(w).real
+        rho_before = rho.copy()
+        ppt_gauge(rho, shape)
+        np.testing.assert_array_equal(w, before)
+        np.testing.assert_array_equal(rho, rho_before)
+
+
+@pytest.mark.parametrize("field, itemsize", [("complex", 16), ("real", 8)])
+def test_one_trial_peaks_near_one_buffer(field, itemsize):
+    # a draw, its partial transpose and the eigensolve at n = 400 (the lauum
+    # path and heevd); the three-buffer path peaked at about 2 * itemsize * n^2
+    n, shape = 400, BipartiteShape(20, 20)
+    params = WishartParams(n=n, p=4 * n, field=field)
+    tracemalloc.start()
+    try:
+        pt_eigenvalues(sample_wishart(params, SampleStream(3, 0)), shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * itemsize * n * n
