@@ -139,7 +139,8 @@ def _build_config(args) -> experiments.ExperimentConfig:
 def _check_out(path: str):
     """Refuse before the run, not after it, a report path that cannot be written."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if (os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK)
+            or (os.path.exists(path) and not os.access(path, os.W_OK))):
         raise _UsageError(f"cannot write the report to {path}")
 
 

@@ -7,16 +7,18 @@ samples are scaled for the unit-total-variance convention: the entries of G
 in W = G G^dagger / p have E|entry|^2 = 1 (complex: real and imaginary parts
 independent N(0, 1/2)), so E W = Id.
 
-Draw layout: every sampler takes its Gaussian vectors as the rows of one
+Draw layout: each state sampler takes its Gaussian vectors as the rows of one
 (count, 2*size) standard normal draw viewed as complex, so a complex entry is
-two consecutive normals (real part first); the real field draws (count, size).
+two consecutive normals (real part first).
 A row block of such a draw is a contiguous run of the stream, which lets
 `sample_mixture_state` draw its vectors in row blocks without changing any
 value.  `sample_wishart` draws no n x p Ginibre matrix: it draws W's Bartlett
 factor L (Edelman & Rao, Random matrix theory, Acta Numerica 2005), first the
 min(n, p) diagonal chi-square variates in diagonal order, then the strictly
 lower entries column by column, each column top to bottom, a complex entry
-again two consecutive normals.
+again two consecutive normals.  One builder, `_fill_bartlett`, draws them into
+the layout that `_lauum_route`'s Gram routine reads: L itself for zherk/dsyrk,
+or the index-reversed view of the array lauum overwrites.
 """
 
 from __future__ import annotations
@@ -116,50 +118,51 @@ class WishartParams:
         check_ancilla(self.p)
 
 
-def _standard_normal_rows(rng: np.random.Generator, count: int, size: int, field: str) -> np.ndarray:
-    """count x size standard normals; a complex entry is two consecutive draws
+def _standard_normal_rows(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """count x size complex standard normals; an entry is two consecutive draws
     (real, imaginary), unscaled, so E|entry|^2 = 2."""
-    if field == "real":
-        return rng.standard_normal((count, size))
     return rng.standard_normal((count, 2 * size)).view(np.complex128)
 
 
-def _bartlett_diagonal(rng: np.random.Generator, m: int, p: int, field: str) -> np.ndarray:
-    """The Bartlett factor's first m diagonal entries: entry j is the square root
-    of a chi-square variate with p - j degrees of freedom, 2(p - j) for the
-    complex field (matching E|entry|^2 = 2)."""
+def _lauum_route(n: int, p: int) -> bool:
+    """Whether sample_wishart forms L L^dagger with lauum: the factor is square
+    (p >= n) and n >= LAUUM_MIN_N.  Otherwise it takes zherk/dsyrk."""
+    return p >= n >= LAUUM_MIN_N
+
+
+def _draw_bytes(n: int, p: int, field: str, mixture: bool) -> int:
+    """Bytes a draw holds beside its n x n buffer: a GRAM_CHUNK block of mixture
+    vectors, the n x min(n, p) Bartlett factor zherk/dsyrk multiplies, or on
+    the lauum route only `_fill_bartlett`'s one column."""
+    item = 8 if field == "real" else 16
+    if mixture:
+        return 16 * n * min(GRAM_CHUNK, p)
+    return item * n if _lauum_route(n, p) else item * n * min(n, p)
+
+
+def _fill_bartlett(rng: np.random.Generator, p: int, out: np.ndarray) -> np.ndarray:
+    """Draw the Bartlett factor of an n x p draw into `out`, a zeroed n x min(n, p)
+    view of either field's dtype, and return it.  Diagonal entry j is the square
+    root of a chi-square variate with p - j degrees of freedom, 2(p - j) for the
+    complex field (matching E|entry|^2 = 2); the entries below it are normals,
+    drawn a column at a time into one scratch column, so `out` may be any view."""
+    n, m = out.shape
     # doubled in float64: 2(p - j) in int64 would wrap for p near MAX_ANCILLA
-    return np.sqrt(rng.chisquare((p - np.arange(m)) * (1.0 if field == "real" else 2.0)))
+    degrees = (p - np.arange(m)) * (2.0 if np.iscomplexobj(out) else 1.0)
+    out[np.diag_indices(m)] = np.sqrt(rng.chisquare(degrees))
+    column = np.empty(n - 1, dtype=out.dtype)
+    for j in range(m):
+        below = column[:n - 1 - j]
+        rng.standard_normal(out=below.view(np.float64))
+        out[j + 1:, j] = below
+    return out
 
 
 def _bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np.ndarray:
     """F-ordered n x min(n, p) lower-trapezoidal L with L L^dagger equal in law to
-    G G^dagger for an n x p draw G in the module's layout.
-
-    The entries below the diagonal are independent normals.
-    """
-    m = min(n, p)
-    factor = np.zeros((n, m), dtype=np.float64 if field == "real" else np.complex128, order="F")
-    factor[np.diag_indices(m)] = _bartlett_diagonal(rng, m, p, field)
-    for j in range(m):
-        # the column below the diagonal is contiguous; a complex entry is two normals
-        rng.standard_normal(out=factor[j + 1:, j].view(np.float64))
-    return factor
-
-
-def _reversed_bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np.ndarray:
-    """U = J L J, F-ordered and upper triangular, for the square (p >= n) factor L
-    that `_bartlett_factor` draws from the same variates; J is the index reversal."""
+    G G^dagger for an n x p draw G in the module's layout."""
     dtype = np.float64 if field == "real" else np.complex128
-    u = np.zeros((n, n), dtype=dtype, order="F")
-    u[np.diag_indices(n)] = _bartlett_diagonal(rng, n, p, field)[::-1]
-    column = np.empty(n, dtype=dtype)
-    for j in range(n):
-        below = column[:n - 1 - j]
-        rng.standard_normal(out=below.view(np.float64))
-        # L's column j below the diagonal is U's column n - 1 - j above it, reversed
-        u[:n - 1 - j, n - 1 - j] = below[::-1]
-    return u
+    return _fill_bartlett(rng, p, np.zeros((n, min(n, p)), dtype=dtype, order="F"))
 
 
 def _mirror_lower(c: np.ndarray) -> np.ndarray:
@@ -195,7 +198,7 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     Computed as (1/p) L L^dagger from the Bartlett factor L: about n^2/2 normals
     in place of the n * p of G.  For p >= n the factor is square, and with J the
     index reversal, U = J L J is upper triangular and L L^dagger = J (U U^dagger) J.
-    From n = LAUUM_MIN_N the variates are drawn straight into an F-ordered U,
+    On `_lauum_route` the builder fills the reversed view J U J of an F-ordered U,
     and zlauum/dlauum forms U U^dagger in place of U in about half the time of
     a zherk, which would multiply the zero upper triangle of L.  lauum was
     written for the Cholesky factors of potri and reads only the real part of
@@ -203,19 +206,21 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     variate, real, so nothing is lost.  That product is mirrored and scaled in
     place, and the sample is returned as the view J (U U^dagger) J of U's
     buffer, the one n x n array the draw allocates (`linalg.pt_eigenvalues`
-    reads it in that layout).  Otherwise one zherk/dsyrk forms L L^dagger in a
-    zeroed F-ordered array, which is mirrored in place and returned; for
-    p < n the factor is not square.  `_blas` calls both routines in numpy's
-    OpenBLAS.
+    reads it in that layout).  Otherwise the builder fills L and one zherk/dsyrk
+    forms L L^dagger in a zeroed F-ordered array, which is mirrored in place and
+    returned; for p < n the factor is not square.  `_blas` calls both routines
+    in numpy's OpenBLAS.
     """
     n, p, field = params.n, params.p, params.field
     # the unscaled complex draw has E|entry|^2 = 2
     scale = 1.0 / p if field == "real" else 0.5 / p
-    if p < n or n < LAUUM_MIN_N:
+    if not _lauum_route(n, p):
         factor = _bartlett_factor(stream.generator(), n, p, field)
         c = _blas.herk(scale, factor, np.zeros((n, n), dtype=factor.dtype, order="F"))
         return _mirror_lower(c)
-    u = _blas.lauum(_reversed_bartlett_factor(stream.generator(), n, p, field))
+    u = np.zeros((n, n), dtype=np.float64 if field == "real" else np.complex128, order="F")
+    _fill_bartlett(stream.generator(), p, u[::-1, ::-1])
+    u = _blas.lauum(u)
     # reversed back, U U^dagger's upper triangle is L L^dagger's lower one
     w = _mirror_lower(u[::-1, ::-1])
     u *= scale
@@ -246,7 +251,7 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
     rng = stream.generator()
     c = np.zeros((n, n), dtype=np.complex128, order="F")
     for start in range(0, p, GRAM_CHUNK):
-        block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n, "complex")
+        block = _standard_normal_rows(rng, min(GRAM_CHUNK, p - start), n)
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         # block.T is F-ordered n x rows: c += (1/p) sum of v v^dagger over the block
         c = _blas.herk(1.0 / p, block.T, c, beta=1.0)
@@ -255,5 +260,5 @@ def sample_mixture_state(n: int, p: int, stream: SampleStream) -> np.ndarray:
 
 def sample_pure_state(shape: BipartiteShape, stream: SampleStream) -> np.ndarray:
     """Haar-uniform unit vector on C^(d1*d2): normalized complex Gaussian."""
-    v = _standard_normal_rows(stream.generator(), 1, shape.n, "complex")[0]
+    v = _standard_normal_rows(stream.generator(), 1, shape.n)[0]
     return v / np.linalg.norm(v)

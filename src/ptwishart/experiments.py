@@ -29,8 +29,6 @@ import numpy as np
 
 from . import _blas, reporting
 from .ensembles import (
-    GRAM_CHUNK,
-    LAUUM_MIN_N,
     SampleStream,
     WishartParams,
     ancilla_dim,
@@ -39,6 +37,7 @@ from .ensembles import (
     sample_mixture_state,
     sample_pure_state,
     sample_wishart,
+    _draw_bytes,
 )
 from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
@@ -141,16 +140,9 @@ def memory_budget() -> int | None:
 def worker_memory(n: int, p: int, field: str, ensemble: str) -> int:
     """Bytes one trial worker holds at its peak for an n x n matrix drawn with
     ancilla p: the trial's one n x n buffer, LAPACK's workspace, and what the
-    draw holds beside the buffer, the Bartlett factor of the zherk path or a
-    GRAM_CHUNK block of mixture vectors."""
+    draw holds beside the buffer (`ensembles._draw_bytes`)."""
     item = 8 if field == "real" else 16
-    if ensemble == "mixture":
-        draw = 16 * n * min(GRAM_CHUNK, p)
-    elif p < n or n < LAUUM_MIN_N:
-        draw = item * n * min(n, p)
-    else:
-        draw = item * n  # one column of the reversed factor
-    return item * n * (n + SOLVER_WORK_ROWS) + draw
+    return item * n * (n + SOLVER_WORK_ROWS) + _draw_bytes(n, p, field, ensemble == "mixture")
 
 
 def _check_alpha(alpha: float):

@@ -20,6 +20,12 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     # every refusal comes before any runner starts
     for runner in ("run_spectrum", "run_extremes", "run_ppt_sweep", "run_pure_state"):
         monkeypatch.setattr(cli.experiments, runner, lambda config: pytest.fail("a runner started"))
+    # an existing report file that cannot be written; root ignores permission
+    # bits, so os.access is what refuses it
+    read_only = tmp_path / "read_only.json"
+    read_only.write_text("")
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(read_only) and access(path, mode))
     # argv, and a word the one-line message must contain
     rows = [
         (["spectrum", "--alpha", "2", "--p", "8"], "--p"),
@@ -37,6 +43,7 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["laws", "--alpha", "0"], "alpha"),
         (["spectrum", "--d", "4", "--out", str(tmp_path / "missing" / "r.json")], "missing"),
         (["selftest", "--out", str(tmp_path)], str(tmp_path)),
+        (["spectrum", "--d", "4", "--out", str(read_only)], "read_only.json"),
         (["spectrum", "--p", "0"], "p must"),
         (["extremes", "--p", "0"], "p must"),
         (["spectrum", "--p", "-4"], "p must"),

@@ -99,7 +99,14 @@ def test_wishart_blocked_gram_matches_the_factor(field, p):
     assert n >= ensembles.LAUUM_MIN_N
     stream = SampleStream(29, p)
     w = sample_wishart(WishartParams(n=n, p=p, field=field), stream)
-    factor = ensembles._bartlett_factor(stream.generator(), n, p, field)
+    # the documented Bartlett layout: the chi-square diagonal, then all strictly
+    # lower entries in one draw, placed column by column, each top to bottom
+    rng = stream.generator()
+    doubled = 1.0 if field == "real" else 2.0
+    factor = np.zeros((n, n), dtype=np.float64 if field == "real" else np.complex128)
+    factor[np.diag_indices(n)] = np.sqrt(rng.chisquare((p - np.arange(n)) * doubled))
+    cols, rows = np.triu_indices(n, 1)
+    factor[rows, cols] = rng.standard_normal(int(doubled) * len(rows)).view(factor.dtype)
     expected = factor @ factor.conj().T * (1.0 / p if field == "real" else 0.5 / p)
     assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(w, w.conj().T)
