@@ -43,6 +43,7 @@ from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
 from .linalg import BipartiteShape, pt_eigenvalues
 from .partitions import (
+    MAX_TRIPLE_SIZE,
     admissible_triples,
     catalan,
     chordings,
@@ -54,6 +55,7 @@ from .partitions import (
     set_partitions,
     wishart_admissible_couples,
     wishart_matching_stats,
+    _small_partitions,
 )
 from .spectra import (
     SpectralSample,
@@ -526,18 +528,15 @@ def _kreweras_suite(k: int) -> str:
         if not is_noncrossing(interleaved_union(q, comp)):
             return f"interleaved union of {q} and {comp} is crossing"
         comp_blocks = set(comp.blocks())
+        # q's labels 1-based, with r[k + 1] = r[1] standing for the successor of k
+        r = (None,) + q.rgs + q.rgs[:1]
         for i in range(1, k + 1):
-            succ = i % k + 1
-            if ((i,) in comp_blocks) != q.same_block(i, succ):
+            if ((i,) in comp_blocks) != (r[i] == r[i + 1]):
                 return f"singleton rule fails at {i} for {q}"
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 is_pair = (i, j) in comp_blocks
-                rule = (
-                    q.same_block(i, j % k + 1)
-                    and q.same_block(i % k + 1, j)
-                    and not q.same_block(i, j)
-                )
+                rule = r[i] == r[j + 1] and r[i + 1] == r[j] and r[i] != r[j]
                 if is_pair != rule:
                     return f"pair rule fails at ({i}, {j}) for {q}"
         seen.add(comp.rgs)
@@ -547,7 +546,7 @@ def _kreweras_suite(k: int) -> str:
 
 
 def _matching_bounds_suite(k: int) -> str:
-    parts = list(set_partitions(k))
+    parts = _small_partitions(k)
     for pa in parts:
         for pc in parts:
             stats = wishart_matching_stats(pa.rgs, pc.rgs)
@@ -620,8 +619,10 @@ def run_selftest() -> dict:
     def add(name, expected, actual):
         items.append({"name": name, "expected": expected, "actual": actual, "pass": expected == actual})
 
+    # orders up to MAX_TRIPLE_SIZE read the partition lists the later scans share
     for k in range(1, 9):
-        actual = sum(1 for q in set_partitions(k) if is_noncrossing(q))
+        parts = _small_partitions(k) if k <= MAX_TRIPLE_SIZE else set_partitions(k)
+        actual = sum(1 for q in parts if is_noncrossing(q))
         add(f"nc_count_k{k}", catalan(k), actual)
     for k in range(1, 7):
         add(f"chording_count_k{2 * k}", catalan(k), sum(1 for _ in chordings(2 * k)))

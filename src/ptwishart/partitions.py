@@ -16,8 +16,10 @@ non-crossing moment sum at the bottom.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+import operator
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -40,12 +42,21 @@ def catalan(k: int) -> int:
 
 @dataclass(frozen=True)
 class Partition:
-    """Set partition of [k] in canonical restricted-growth form."""
+    """Set partition of [k] in canonical restricted-growth form.
+
+    Labels must be integers (numpy integers included); a float or a string
+    is refused, not truncated.  n_blocks is set once, when the partition is
+    built, and takes no part in equality, hashing or repr.
+    """
 
     rgs: tuple[int, ...]
+    n_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rgs = tuple(int(v) for v in self.rgs)
+        try:
+            rgs = tuple(map(operator.index, self.rgs))
+        except TypeError:
+            raise ParameterError(f"partition labels must be integers, got {self.rgs!r}") from None
         object.__setattr__(self, "rgs", rgs)
         if not rgs:
             raise ParameterError("partition of the empty set is not supported")
@@ -53,15 +64,13 @@ class Partition:
         for label in rgs:
             if not 0 <= label <= top + 1:
                 raise ParameterError(f"not a restricted-growth string: {rgs}")
-            top = max(top, label)
+            if label > top:
+                top = label
+        object.__setattr__(self, "n_blocks", top + 1)
 
     @property
     def k(self) -> int:
         return len(self.rgs)
-
-    @property
-    def n_blocks(self) -> int:
-        return max(self.rgs) + 1
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as sorted tuples of 1-based elements, ordered by first element."""
@@ -77,12 +86,15 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], k: int | None = None) -> "Partition":
-        elements = [int(e) for block in blocks for e in block]
+        try:
+            elements = [operator.index(e) for block in blocks for e in block]
+        except TypeError:
+            raise ParameterError(f"block elements must be integers, got {blocks}") from None
         if k is None:
             k = len(elements)
         if sorted(elements) != list(range(1, k + 1)):
             raise ParameterError(f"blocks do not partition [{k}]: {blocks}")
-        owner = {int(e): group for group, block in enumerate(blocks) for e in block}
+        owner = {operator.index(e): group for group, block in enumerate(blocks) for e in block}
         return induced_partition([owner[e] for e in range(1, k + 1)])
 
     def __str__(self) -> str:
@@ -117,6 +129,15 @@ def set_partitions(k: int) -> Iterator[Partition]:
             yield from rec(pos + 1, max(top, label))
 
     yield from rec(1, 0)
+
+
+@lru_cache(maxsize=None)
+def _small_partitions(k: int) -> tuple[Partition, ...]:
+    """set_partitions(k) for k <= MAX_TRIPLE_SIZE, built once per order and
+    shared by the exhaustive couple, triple and matching-bound scans."""
+    if not 1 <= k <= MAX_TRIPLE_SIZE:
+        raise ParameterError(f"shared partition lists cover 1 <= k <= {MAX_TRIPLE_SIZE}")
+    return tuple(set_partitions(k))
 
 
 def is_noncrossing(partition: Partition) -> bool:
@@ -345,17 +366,23 @@ def triple_admissibility(a: Sequence, b: Sequence, c: Sequence) -> TripleAdmissi
 def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
     """All classes of couples with the matching condition and maximal weight.
 
-    Brute force over every pair of canonical partitions of [k]; a couple is
-    kept when it satisfies the Wishart matching condition with
-    distinct_values == k + 1 (the classes that survive in the first-order
-    trace expansion).
+    Scans the pairs of canonical partitions of [k], a outer and c inner, both
+    in restricted-growth lex order; a couple is kept when it satisfies the
+    Wishart matching condition with distinct_values == k + 1 (the classes
+    that survive in the first-order trace expansion).  The distinct entries
+    of a restricted-growth string are its block labels, so distinct_values
+    is nb(a) + nb(c) and only the pairs whose block counts sum to k + 1 are
+    tested.
     """
     if not 1 <= k <= MAX_TRIPLE_SIZE:
         raise ParameterError(f"couple enumeration supports 1 <= k <= {MAX_TRIPLE_SIZE}")
-    parts = list(set_partitions(k))
+    parts = _small_partitions(k)
+    by_blocks = defaultdict(list)
+    for pc in parts:
+        by_blocks[pc.n_blocks].append(pc)
     out = []
     for pa in parts:
-        for pc in parts:
+        for pc in by_blocks[k + 1 - pa.n_blocks]:
             stats = wishart_matching_stats(pa.rgs, pc.rgs)
             if stats.matches and stats.distinct_values == k + 1:
                 out.append((pa, pc))
@@ -364,17 +391,21 @@ def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
 
 def admissible_triples(couples: Sequence[tuple]) -> Iterator[tuple[Partition, Partition, Partition]]:
     """Canonical admissible triples of partitions of [k], each class once, where
-    `couples` is wishart_admissible_couples(k); k is read from the couples.
+    `couples` is wishart_admissible_couples(k).
 
-    An admissible triple forces both (a, c) and (b, c) to satisfy the Wishart
-    matching condition, and its weight splits as the sum of the two couple
-    weights, each at most k + 1; so (a, c) must come from
-    wishart_admissible_couples and only b remains free.  Every candidate is
-    still checked against the full triple definition.
+    The 2k-list of an admissible triple projects onto the couple lists of
+    both (a, c) and (b, c), so both satisfy the Wishart matching condition;
+    its weight is (nb(a) + nb(c)) + (nb(b) + nb(c)) = 2k + 2 with each sum at
+    most k + 1, so both sums equal k + 1.  Hence (a, c) and (b, c) are both
+    in `couples`, and b ranges over the partners of c there.  Every candidate
+    is still checked against the full triple definition.  Triples come in
+    the order of `couples`, then of b in restricted-growth lex order.
     """
-    parts = list(set_partitions(couples[0][0].k)) if couples else []
+    partners = defaultdict(list)
     for pa, pc in couples:
-        for pb in parts:
+        partners[pc].append(pa)
+    for pa, pc in couples:
+        for pb in partners[pc]:
             if triple_admissibility(pa.rgs, pb.rgs, pc.rgs).admissible:
                 yield pa, pb, pc
 

@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +386,65 @@ def test_selftest_all_pass(monkeypatch):
     assert "admissible_triple_count_k6" in names
     failures = [item for item in report["items"] if not item["pass"]]
     assert failures == []
+
+
+def test_selftest_pruned_call_counts(monkeypatch):
+    # one run_selftest() tests 196 triples (one per couple) in place of 29,220,
+    # and at k = 6 the 12,632 couples whose block counts sum to 7 in place of 41,209
+    order, stats_calls, triple_calls = [None], Counter(), [0]
+    enumerate_couples = partitions.wishart_admissible_couples
+    matching_stats = partitions.wishart_matching_stats
+    admissibility = partitions.triple_admissibility
+
+    def spied_couples(k):
+        order[0] = k
+        try:
+            return enumerate_couples(k)
+        finally:
+            order[0] = None
+
+    def spied_stats(a, c):
+        stats_calls[order[0]] += 1
+        return matching_stats(a, c)
+
+    def spied_admissibility(a, b, c):
+        triple_calls[0] += 1
+        return admissibility(a, b, c)
+
+    for module in (partitions, experiments):
+        monkeypatch.setattr(module, "wishart_admissible_couples", spied_couples)
+    monkeypatch.setattr(partitions, "wishart_matching_stats", spied_stats)
+    monkeypatch.setattr(partitions, "triple_admissibility", spied_admissibility)
+    assert run_selftest()["all_pass"] is True
+    assert 0 < stats_calls[6] <= 12_632
+    assert 0 < triple_calls[0] <= 200
+
+
+def _failed_items(report):
+    return {item["name"] for item in report["items"] if not item["pass"]}
+
+
+def test_selftest_catches_a_wrong_kreweras_complement(monkeypatch):
+    monkeypatch.setattr(experiments, "kreweras_complement", lambda q: q)
+    report = run_selftest()
+    assert "kreweras_suite_k4" in _failed_items(report)
+    assert report["all_pass"] is False
+
+
+def test_selftest_catches_a_matching_condition_that_always_holds(monkeypatch):
+    matching_stats = partitions.wishart_matching_stats
+
+    def always_matches(a, c):
+        return dataclasses.replace(matching_stats(a, c), matches=True)
+
+    for module in (partitions, experiments):
+        monkeypatch.setattr(module, "wishart_matching_stats", always_matches)
+    # this test is about the couples: the triple scan over the mutant's 12,632
+    # couples at k = 6 would take about 15 s, so it yields nothing here
+    monkeypatch.setattr(experiments, "admissible_triples", lambda couples: iter(()))
+    failed = _failed_items(run_selftest())
+    assert {"wishart_admissible_bijection_k1", "wishart_admissible_bijection_k2"}.isdisjoint(failed)
+    assert {f"wishart_admissible_bijection_k{k}" for k in range(3, 7)} <= failed
 
 
 def test_laws_report():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ptwishart import (
@@ -80,10 +81,27 @@ def test_partition_validation():
         Partition((1, 0))
     with pytest.raises(ParameterError):
         Partition((0, 2))
+    # labels are integers: a float or a string is refused, not truncated
+    with pytest.raises(ParameterError):
+        Partition((0.9, 1))
+    with pytest.raises(ParameterError):
+        Partition((0, 1.0))
+    with pytest.raises(ParameterError):
+        Partition(("0", "1"))
+    with pytest.raises(ParameterError):
+        Partition(3)
+    with pytest.raises(ParameterError):
+        Partition.from_blocks([(1.5, 2)], 2)
+    assert Partition(np.array([0, 1, 0], dtype=np.int64)).rgs == (0, 1, 0)
+    assert Partition((np.int32(0), np.uint8(1))) == Partition((0, 1))
+    assert Partition.from_blocks([(np.int64(2),), (1,)], 2).rgs == (0, 1)
     p = Partition((0, 1, 0, 2))
     assert p.k == 4 and p.n_blocks == 3
     assert p.blocks() == ((1, 3), (2,), (4,))
     assert p.same_block(1, 3) and not p.same_block(1, 2)
+    # the cached block count is not part of equality, hashing or repr
+    assert repr(p) == "Partition(rgs=(0, 1, 0, 2))"
+    assert hash(p) == hash(Partition((0, 1, 0, 2))) and p == Partition([0, 1, 0, 2])
 
 
 def test_from_blocks_canonicalizes():
@@ -244,6 +262,41 @@ def test_admissible_count_matches_unpruned_enumeration(k, expected):
     assert len(unpruned) == expected
     pruned = {tuple(q.rgs for q in t) for t in admissible_triples(wishart_admissible_couples(k))}
     assert pruned == unpruned
+
+
+def unpruned_admissible_couples(k):
+    """Every pair of Bell(k)^2 canonical partitions, a outer and c inner, kept
+    on the matching condition at weight k + 1."""
+    parts = list(set_partitions(k))
+    out = []
+    for pa in parts:
+        for pc in parts:
+            stats = wishart_matching_stats(pa.rgs, pc.rgs)
+            if stats.matches and stats.distinct_values == k + 1:
+                out.append((pa, pc))
+    return out
+
+
+def unpruned_admissible_triples(couples):
+    """Every b of Bell(k) tried against each couple (a, c), in couple order."""
+    parts = list(set_partitions(couples[0][0].k))
+    return [
+        (pa, pb, pc)
+        for pa, pc in couples
+        for pb in parts
+        if triple_admissibility(pa.rgs, pb.rgs, pc.rgs).admissible
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_block_count_prune_keeps_every_couple_in_order(k):
+    assert wishart_admissible_couples(k) == unpruned_admissible_couples(k)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_partner_prune_keeps_every_triple_in_order(k):
+    couples = wishart_admissible_couples(k)
+    assert list(admissible_triples(couples)) == unpruned_admissible_triples(couples)
 
 
 def test_admissible_counts_even_odd():
