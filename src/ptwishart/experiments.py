@@ -43,7 +43,6 @@ from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
 from .linalg import BipartiteShape, pt_eigenvalues
 from .partitions import (
-    MAX_TRIPLE_SIZE,
     admissible_triples,
     catalan,
     chordings,
@@ -55,7 +54,6 @@ from .partitions import (
     set_partitions,
     wishart_admissible_couples,
     wishart_matching_stats,
-    _small_partitions,
 )
 from .spectra import (
     SpectralSample,
@@ -546,7 +544,7 @@ def _kreweras_suite(k: int) -> str:
 
 
 def _matching_bounds_suite(k: int) -> str:
-    parts = _small_partitions(k)
+    parts = list(set_partitions(k))
     for pa in parts:
         for pc in parts:
             stats = wishart_matching_stats(pa.rgs, pc.rgs)
@@ -619,10 +617,8 @@ def run_selftest() -> dict:
     def add(name, expected, actual):
         items.append({"name": name, "expected": expected, "actual": actual, "pass": expected == actual})
 
-    # orders up to MAX_TRIPLE_SIZE read the partition lists the later scans share
     for k in range(1, 9):
-        parts = _small_partitions(k) if k <= MAX_TRIPLE_SIZE else set_partitions(k)
-        actual = sum(1 for q in parts if is_noncrossing(q))
+        actual = sum(1 for q in set_partitions(k) if is_noncrossing(q))
         add(f"nc_count_k{k}", catalan(k), actual)
     for k in range(1, 7):
         add(f"chording_count_k{2 * k}", catalan(k), sum(1 for _ in chordings(2 * k)))

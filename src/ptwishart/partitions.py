@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -45,12 +44,10 @@ class Partition:
     """Set partition of [k] in canonical restricted-growth form.
 
     Labels must be integers (numpy integers included); a float or a string
-    is refused, not truncated.  n_blocks is set once, when the partition is
-    built, and takes no part in equality, hashing or repr.
+    is refused, not truncated.
     """
 
     rgs: tuple[int, ...]
-    n_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -64,13 +61,15 @@ class Partition:
         for label in rgs:
             if not 0 <= label <= top + 1:
                 raise ParameterError(f"not a restricted-growth string: {rgs}")
-            if label > top:
-                top = label
-        object.__setattr__(self, "n_blocks", top + 1)
+            top = max(top, label)
 
     @property
     def k(self) -> int:
         return len(self.rgs)
+
+    @property
+    def n_blocks(self) -> int:
+        return max(self.rgs) + 1
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as sorted tuples of 1-based elements, ordered by first element."""
@@ -87,14 +86,15 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], k: int | None = None) -> "Partition":
         try:
-            elements = [operator.index(e) for block in blocks for e in block]
+            converted = [[operator.index(e) for e in block] for block in blocks]
         except TypeError:
             raise ParameterError(f"block elements must be integers, got {blocks}") from None
+        elements = [e for block in converted for e in block]
         if k is None:
             k = len(elements)
         if sorted(elements) != list(range(1, k + 1)):
             raise ParameterError(f"blocks do not partition [{k}]: {blocks}")
-        owner = {operator.index(e): group for group, block in enumerate(blocks) for e in block}
+        owner = {e: group for group, block in enumerate(converted) for e in block}
         return induced_partition([owner[e] for e in range(1, k + 1)])
 
     def __str__(self) -> str:
@@ -129,15 +129,6 @@ def set_partitions(k: int) -> Iterator[Partition]:
             yield from rec(pos + 1, max(top, label))
 
     yield from rec(1, 0)
-
-
-@lru_cache(maxsize=None)
-def _small_partitions(k: int) -> tuple[Partition, ...]:
-    """set_partitions(k) for k <= MAX_TRIPLE_SIZE, built once per order and
-    shared by the exhaustive couple, triple and matching-bound scans."""
-    if not 1 <= k <= MAX_TRIPLE_SIZE:
-        raise ParameterError(f"shared partition lists cover 1 <= k <= {MAX_TRIPLE_SIZE}")
-    return tuple(set_partitions(k))
 
 
 def is_noncrossing(partition: Partition) -> bool:
@@ -376,7 +367,7 @@ def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
     """
     if not 1 <= k <= MAX_TRIPLE_SIZE:
         raise ParameterError(f"couple enumeration supports 1 <= k <= {MAX_TRIPLE_SIZE}")
-    parts = _small_partitions(k)
+    parts = list(set_partitions(k))
     by_blocks = defaultdict(list)
     for pc in parts:
         by_blocks[pc.n_blocks].append(pc)
