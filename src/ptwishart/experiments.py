@@ -49,7 +49,6 @@ from .partitions import (
     interleaved_union,
     is_noncrossing,
     kreweras_complement,
-    mp_moment_via_noncrossing,
     noncrossing_partitions,
     set_partitions,
     wishart_admissible_couples,
@@ -96,6 +95,9 @@ MAX_MIXTURE_ENTRIES = 2**30
 # LAPACK's eigensolver workspace, in matrix rows: ru_maxrss rose by 170-305
 # rows' worth during zheevd, dsyevd and zheevd_2stage at n = 900-3600
 SOLVER_WORK_ROWS = 512
+# a pure-state trial holds arrays of its n = d**2 entries, never an n x n
+# matrix: ru_maxrss rose by 50-60 bytes per entry at d = 500-2000
+PURE_ENTRY_BYTES = 64
 
 
 def _cgroup_limits():
@@ -140,7 +142,10 @@ def memory_budget() -> int | None:
 def worker_memory(n: int, p: int, field: str, ensemble: str) -> int:
     """Bytes one trial worker holds at its peak for an n x n matrix drawn with
     ancilla p: the trial's one n x n buffer, LAPACK's workspace, and what the
-    draw holds beside the buffer (`ensembles._draw_bytes`)."""
+    draw holds beside the buffer (`ensembles._draw_bytes`); for a pure state
+    of n entries, PURE_ENTRY_BYTES per entry."""
+    if ensemble == "pure":
+        return PURE_ENTRY_BYTES * n
     item = 8 if field == "real" else 16
     return item * n * (n + SOLVER_WORK_ROWS) + _draw_bytes(n, p, field, ensemble == "mixture")
 
@@ -206,18 +211,11 @@ class ExperimentConfig:
                 raise ParameterError("pure-state spectra require a square bipartition d1 == d2")
         elif (self.p is None) == (self.alpha is None):
             raise ParameterError("exactly one of alpha and p must be given")
-        ancillas = []
-        for alpha in (self.alpha,) + (self.alphas or ()):
-            if alpha is not None:
-                _check_alpha(alpha)
-                ancillas.append(ancilla_dim(alpha, shape.n))  # refuses an empty or oversized ancilla
-        if self.p is not None:
-            check_ancilla(self.p)
-            ancillas.append(self.p)
+        ps = [p for _, p in self.grid] or [0]  # a pure state has no ancilla
         # the monotone block compares neighbouring grid entries
         if self.alphas and any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ParameterError(f"the alpha grid must be strictly increasing, got {list(self.alphas)}")
-        p = max(ancillas, default=0)
+        p = max(ps)
         if self.ensemble == "mixture" and shape.n * p > MAX_MIXTURE_ENTRIES:
             raise ParameterError(f"mixture states need n * p <= 2**30, got n={shape.n}, p={p}")
         if self.tol is not None and not (isfinite(self.tol) and self.tol >= 0):
@@ -228,11 +226,10 @@ class ExperimentConfig:
             raise ParameterError("tol is the check threshold, so it needs check")
         if self.ensemble != "wishart" and self.field != "complex":
             raise ParameterError(f"field must be complex for the {self.ensemble} ensemble")
-        # a pure-state trial holds no n x n matrix
-        budget = memory_budget() if self.subcommand != "pure" else None
+        budget = memory_budget()
         if budget is not None:
             workers = _trial_workers(self)
-            need = max(worker_memory(shape.n, q, self.field, self.ensemble) for q in ancillas)
+            need = max(worker_memory(shape.n, q, self.field, self.ensemble) for q in ps)
             if workers * need > budget:
                 raise ParameterError(f"{workers} trial worker{'s' if workers > 1 else ''} x {need / 2**20:.1f} MB "
                                      f"= {workers * need / 2**20:.1f} MB is more than the {budget / 2**20:.1f} MB "
@@ -243,17 +240,20 @@ class ExperimentConfig:
         return BipartiteShape(self.d1, self.d2)
 
     @property
-    def resolved_p(self) -> int:
-        """Ancilla dimension: explicit p, or ancilla_dim(alpha, d1 * d2)."""
+    def grid(self) -> list[tuple[float, int]]:
+        """The run's (alpha, p) pairs: one for spectrum and extremes, alpha = p / n
+        when p is given; one per alphas entry for ppt; none for pure.  Refuses
+        an alpha that is not finite and > 0, and an empty or oversized ancilla."""
+        n = self.shape.n
         if self.p is not None:
-            return self.p
-        return ancilla_dim(self.alpha, self.shape.n)
-
-    @property
-    def effective_alpha(self) -> float:
-        if self.alpha is not None:
-            return float(self.alpha)
-        return self.resolved_p / self.shape.n
+            check_ancilla(self.p)
+            return [(self.p / n, self.p)]
+        alphas = self.alphas or (() if self.alpha is None else (self.alpha,))
+        grid = []
+        for alpha in alphas:
+            _check_alpha(alpha)
+            grid.append((float(alpha), ancilla_dim(alpha, n)))
+        return grid
 
 
 def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field="", trial="") -> dict:
@@ -353,8 +353,8 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     n so the limit law is O(1) in both modes.
     """
     shape = config.shape
-    n, p = shape.n, config.resolved_p
-    alpha = config.effective_alpha
+    n = shape.n
+    [(alpha, p)] = config.grid
     law = Semicircle(1.0, 1.0 / alpha)
     centered_law = Semicircle(0.0, 1.0 / alpha)
     lo_edge, hi_edge = law.support
@@ -399,8 +399,8 @@ def run_spectrum(config: ExperimentConfig) -> dict:
 
 def run_extremes(config: ExperimentConfig) -> dict:
     """Extreme eigenvalues of partially transposed Wishart samples."""
-    shape, p = config.shape, config.resolved_p
-    alpha = config.effective_alpha
+    shape = config.shape
+    [(alpha, p)] = config.grid
     edge_lo = 1.0 - 2.0 / sqrt(alpha)
     edge_hi = 1.0 + 2.0 / sqrt(alpha)
 
@@ -439,10 +439,11 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
     """
     shape = config.shape
     n, trials = shape.n, config.trials
-    ps = [ancilla_dim(alpha, n) for alpha in config.alphas]
+    grid = config.grid
 
     def one_trial(stream: SampleStream) -> dict:
-        result = ppt_gauge(_draw(config, ps[stream.stream_index // trials], stream), shape, overwrite=True)
+        _, p = grid[stream.stream_index // trials]
+        result = ppt_gauge(_draw(config, p, stream), shape, overwrite=True)
         stats = {
             "is_ppt": 1.0 if result.is_ppt else 0.0,
             "min_eigenvalue_scaled": n * result.min_eigenvalue,
@@ -451,9 +452,9 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
             stats["gauge"] = result.gauge
         return stats
 
-    results = _run_trials(config, one_trial, len(ps) * trials)
+    results = _run_trials(config, one_trial, len(grid) * trials)
     records, per_alpha = [], []
-    for ai, (alpha, p) in enumerate(zip(config.alphas, ps)):
+    for ai, (alpha, p) in enumerate(grid):
         per_trial = results[ai * trials:(ai + 1) * trials]
         records += _records(config, per_trial, p, alpha)
         hits = sum(int(s["is_ppt"]) for s in per_trial)
@@ -484,7 +485,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
     }
     theory = {
         "threshold_alpha": 4.0,
-        "min_eigenvalue_limits": [1.0 - 2.0 / sqrt(a) for a in config.alphas],
+        "min_eigenvalue_limits": [1.0 - 2.0 / sqrt(a) for a, _ in grid],
     }
     return _report(config, records, scale="state_rescaled", aggregates=aggregates, theory=theory)
 
@@ -589,24 +590,25 @@ def _admissible_structure_suite(k: int, triples) -> str:
 
 
 def _sc_mp_identity_suite() -> str:
-    std = Semicircle(0.0, 1.0)
+    std, mp1 = Semicircle(0.0, 1.0), MarchenkoPastur(1.0)
     for k in range(0, 9):
         want = float(catalan(k))
         if std.moment(2 * k) != want:
             return f"semicircle moment {2 * k} != catalan({k})"
-        if mp_moment_via_noncrossing(1.0, k) != want:
+        if mp1.moment(k) != want:
             return f"MP(1) moment {k} != catalan({k})"
     return "ok"
 
 
-def _mp_quadrature_suite(alpha: float) -> str:
-    law = MarchenkoPastur(alpha)
+def _quadrature_suite(law) -> str:
+    """The law's density has mass 1 within 1e-8, and its quadrature moments
+    k = 1..8 are the closed forms within 1e-6."""
     mass = quadrature_moment(law, 0)
     if abs(mass - 1.0) > 1e-8:
         return f"density mass {mass} is not 1"
-    for k in range(1, 7):
+    for k in MOMENT_ORDERS:
         if abs(quadrature_moment(law, k) - law.moment(k)) > 1e-6:
-            return f"quadrature moment {k} disagrees with the non-crossing sum"
+            return f"quadrature moment {k} disagrees with the closed form"
     return "ok"
 
 
@@ -638,7 +640,7 @@ def run_selftest() -> dict:
         add(f"admissible_triple_structure_k{k}", "ok", _admissible_structure_suite(k, triples[k]))
     add("sc_mp_catalan_identity", "ok", _sc_mp_identity_suite())
     for alpha in (0.5, 1.0, 2.0, 4.0):
-        add(f"mp_quadrature_alpha_{alpha}", "ok", _mp_quadrature_suite(alpha))
+        add(f"mp_quadrature_alpha_{alpha}", "ok", _quadrature_suite(MarchenkoPastur(alpha)))
 
     return {
         "config": {"subcommand": "selftest"},
@@ -653,12 +655,15 @@ def run_laws(alpha: float = 4.0, bins: int = DEFAULT_BINS) -> dict:
     """Theory tables: moments and density grids for the three limit laws."""
     _check_alpha(alpha)
     _check_bins(bins)
-    laws = [
-        ("semicircle_std", Semicircle(0.0, 1.0)),
-        ("semicircle_shifted", Semicircle(1.0, 1.0 / alpha)),
-        ("marchenko_pastur", MarchenkoPastur(alpha)),
-        ("product_semicircle", ProductSemicircle()),
-    ]
+    try:
+        laws = [
+            ("semicircle_std", Semicircle(0.0, 1.0)),
+            ("semicircle_shifted", Semicircle(1.0, 1.0 / alpha)),
+            ("marchenko_pastur", MarchenkoPastur(alpha)),
+            ("product_semicircle", ProductSemicircle()),
+        ]
+    except ParameterError as exc:  # 1 / alpha overflows to inf
+        raise ParameterError(f"alpha {alpha} is too small: {exc}") from None
     records = []
     density_tables = {}
     for name, law in laws:

@@ -15,7 +15,7 @@ rule after a cosine substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi, sqrt
+from math import comb, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class Semicircle:
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ParameterError(f"variance must be positive, got {self.variance}")
+        if not (isfinite(self.mean) and isfinite(self.variance) and self.variance > 0):
+            raise ParameterError(f"mean must be finite and variance finite and positive, "
+                                 f"got mean {self.mean} and variance {self.variance}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -90,8 +91,8 @@ class MarchenkoPastur:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (isfinite(self.alpha) and self.alpha > 0):
+            raise ParameterError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def atom(self) -> float:

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, printed as a pass/fail line each.
 
-Combinatorial criteria 1-3 and the Catalan identity of criterion 4 assert the
+Combinatorial criteria 1-3 and the law identities of criterion 4 assert the
 exact items of one run_selftest() call, and criteria 1-3 hold its elapsed time
 to each criterion's runtime budget; Monte Carlo criteria run at fixed seeds
 with the stated finite-size margins.
@@ -13,7 +13,6 @@ import pytest
 
 from ptwishart import (
     BipartiteShape,
-    MarchenkoPastur,
     ProductSemicircle,
     SampleStream,
     Semicircle,
@@ -22,7 +21,6 @@ from ptwishart import (
     hermitian_eigenvalues,
     partial_transpose,
     pt_spectrum_from_schmidt,
-    quadrature_moment,
     sample_pure_state,
     sample_wishart,
     schmidt_coefficients,
@@ -30,6 +28,7 @@ from ptwishart import (
 from ptwishart import reporting
 from ptwishart.experiments import (
     ExperimentConfig,
+    _quadrature_suite,
     run_extremes,
     run_laws,
     run_ppt_sweep,
@@ -92,17 +91,11 @@ def test_criterion_4_law_identities(selftest_items):
     items, _ = selftest_items
     # SC(0,1) moment 2k == catalan(k) == MP(1) moment k for k <= 8
     ok = _item_is(items, "sc_mp_catalan_identity", "ok")
-    laws = [
-        Semicircle(0.0, 1.0),
-        Semicircle(1.0, 0.25),
-        MarchenkoPastur(0.5),
-        MarchenkoPastur(1.0),
-        MarchenkoPastur(4.0),
-    ]
-    for law in laws:
-        ok = ok and abs(quadrature_moment(law, 0) - 1.0) <= 1e-8
-        for k in range(1, 9):
-            ok = ok and abs(quadrature_moment(law, k) - law.moment(k)) <= 1e-6
+    # density mass within 1e-8 and quadrature moments k = 1..8 within 1e-6 of
+    # the closed forms: the self-test's items for MP(alpha), and the same suite
+    # for the two semicircles it does not integrate
+    ok = ok and all(_item_is(items, f"mp_quadrature_alpha_{alpha}", "ok") for alpha in (0.5, 1.0, 2.0, 4.0))
+    ok = ok and all(_quadrature_suite(law) == "ok" for law in (Semicircle(0.0, 1.0), Semicircle(1.0, 0.25)))
     _criterion("criterion 4: law identities", ok)
 
 
@@ -210,6 +203,8 @@ def test_criterion_9_structural_invariants():
         (run_spectrum, ExperimentConfig(subcommand="spectrum", d1=5, d2=5, trials=2, alpha=4.0, master_seed=SEED)),
         (run_extremes, ExperimentConfig(subcommand="extremes", d1=5, d2=5, trials=2, alpha=4.0, master_seed=SEED)),
         (run_ppt_sweep, ExperimentConfig(subcommand="ppt", d1=3, d2=3, trials=2, ensemble="induced", alphas=(2.0, 8.0), master_seed=SEED)),
+        # two trial workers, each with its share of the BLAS threads
+        (run_ppt_sweep, ExperimentConfig(subcommand="ppt", d1=6, d2=6, trials=3, ensemble="induced", alphas=(2.0, 8.0), master_seed=SEED, threads=2)),
         (run_pure_state, ExperimentConfig(subcommand="pure", d1=5, d2=5, trials=2, ensemble="pure", master_seed=SEED)),
     ]
     for runner, config in runs:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,8 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["ppt", "--d", "2", "--ensemble", "mixture", "--alphas", "1e9", "--trials", "1"], "mixture"),
         (["spectrum", "--d", "2", "--ensemble", "mixture", "--p", "4000000000", "--trials", "1"], "mixture"),
         (["laws", "--alpha", "1e-100"], "alpha"),
+        # 1 / alpha overflows to inf, and no law takes a non-finite parameter
+        (["laws", "--alpha", "1e-320"], "alpha 1e-320"),
         (["spectrum", "--check", "--tol", "nan"], "tol"),
         (["ppt", "--field", "real"], "field"),
         (["pure", "--field", "real"], "field"),
@@ -86,9 +89,15 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["pure", "--method", "eigh"], "--method"),
         # one trial's n x n matrix alone (n = 10**6) is 16 TB
         (["extremes", "--d", "1000", "--trials", "1"], "of memory here"),
+        # one pure state at d = 10**5 holds arrays of 10**10 entries
+        (["pure", "--d", "100000", "--trials", "1"], "of memory here"),
     ]
     for argv, word in rows:
-        assert run_cli(argv) == 1, argv
+        # a warning would print ahead of the message
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == 1, argv
+        assert [str(w.message) for w in caught] == [], argv
         err = capsys.readouterr().err
         assert err.startswith("ptwishart: usage error:") and err.count("\n") == 1, (argv, err)
         assert word in err, (argv, err)

@@ -5,21 +5,22 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptwishart import _blas, experiments, partitions, reporting
+from ptwishart import MarchenkoPastur, _blas, experiments, partitions, reporting
 from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
     ExperimentConfig,
+    _quadrature_suite,
     _run_trials,
     run_extremes,
     run_laws,
     run_ppt_sweep,
-    run_pure_state,
     run_selftest,
     run_spectrum,
 )
@@ -31,18 +32,19 @@ def small_config(**kwargs):
     return ExperimentConfig(**base)
 
 
-def test_config_resolves_p_from_alpha():
-    config = small_config(d1=5, d2=5, alpha=3.0)
-    assert config.resolved_p == 75
-    assert config.effective_alpha == 3.0
-    assert small_config(d1=10, d2=10, alpha=4.1).resolved_p == 410
-    config = small_config(alpha=None, p=77)
-    assert config.resolved_p == 77
-    assert config.effective_alpha == pytest.approx(77 / 36)
-
-
 PURE = dict(subcommand="pure", ensemble="pure", alpha=None)
 PPT = dict(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))
+
+
+def test_config_resolves_p_from_alpha():
+    # the (alpha, p) grid: one pair for spectrum and extremes, one per alpha for ppt, none for pure
+    assert small_config(d1=5, d2=5, alpha=3.0).grid == [(3.0, 75)]
+    assert small_config(d1=10, d2=10, alpha=4.1).grid == [(4.1, 410)]
+    assert small_config(alpha=None, p=77).grid == [(77 / 36, 77)]
+    assert small_config(**PPT, d1=3, d2=3).grid == [(2.0, 18), (8.0, 72)]
+    assert small_config(**PURE).grid == []
+    # a property, not a field: the report's config block is unchanged
+    assert "grid" not in dataclasses.asdict(small_config())
 
 
 # one row per check in ExperimentConfig.__post_init__: overrides of small_config,
@@ -123,8 +125,14 @@ def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
     assert small_config(**dict(grid, alphas=(4.0,))).alphas == (4.0,)
     with pytest.raises(ParameterError, match="memory"):
         small_config(**dict(grid, alphas=(0.5, 4.0)))
-    # pure states hold no n x n matrix; an unreadable budget refuses nothing
-    assert small_config(**PURE, threads=4, trials=4).threads == 4
+    # pure states are bounded too: PURE_ENTRY_BYTES per entry of the n = 36 state
+    pure = experiments.worker_memory(36, 0, "complex", "pure")
+    monkeypatch.setattr(experiments, "memory_budget", lambda: 3 * pure)
+    assert small_config(**PURE, threads=3, trials=4).threads == 3
+    with pytest.raises(ParameterError, match=r"^4 trial workers x [0-9.]+ MB = [0-9.]+ MB is more than the "):
+        small_config(**PURE, threads=4, trials=4)
+    assert pure == experiments.PURE_ENTRY_BYTES * 36
+    # an unreadable budget refuses nothing
     monkeypatch.setattr(experiments, "memory_budget", lambda: None)
     assert small_config(threads=4, trials=4).threads == 4
 
@@ -175,7 +183,7 @@ def test_mixture_work_bound():
     assert bound == 2**30
     mixture = dict(subcommand="spectrum", ensemble="mixture", alpha=None)
     ppt = dict(subcommand="ppt", ensemble="mixture", alpha=None, d1=2, d2=2)
-    assert small_config(**mixture, d1=1, d2=1, p=bound).resolved_p == bound
+    assert small_config(**mixture, d1=1, d2=1, p=bound).grid == [(bound, bound)]
     assert small_config(**ppt, alphas=(2.0, bound / 16)).alphas == (2.0, bound / 16)
     for config in (dict(mixture, d1=1, d2=1, p=bound + 1),
                    dict(mixture, d1=5, d2=1, p=None, alpha=(bound + 1) / 5),
@@ -184,7 +192,7 @@ def test_mixture_work_bound():
             small_config(**config)
     # the Wishart and induced draws cost O(n^2 min(n, p)) and keep only the 2**62 bound
     for ensemble in ("wishart", "induced"):
-        assert small_config(ensemble=ensemble, alpha=None, d1=1, d2=1, p=bound + 1).resolved_p == bound + 1
+        assert small_config(ensemble=ensemble, alpha=None, d1=1, d2=1, p=bound + 1).grid == [(bound + 1, bound + 1)]
 
 
 def test_spectrum_report_structure_and_rescaling():
@@ -205,21 +213,6 @@ def test_spectrum_trace_matches_wishart_trace():
     for rec in report["records"]:
         if rec["statistic"] == "moment_k1":
             assert rec["value"] == pytest.approx(1.0, abs=0.2)
-
-
-def test_reports_are_deterministic():
-    for runner, config in [
-        (run_spectrum, small_config()),
-        (run_extremes, small_config(subcommand="extremes")),
-        (run_pure_state, small_config(subcommand="pure", ensemble="pure", alpha=None)),
-        (run_ppt_sweep, small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0))),
-        # two trial workers, each with its share of the BLAS threads
-        (run_ppt_sweep, small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(2.0, 8.0),
-                                     threads=2)),
-    ]:
-        first = reporting.emit_json(runner(config))
-        second = reporting.emit_json(runner(config))
-        assert first == second
 
 
 def test_reports_independent_of_thread_count():
@@ -338,6 +331,43 @@ def test_csv_schema():
     assert len(lines) == 1 + len(report["records"])
     first = lines[1].split(",")
     assert first[0] == "extremes" and first[1] == "6" and first[2] == "6"
+
+
+def test_extremes_edges_follow_an_explicit_p():
+    # with p given, alpha = p / n sets the edges 1 -+ 2 / sqrt(alpha) and the records' columns
+    report = run_extremes(small_config(subcommand="extremes", alpha=None, p=77))
+    alpha = 77 / 36
+    assert report["theory"] == {"edge_low": 1.0 - 2.0 / sqrt(alpha), "edge_high": 1.0 + 2.0 / sqrt(alpha)}
+    assert {(r["p"], r["alpha"]) for r in report["records"]} == {(77, alpha)}
+
+
+class _MovedLaw:
+    """MarchenkoPastur(1) with its closed-form moment k moved by `by`; for k = 0
+    an atom of mass `by` moves the quadrature mass alone."""
+
+    def __init__(self, k, by):
+        self.law, self.k, self.by = MarchenkoPastur(1.0), k, by
+        self.support = self.law.support
+        self.atom = by if k == 0 else 0.0
+
+    def density(self, t):
+        return self.law.density(t)
+
+    def moment(self, j):
+        return self.law.moment(j) + (self.by if j == self.k else 0.0)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_quadrature_suite_holds_each_order_to_its_margin(k):
+    # the suite behind the self-test's mp_quadrature items and criterion 4:
+    # the mass within 1e-8 and every moment k = 1..8 within 1e-6
+    tol = 1e-8 if k == 0 else 1e-6
+    assert _quadrature_suite(_MovedLaw(k, 0.5 * tol)) == "ok"
+    refusal = _quadrature_suite(_MovedLaw(k, 2.0 * tol))
+    if k == 0:
+        assert refusal.startswith("density mass ")
+    else:
+        assert refusal == f"quadrature moment {k} disagrees with the closed form"
 
 
 def test_extremes_check_mode():

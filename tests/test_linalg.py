@@ -14,7 +14,7 @@ from ptwishart import (
     sample_wishart,
 )
 from ptwishart.errors import NumericError, ParameterError, ShapeError
-from ptwishart.linalg import _HERMITICITY_TILE, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian
+from ptwishart.linalg import _HERMITICITY_TILE, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian, pt_eigenvalues
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -195,25 +195,25 @@ def _heevd_solver(complex_field):
     return solver
 
 
-def _spy(monkeypatch, solver, lookup="zheevd_2stage"):
-    """Count the calls that reach the solver returned by the `_blas` lookup."""
+def _spy(monkeypatch, complex_field=True, lookups=("zheevd_2stage",)):
+    """Count, by n, the calls that reach the solvers the `_blas` lookups return
+    for the field; skip when the OpenBLAS lacks one."""
     calls = []
+    for lookup in lookups:
+        solver = _heevd_solver(complex_field) if lookup == "heevd" else _two_stage_solver()
 
-    def spy(*args):
-        calls.append(args[3])
-        return solver(*args)
+        def spy(*args, solver=solver):
+            calls.append(args[3])
+            return solver(*args)
 
-    monkeypatch.setattr(_blas, lookup, lambda *field: spy)
+        monkeypatch.setattr(_blas, lookup, lambda *field, spy=spy: spy)
     return calls
 
 
-FIELDS = pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-
-
-@FIELDS
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2, 9, 225, TWO_STAGE_MIN_N - 1])
 def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
-    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
+    calls = _spy(monkeypatch, complex_field, ("heevd",))
     rng = np.random.default_rng(47)
     a = random_hermitian(n, rng, complex_field)
     # C-ordered, F-ordered, and a strided view of a larger Hermitian matrix
@@ -226,49 +226,8 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
     assert calls == [n] * len(inputs)
 
 
-@FIELDS
-def test_evd_falls_back_without_the_symbol(monkeypatch, complex_field):
-    monkeypatch.setattr(_blas, "heevd", lambda complex_field: None)
-    fallback = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
-    a = random_hermitian(225, np.random.default_rng(53), complex_field)
-    np.testing.assert_array_equal(hermitian_eigenvalues(a), eigvalsh(a))
-    assert fallback == [225]
-
-
-@FIELDS
-def test_evd_path_still_refuses_bad_input(monkeypatch, complex_field):
-    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
-    a = random_hermitian(225, np.random.default_rng(59), complex_field)
-    bad = a.copy()
-    bad[3, 5] = np.nan
-    with pytest.raises(NumericError, match="non-finite"):
-        hermitian_eigenvalues(bad)
-    bad = a.copy()
-    bad[3, 5] += 1.0
-    with pytest.raises(NumericError, match="self-adjoint"):
-        hermitian_eigenvalues(bad)
-    assert calls == []
-
-
-@FIELDS
-def test_evd_concurrent_calls_match_serial(monkeypatch, complex_field):
-    # ctypes releases the GIL, so pool workers run their solves at the same time
-    calls = _spy(monkeypatch, _heevd_solver(complex_field), "heevd")
-    rng = np.random.default_rng(61)
-    matrices = [random_hermitian(225, rng, complex_field) for _ in range(4)]
-    with _blas.split(2):
-        serial = [hermitian_eigenvalues(a) for a in matrices]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            concurrent = list(pool.map(hermitian_eigenvalues, matrices * 3, timeout=300))
-    assert len(calls) == 16
-    for vals, expected in zip(concurrent, serial * 3):
-        np.testing.assert_array_equal(vals, expected)
-
-
 def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
-    calls = _spy(monkeypatch, _two_stage_solver())
+    calls = _spy(monkeypatch)
     d = isqrt(TWO_STAGE_MIN_N - 1) + 1
     shape = BipartiteShape(d, d)
     a = partial_transpose(sample_wishart(WishartParams(n=shape.n, alpha=4.0), SampleStream(31, 0)), shape)
@@ -287,36 +246,83 @@ def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
     assert calls == [shape.n, shape.n]
 
 
-def test_two_stage_falls_back_without_the_symbol(monkeypatch):
-    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: None)
-    a = random_hermitian(TWO_STAGE_MIN_N, np.random.default_rng(37))
-    np.testing.assert_array_equal(hermitian_eigenvalues(a), np.linalg.eigvalsh(a))
+# Each eigensolver route's fallback, refusal and concurrency checks, one row
+# per (entry point, route).  A row's shape is None for hermitian_eigenvalues
+# and the bipartite shape for pt_eigenvalues, which consumes its input.
 
 
-def test_two_stage_path_still_refuses_bad_input(monkeypatch):
-    calls = _spy(monkeypatch, _two_stage_solver())
-    a = random_hermitian(TWO_STAGE_MIN_N, np.random.default_rng(41))
+def _solve(a, shape):
+    return hermitian_eigenvalues(a) if shape is None else pt_eigenvalues(a, shape)
+
+
+def _hermitian(n, seed, complex_field=True):
+    return lambda: random_hermitian(n, np.random.default_rng(seed), complex_field)
+
+
+def _wishart(n, p, index):
+    return lambda: sample_wishart(WishartParams(n=n, p=p), SampleStream(9, index))
+
+
+BOTH_SOLVERS = ("heevd", "zheevd_2stage")
+
+
+@pytest.mark.parametrize("shape, make, missing", [
+    pytest.param(None, _hermitian(225, 53, False), ("heevd",), id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 53), ("heevd",), id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 37), ("zheevd_2stage",), id="hermitian_eigenvalues-two-stage"),
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_SOLVERS, id="pt_eigenvalues-no-solver"),
+])
+def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing):
+    for lookup in missing:
+        monkeypatch.setattr(_blas, lookup, lambda *complex_field: None)
+    fallback = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
+    a = make()
+    expected = eigvalsh(a if shape is None else partial_transpose(a, shape))
+    np.testing.assert_array_equal(_solve(a, shape), expected)
+    # without the two-stage symbol alone heevd solves; with no solver left, eigvalsh
+    assert fallback == ([len(a)] if _blas.heevd(np.iscomplexobj(a)) is None else [])
+
+
+@pytest.mark.parametrize("shape, make, lookups", [
+    pytest.param(None, _hermitian(225, 59, False), ("heevd",), id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 59), ("heevd",), id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 41), ("zheevd_2stage",), id="hermitian_eigenvalues-two-stage"),
+    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_SOLVERS, id="pt_eigenvalues-evd"),
+])
+def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups):
+    a = make()
+    calls = _spy(monkeypatch, np.iscomplexobj(a), lookups)
     bad = a.copy()
     bad[3, 5] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
-        hermitian_eigenvalues(bad)
+        _solve(bad, shape)
     bad = a.copy()
     bad[3, 5] += 1.0
     with pytest.raises(NumericError, match="self-adjoint"):
-        hermitian_eigenvalues(bad)
+        _solve(bad, shape)
+    if shape is not None:
+        with pytest.raises(ShapeError):
+            pt_eigenvalues(a, BipartiteShape(3, 3))
     assert calls == []
 
 
-def test_two_stage_concurrent_calls_match_serial(monkeypatch):
-    # trial workers call the solver from a thread pool, with the BLAS threads split among them
-    calls = _spy(monkeypatch, _two_stage_solver())
-    rng = np.random.default_rng(43)
-    matrices = [random_hermitian(TWO_STAGE_MIN_N, rng) for _ in range(2)]
-    workers = 3
-    with _blas.split(workers):
+@pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, lookup", [
+    pytest.param(False, 225, 61, 4, 2, 3, "heevd", id="hermitian_eigenvalues-evd-real"),
+    pytest.param(True, 225, 61, 4, 2, 3, "heevd", id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zheevd_2stage", id="hermitian_eigenvalues-two-stage"),
+])
+def test_concurrent_calls_match_serial(monkeypatch, complex_field, n, seed, count, split, repeats, lookup):
+    # ctypes releases the GIL, so pool workers run their solves at the same
+    # time, as trial workers do, with the BLAS threads split among them
+    calls = _spy(monkeypatch, complex_field, (lookup,))
+    rng = np.random.default_rng(seed)
+    matrices = [random_hermitian(n, rng, complex_field) for _ in range(count)]
+    with _blas.split(split):
         serial = [hermitian_eigenvalues(a) for a in matrices]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            concurrent = list(pool.map(hermitian_eigenvalues, matrices + matrices, timeout=300))
-    assert len(calls) == 6
-    for vals, expected in zip(concurrent, serial + serial):
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            concurrent = list(pool.map(hermitian_eigenvalues, matrices * repeats, timeout=300))
+    assert len(calls) == count * (1 + repeats)
+    for vals, expected in zip(concurrent, serial * repeats):
         np.testing.assert_array_equal(vals, expected)

@@ -22,7 +22,6 @@ from ptwishart.ensembles import (
     sample_mixture_state,
     sample_wishart,
 )
-from ptwishart.errors import NumericError
 from ptwishart.linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose, pt_eigenvalues
 from ptwishart.spectra import ppt_gauge
 
@@ -191,32 +190,6 @@ def test_pt_eigenvalues_copies_other_input_and_leaves_it(monkeypatch, field):
         if np.asarray(x).dtype == w.dtype:
             assert values.tobytes() == expected.tobytes()
     assert len(seen) == 1 + len(inputs)
-
-
-def test_pt_eigenvalues_refuses_what_hermitian_eigenvalues_refuses(monkeypatch):
-    shape = BipartiteShape(3, 4)
-    seen = _solver_spy(monkeypatch)
-    w = sample_wishart(WishartParams(n=12, p=20), SampleStream(9, 2))
-    bad = w.copy()
-    bad[3, 5] = np.nan
-    with pytest.raises(NumericError, match="non-finite"):
-        pt_eigenvalues(bad, shape)
-    bad = w.copy()
-    bad[3, 5] += 1.0
-    with pytest.raises(NumericError, match="self-adjoint"):
-        pt_eigenvalues(bad, shape)
-    with pytest.raises(linalg.ShapeError):
-        pt_eigenvalues(w, BipartiteShape(3, 3))
-    assert seen == []
-
-
-def test_pt_eigenvalues_falls_back_without_the_symbols(monkeypatch):
-    monkeypatch.setattr(_blas, "heevd", lambda complex_field: None)
-    monkeypatch.setattr(_blas, "zheevd_2stage", lambda: None)
-    shape = BipartiteShape(16, 16)
-    w = sample_wishart(WishartParams(n=256, p=1024), SampleStream(9, 3))
-    expected = np.linalg.eigvalsh(_reference_pt(w, shape))
-    np.testing.assert_array_equal(pt_eigenvalues(w, shape), expected)
 
 
 def test_public_functions_leave_their_input_unchanged():

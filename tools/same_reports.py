@@ -33,10 +33,12 @@ ARGVS = [
     ["spectrum", "--d", "4", "--trials", "2", "--threads", "3"],
     ["spectrum", "--d", "17", "--trials", "2"],
     ["spectrum", "--alpha", "4", "--check", "--threads", "1", "--d", "30", "--trials", "2", "--seed", "1"],
-    # extremes: a threshold pass and a miss (exit 3), the real field, and n = 1600
+    # extremes: a threshold pass and a miss (exit 3), the real field, an explicit
+    # p (alpha = p / n in the edge theory and the check), and n = 1600
     ["extremes", "--d", "10", "--trials", "3", "--check"],
     ["extremes", "--d", "10", "--trials", "2", "--check", "--tol", "1e-9"],
     ["extremes", "--d", "17", "--trials", "2", "--field", "real"],
+    ["extremes", "--d", "12", "--p", "500", "--trials", "2", "--check"],
     ["extremes", "--alpha", "4", "--check", "--threads", "1", "--d", "40", "--trials", "1", "--seed", "1"],
     # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3
     ["ppt", "--d", "6", "--trials", "5", "--threads", "2"],
