@@ -1,4 +1,4 @@
-"""Every BLAS and LAPACK routine the package calls, and the thread counts of
+"""Every BLAS and LAPACK routine the package calls, and the thread count of
 the OpenBLAS that runs them.
 
 The routines come from numpy's own OpenBLAS (64-bit integers, "64_" suffix)
@@ -14,14 +14,12 @@ A foreign call through ctypes releases the GIL, so trial workers run these
 routines at the same time; numpy's eigvalsh holds the GIL.  Where numpy's
 copy lacks a symbol (numpy < 2, or a numpy built on another BLAS), the
 eigensolver lookups return None and the caller falls back to eigvalsh, while
-`herk` and `lauum` import scipy.linalg and call its wrappers, which run in
-scipy's own OpenBLAS.  This module is the only one that imports scipy, and
-only then.
+`herk` and `lauum` form their products with numpy's matmul.
 
 OpenBLAS starts one thread per core (or as many as OPENBLAS_NUM_THREADS
 says).  Trial workers that all call it would run workers x cores threads, so
-`split` gives each copy in the process max(1, its start-up count // workers)
-threads while the workers run.
+`split` gives numpy's copy max(1, its start-up count // workers) threads while
+the workers run.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericError
-
-# (get, set) thread-count symbols of the OpenBLAS in the numpy (64-bit
-# integers, "64_" suffix) and scipy wheels; scipy's copy is loaded only when
-# numpy's lacks a Gram routine
-_SYMBOLS = [(f"scipy_openblas_get_num_threads{suffix}", f"scipy_openblas_set_num_threads{suffix}")
-            for suffix in ("64_", "")]
 
 # LAPACKE's matrix_layout and the CBLAS enum values for column-major storage,
 # the lower triangle and no transpose
@@ -58,6 +50,8 @@ _UPDATE = (None, (c_int, c_int, c_int, c_int64, c_int64, c_double, c_void_p, c_i
 _HERK = [("scipy_cblas_dsyrk64_", *_UPDATE), ("scipy_cblas_zherk64_", *_UPDATE)]
 _LAUUM = [(name, c_int64, (c_int, c_char, c_int64, c_void_p, c_int64))
           for name in ("scipy_LAPACKE_dlauum64_", "scipy_LAPACKE_zlauum64_")]
+_GET_THREADS = ("scipy_openblas_get_num_threads64_", c_int, ())
+_SET_THREADS = ("scipy_openblas_set_num_threads64_", None, (c_int,))
 
 
 def _mapped() -> tuple:
@@ -84,21 +78,13 @@ def _function(name: str, restype, argtypes: tuple):
 
 
 @cache
-def _copies() -> tuple:
-    """(get, set, start-up thread count) of each OpenBLAS mapped into this process.
-
-    When numpy's copy lacks a Gram routine, scipy's copy runs it, so scipy is
-    imported first and the scan covers its copy too."""
-    if any(_function(*routine) is None for routine in _HERK + _LAUUM):
-        import scipy.linalg  # noqa: F401
-    copies = []
-    for lib in _mapped():
-        for get_name, set_name in _SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                copies.append((get, set_, get()))
-                break
-    return tuple(copies)
+def _threads(lookup=_function) -> tuple | None:
+    """(get, set, start-up thread count) of numpy's OpenBLAS, or None without the symbols.
+    `lookup` is bound at import, so a stand-in `_function` that a test installs cannot turn the split off."""
+    get, set_ = lookup(*_GET_THREADS), lookup(*_SET_THREADS)
+    if get is None or set_ is None:
+        return None
+    return get, set_, get()
 
 
 def heevd(complex_field: bool):
@@ -132,17 +118,17 @@ def eigenvalues(solver, work: np.ndarray, uplo: bytes) -> np.ndarray:
 def herk(alpha: float, a: np.ndarray, c: np.ndarray, beta: float = 0.0) -> np.ndarray:
     """alpha a a^dagger + beta c into the lower triangle of c, in place, and c;
     zherk for complex128 input, dsyrk for float64.  a is n x k, c an F-ordered
-    n x n array of a's dtype."""
+    n x n array of a's dtype.  Without the symbol, numpy's matmul writes all of
+    c; with beta = 0, as in BLAS, c's old entries are ignored."""
     complex_field = np.iscomplexobj(a)
-    fn = _function(*_HERK[complex_field])
-    if fn is None:
-        from scipy.linalg import blas
-        update = blas.zherk if complex_field else blas.dsyrk
-        return update(alpha, a, beta=beta, c=c, lower=1, overwrite_c=1)
     a = np.asfortranarray(a, dtype=_DTYPES[complex_field])
     n, k = a.shape
     if not (c.flags.f_contiguous and c.shape == (n, n) and c.dtype == a.dtype):
         raise ValueError(f"c must be an F-ordered {n} x {n} {a.dtype} array")
+    fn = _function(*_HERK[complex_field])
+    if fn is None:
+        c[...] = alpha * (a @ a.conj().T) + (beta * c if beta else 0.0)
+        return c
     fn(_COL_MAJOR, _CBLAS_LOWER, _CBLAS_NO_TRANS, n, k, alpha, a.ctypes.data, max(n, 1), beta,
        c.ctypes.data, max(n, 1))
     return c
@@ -152,38 +138,43 @@ def lauum(u: np.ndarray) -> np.ndarray:
     """U U^dagger in the upper triangle of the upper triangular square u, whose
     strict lower triangle is kept, and that array; zlauum for complex128 input,
     dlauum for float64.  Like herk's c, an F-ordered u of its field's dtype is
-    written in place; any other u is copied into one first."""
+    written in place; any other u is copied into one first.  Without the
+    symbol, numpy's matmul forms the product in n x n temporaries that
+    `experiments.worker_memory` does not count."""
     complex_field = np.iscomplexobj(u)
+    out = np.asfortranarray(u, dtype=_DTYPES[complex_field])
+    n = len(out)
+    if out.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {out.shape}")
     fn = _function(*_LAUUM[complex_field])
     if fn is None:
-        from scipy.linalg import lapack
-        out, info = (lapack.zlauum if complex_field else lapack.dlauum)(u, overwrite_c=1)
-    else:
-        out = np.asfortranarray(u, dtype=_DTYPES[complex_field])
-        n = len(out)
-        if out.shape != (n, n):
-            raise ValueError(f"expected a square matrix, got shape {out.shape}")
-        info = fn(_COL_MAJOR, b"U", n, out.ctypes.data, max(n, 1))
+        upper = np.triu(out)
+        np.copyto(out, upper @ upper.conj().T, where=~np.tri(n, k=-1, dtype=bool))
+        return out
+    info = fn(_COL_MAJOR, b"U", n, out.ctypes.data, max(n, 1))
     if info != 0:
         raise NumericError(f"lauum failed with info {info}")
     return out
 
 
-def per_worker_counts(workers: int) -> list[int]:
-    """The thread count `split(workers)` gives each copy; empty when none was found."""
-    return [max(1, start // workers) for _, _, start in _copies()]
+def per_worker_count(workers: int) -> int | None:
+    """The thread count `split(workers)` gives numpy's OpenBLAS; None without the symbols."""
+    threads = _threads()
+    return None if threads is None else max(1, threads[2] // workers)
 
 
 @contextmanager
 def split(workers: int):
-    """Run the block with every copy at its per-worker count; the old counts
-    come back afterwards, also when the block raises."""
-    copies = _copies()
-    old = [get() for get, _, _ in copies]
+    """Run the block with numpy's OpenBLAS at its per-worker count; the old
+    count comes back afterwards, also when the block raises."""
+    threads = _threads()
+    if threads is None:
+        yield
+        return
+    get, set_, _ = threads
+    old = get()
     try:
-        for (_, set_, _), count in zip(copies, per_worker_counts(workers)):
-            set_(count)
+        set_(per_worker_count(workers))
         yield
     finally:
-        for (_, set_, _), count in zip(copies, old):
-            set_(count)
+        set_(old)

@@ -55,7 +55,7 @@ def _add_common(sub, subcommand, help):
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--threads", type=int, default=1,
                         help=f"trial workers (1..{experiments.MAX_THREADS}, at most one per trial); "
-                             "with two or more, each OpenBLAS copy runs its start-up thread "
+                             "with two or more, numpy's OpenBLAS runs its start-up thread "
                              "count // workers threads (at least 1) while they run")
     return parser
 

@@ -5,8 +5,8 @@ refused before any computation.  Each public runner defines one trial as a
 function of its SampleStream and maps it with `_run_trials`, the one trial
 loop, over streams 0..count-1 (ppt maps its whole grid at once: grid point ai
 draws streams ai * trials + t).  With two or more trial workers the loop sets
-every OpenBLAS copy to max(1, start-up thread count // workers) while they
-run, so the cores are split, not oversubscribed.  A trial holds one n x n
+numpy's OpenBLAS to max(1, start-up thread count // workers) threads while
+they run, so the cores are split, not oversubscribed.  A trial holds one n x n
 array: `pt_eigenvalues` transposes its `_draw` in place and solves it there,
 and `worker_memory` is what a worker holds at its peak, which the config
 checks against `memory_budget` before any trial.
@@ -271,10 +271,9 @@ def thread_budget(config: ExperimentConfig) -> str:
     workers = _trial_workers(config)
     if workers == 1:
         return "1 trial worker x default BLAS threads"
-    counts = _blas.per_worker_counts(workers)
-    if not counts:
+    blas = _blas.per_worker_count(workers)
+    if blas is None:
         return f"{workers} trial workers, BLAS threads not managed"
-    blas = max(counts)
     return f"{workers} trial workers x {blas} BLAS thread{'' if blas == 1 else 's'}"
 
 
@@ -676,6 +675,9 @@ def run_laws(alpha: float = 4.0, bins: int = DEFAULT_BINS) -> dict:
         if hasattr(law, "density"):
             lo, hi = law.support
             grid = np.linspace(lo, hi, bins + 1)
+            if np.unique(grid).size < grid.size:
+                raise ParameterError(f"alpha {alpha} is too {'large' if alpha > 1 else 'small'}: the {name} "
+                                     f"support [{lo}, {hi}] is too narrow for {bins + 1} distinct grid points")
             density_tables[name] = {
                 "x": grid.tolist(),
                 "density": law.density(grid).tolist(),

@@ -20,7 +20,7 @@ from math import comb, isfinite, pi, sqrt
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import catalan, mp_moment_via_noncrossing
+from .partitions import catalan
 
 # midpoint nodes of `quadrature_moment`
 _QUADRATURE_NODES = 4096
@@ -114,8 +114,13 @@ class MarchenkoPastur:
         return _scalar_or_array(np.where(inside, val, 0.0))
 
     def moment(self, k: int) -> float:
-        """Exact k-th moment as the non-crossing partition sum."""
-        return mp_moment_via_noncrossing(self.alpha, k)
+        """Exact k-th moment, the Narayana sum over j of N(k, j) alpha^(j - k), where
+        N(k, j) = C(k, j) C(k, j - 1) / k counts the non-crossing partitions of [k] into j blocks."""
+        if k < 0:
+            raise ParameterError(f"moment order must be >= 0, got {k}")
+        if k == 0:
+            return 1.0
+        return float(sum(comb(k, j) * comb(k, j - 1) // k * self.alpha ** (j - k) for j in range(1, k + 1)))
 
     def cdf(self, x):
         """Atom plus alpha / (2 pi) * (G(x) - G(lo)) on the support, where

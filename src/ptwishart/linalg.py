@@ -151,6 +151,17 @@ def _dtype(a: np.ndarray):
     return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
+def _checked_eigenvalues(a: np.ndarray, plan, in_place: bool) -> np.ndarray:
+    """a's eigenvalues, once `_check_self_adjoint` passes a: by `plan` (from `_solver`) in a's memory,
+    or in a copy in the plan's order unless `in_place`; by np.linalg.eigvalsh(a) when plan is None."""
+    _check_self_adjoint(a)
+    if plan is None:
+        return np.linalg.eigvalsh(a)
+    solver, order, uplo = plan
+    work = a if in_place else np.array(a, dtype=_dtype(a), order=order)
+    return _blas.eigenvalues(solver, work, uplo)
+
+
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
@@ -164,12 +175,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     or when the solver does not converge.
     """
     a = _as_square(a)
-    _check_self_adjoint(a)
-    plan = _solver(np.iscomplexobj(a), len(a))
-    if plan is None:
-        return np.linalg.eigvalsh(a)
-    solver, order, uplo = plan
-    return _blas.eigenvalues(solver, np.array(a, dtype=_dtype(a), order=order), uplo)
+    return _checked_eigenvalues(a, _solver(np.iscomplexobj(a), len(a)), in_place=False)
 
 
 def _swap_in_place(blocks: np.ndarray, reverse: bool, swap_blocks: bool):
@@ -237,9 +243,4 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
     blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
     _swap_in_place(blocks, reverse, swap_blocks=source_f != target_f)
     a = blocks.reshape(shape.n, shape.n)
-    if target_f:
-        a = a.T
-    _check_self_adjoint(a)
-    if plan is None:
-        return np.linalg.eigvalsh(a)
-    return _blas.eigenvalues(plan[0], a, plan[2])
+    return _checked_eigenvalues(a.T if target_f else a, plan, in_place=True)

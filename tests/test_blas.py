@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,25 @@ def _draw(rng, shape, complex_field):
     return np.asfortranarray(x)
 
 
+@contextmanager
+def _split(workers):
+    """`_blas.split(workers)`, with scipy's OpenBLAS, which runs the references,
+    at max(1, its own count // workers) threads too."""
+    for lib in _blas._mapped():
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            break
+    else:
+        pytest.skip("scipy's OpenBLAS exports no thread-count symbols")
+    old = get()
+    try:
+        with _blas.split(workers):
+            set_(max(1, old // workers))
+            yield
+    finally:
+        set_(old)
+
+
 @FIELDS
 @SIZES
 @WORKERS
@@ -38,7 +58,7 @@ def test_herk_equals_scipy_bitwise(n, k_of_n, workers, complex_field):
     rng = np.random.default_rng(n)
     a = _draw(rng, (n, k_of_n(n)), complex_field)
     update = blas.zherk if complex_field else blas.dsyrk
-    with _blas.split(workers):
+    with _split(workers):
         # a fresh product, and an update of an existing triangle as the mixture sampler makes
         for beta in (0.0, 1.0):
             start = _draw(rng, (n, n), complex_field)
@@ -61,7 +81,7 @@ def test_lauum_equals_scipy_bitwise(n, workers, complex_field):
     # the index-reversed lower factor that sample_wishart passes, upper triangular
     u = lower[::-1, ::-1]
     before = u.copy()
-    with _blas.split(workers):
+    with _split(workers):
         expected, info = (lapack.zlauum if complex_field else lapack.dlauum)(u)
         got = _blas.lauum(u)
     assert info == 0
@@ -75,55 +95,106 @@ def test_lauum_equals_scipy_bitwise(n, workers, complex_field):
         assert np.max(np.abs(got - expected)) <= 4e-16 * np.max(np.abs(expected))
 
 
-def _scipy_spies(monkeypatch):
-    calls = []
-    for module, name in [(blas, "zherk"), (blas, "dsyrk"), (lapack, "zlauum"), (lapack, "dlauum")]:
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, name=name, original=original, **kwargs:
-                            calls.append(name) or original(*args, **kwargs))
-    return calls
+# relative to the largest entry; measured: 0 on the herk route, 2.3e-15 on the
+# lauum route and 3.1e-16 for a two-block mixture
+FALLBACK_RTOL = 1e-14
+
+
+def _assert_close(got, expected):
+    assert np.max(np.abs(got - expected)) <= FALLBACK_RTOL * np.max(np.abs(expected))
+
+
+def _no_symbols(monkeypatch):
+    monkeypatch.setattr(_blas, "_function", lambda *routine: None)
+
+
+@FIELDS
+def test_fallbacks_compute_what_the_routines_compute(monkeypatch, complex_field):
+    rng = np.random.default_rng(67)
+    a = _draw(rng, (40, 30), complex_field)
+    # lauum reads only the real part of the diagonal; a Bartlett factor's is real
+    u = np.triu(_draw(rng, (40, 40), complex_field), 1) + np.diag(rng.standard_normal(40))
+    u += np.tril(_draw(rng, (40, 40), complex_field), -1)
+    start = _draw(rng, (40, 40), complex_field)
+    # beta = 0 ignores c's old entries, here NaN; beta = 1 adds to a Hermitian c,
+    # whose diagonal zherk takes as real
+    starts = {0.0: np.full((40, 40), np.nan, dtype=a.dtype, order="F"), 1.0: start + start.conj().T}
+    expected = {beta: np.tril(_blas.herk(0.5, a, c.copy(order="F"), beta=beta)) for beta, c in starts.items()}
+    expected_u = _blas.lauum(u.copy(order="F"))
+    _no_symbols(monkeypatch)
+    for beta, c in starts.items():
+        _assert_close(np.tril(_blas.herk(0.5, a, c.copy(order="F"), beta=beta)), expected[beta])
+    got_u = _blas.lauum(u.copy(order="F"))
+    _assert_close(got_u, expected_u)
+    # lauum keeps the strict lower triangle
+    np.testing.assert_array_equal(np.tril(got_u, -1), np.tril(u, -1))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n, p", [(36, 144), (300, 100), (300, 1200)], ids=["herk", "herk-p<n", "lauum"])
-def test_wishart_falls_back_to_scipy_without_the_symbols(monkeypatch, field, n, p):
+def test_wishart_falls_back_to_numpy_without_the_symbols(monkeypatch, field, n, p):
     params = WishartParams(n=n, p=p, field=field)
     expected = sample_wishart(params, SampleStream(53, 0))
-    calls = _scipy_spies(monkeypatch)
-    monkeypatch.setattr(_blas, "_function", lambda *routine: None)
-    np.testing.assert_array_equal(sample_wishart(params, SampleStream(53, 0)), expected)
-    routine = "lauum" if p >= n >= ensembles.LAUUM_MIN_N else "herk" if field == "complex" else "syrk"
-    assert calls == [("z" if field == "complex" else "d") + routine]
+    _no_symbols(monkeypatch)
+    got = sample_wishart(params, SampleStream(53, 0))
+    _assert_close(got, expected)
+    # the matmul fallback writes both triangles; the mirror still leaves the sample exactly Hermitian
+    np.testing.assert_array_equal(got, got.conj().T)
 
 
-def test_mixture_falls_back_to_scipy_without_the_symbols(monkeypatch):
+def test_mixture_falls_back_to_numpy_without_the_symbols(monkeypatch):
     # p > GRAM_CHUNK: the second block updates the first one's triangle
     p = ensembles.GRAM_CHUNK + 64
     expected = ensembles.sample_mixture_state(12, p, SampleStream(59, 0))
-    calls = _scipy_spies(monkeypatch)
-    monkeypatch.setattr(_blas, "_function", lambda *routine: None)
-    np.testing.assert_array_equal(ensembles.sample_mixture_state(12, p, SampleStream(59, 0)), expected)
-    assert calls == ["zherk", "zherk"]
+    _no_symbols(monkeypatch)
+    got = ensembles.sample_mixture_state(12, p, SampleStream(59, 0))
+    _assert_close(got, expected)
+    np.testing.assert_array_equal(got, got.conj().T)
 
 
-def test_split_covers_scipy_openblas_when_it_runs_the_gram():
-    # in a fresh process, so that no earlier scan of the copies is cached
-    code = (
-        "import sys\n"
-        "from ptwishart import _blas\n"
-        "_blas._function = lambda *routine: None\n"
-        "with _blas.split(2):\n"
-        "    copies = _blas._copies()\n"
-        "    print(sorted(get.__name__ for get, _, _ in copies))\n"
-        "    print([get() for get, _, _ in copies] == _blas.per_worker_counts(2))\n"
-        "print('scipy.linalg' in sys.modules)\n"
-    )
+def _fresh(code: str) -> list[str]:
+    """The stdout lines of `code` run in a new interpreter, so nothing of this
+    process's lookups is cached there."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    names, split, imported = result.stdout.splitlines()
-    if "scipy_openblas_get_num_threads64_" not in names:
-        pytest.skip("numpy's OpenBLAS is not a scipy-openblas build")
-    assert "'scipy_openblas_get_num_threads'" in names
-    assert split == "True" and imported == "True"
+    return result.stdout.splitlines()
+
+
+def test_split_survives_a_lookup_without_the_symbols():
+    # the thread-count symbols are looked up through the real `_function`, even
+    # when a stand-in that finds nothing replaced it before the first split
+    if _blas._threads() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count symbols")
+    code = (
+        "from ptwishart import _blas\n"
+        "_blas._function = lambda *routine: None\n"
+        "get, _, start = _blas._threads()\n"
+        "with _blas.split(2):\n"
+        "    print(get() == _blas.per_worker_count(2) == max(1, start // 2))\n"
+        "print(get() == start)\n"
+    )
+    assert _fresh(code) == ["True", "True"]
+
+
+def test_trials_without_the_symbols_match_and_import_no_scipy():
+    # a lauum-route spectrum trial at n = 289, solved by eigvalsh, and a mixture
+    # trial of two Gram blocks, first with numpy's OpenBLAS routines and then without
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ptwishart import _blas, experiments\n"
+        "configs = [experiments.ExperimentConfig(subcommand='spectrum', d1=d, d2=d, trials=1, alpha=4.0,\n"
+        "                                        ensemble=ensemble)\n"
+        "           for d, ensemble in ((17, 'wishart'), (12, 'mixture'))]\n"
+        "def spectra():\n"
+        "    return [np.array(experiments.run_spectrum(c)['spectra'][0]['eigenvalues']) for c in configs]\n"
+        "expected = spectra()\n"
+        "_blas._function = lambda *routine: None\n"
+        "for e, g in zip(expected, spectra()):\n"
+        "    print(np.max(np.abs(g - e)) / np.max(np.abs(e)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    *errors, imported = _fresh(code)
+    assert len(errors) == 2 and all(0 <= float(e) <= 1e-12 for e in errors), errors
+    assert imported == "[]"

@@ -60,6 +60,10 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["laws", "--alpha", "1e-100"], "alpha"),
         # 1 / alpha overflows to inf, and no law takes a non-finite parameter
         (["laws", "--alpha", "1e-320"], "alpha 1e-320"),
+        # the supports narrow, relative to their midpoints, until a density grid
+        # repeats its x values: about 1 at a large alpha, about 1/alpha at a small one
+        (["laws", "--alpha", "1e30"], "alpha 1e+30 is too large"),
+        (["laws", "--alpha", "1e-40"], "alpha 1e-40 is too small"),
         (["spectrum", "--check", "--tol", "nan"], "tol"),
         (["ppt", "--field", "real"], "field"),
         (["pure", "--field", "real"], "field"),
@@ -172,6 +176,10 @@ def test_laws_subcommand_stdout(capsys):
     report = json.loads(captured.out)
     values = {rec["statistic"]: rec["value"] for rec in report["records"]}
     assert values["marchenko_pastur:moment_k3"] == 5.0
+    # at alpha = 1e20 the supports are narrow, but every grid point is distinct
+    assert run_cli(["laws", "--alpha", "1e20"]) == 0
+    tables = json.loads(capsys.readouterr().out)["density_tables"]
+    assert [len(set(table["x"])) for table in tables.values()] == [101] * 3
 
 
 def test_unbalanced_shape(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ptwishart import MarchenkoPastur, ProductSemicircle, Semicircle
+from ptwishart import MarchenkoPastur, ProductSemicircle, Semicircle, mp_moment_via_noncrossing
 from ptwishart.errors import ParameterError
 
 
@@ -58,6 +58,18 @@ def test_mp_moments():
         assert law.moment(1) == 1.0
         assert law.moment(2) == pytest.approx(1.0 + 1.0 / alpha)
     assert MarchenkoPastur(1.0).moment(3) == 5.0
+    with pytest.raises(ParameterError):
+        MarchenkoPastur(1.0).moment(-1)
+
+
+# at a dyadic alpha every term and partial sum of both sums is exact; elsewhere
+# the sum over NC(k) rounds to about 1e-12 relative at k = 12
+@pytest.mark.parametrize("alpha, rtol", [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (4.0, 0.0),
+                                         (0.3, 1e-11), (3.0, 1e-11), (4.1, 1e-11)])
+def test_mp_moment_is_the_noncrossing_sum(alpha, rtol):
+    for k in range(13):
+        closed, enumerated = MarchenkoPastur(alpha).moment(k), mp_moment_via_noncrossing(alpha, k)
+        assert abs(closed - enumerated) <= rtol * enumerated, (k, closed, enumerated)
 
 
 def test_product_semicircle_moments():

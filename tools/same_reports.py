@@ -47,9 +47,11 @@ ARGVS = [
     ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
     ["pure", "--d", "6", "--trials", "3", "--check"],
-    # the law quadrature, a mixture whose p = 576 > GRAM_CHUNK takes two Gram
-    # updates, and the real field's lauum (n = 256) under a two-worker BLAS split
+    # the law quadrature, the default (alpha = 4) law tables and those at alpha =
+    # 0.5, a mixture whose p = 576 > GRAM_CHUNK takes two Gram updates, and the
+    # real field's lauum (n = 256) under a two-worker BLAS split
     ["selftest"],
+    ["laws"],
     ["laws", "--alpha", "0.5"],
     ["spectrum", "--d", "12", "--trials", "2", "--ensemble", "mixture"],
     ["spectrum", "--d", "16", "--trials", "2", "--field", "real", "--threads", "2"],
