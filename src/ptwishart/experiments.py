@@ -21,6 +21,7 @@ aggregates and theory block.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import isfinite, sqrt
@@ -43,6 +44,7 @@ from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
 from .linalg import BipartiteShape, pt_eigenvalues
 from .partitions import (
+    _couples_match,
     admissible_triples,
     catalan,
     chordings,
@@ -525,18 +527,25 @@ def _kreweras_suite(k: int) -> str:
             return f"block counts of {q} and {comp} do not sum to k+1"
         if not is_noncrossing(interleaved_union(q, comp)):
             return f"interleaved union of {q} and {comp} is crossing"
-        comp_blocks = set(comp.blocks())
-        # q's labels 1-based, with r[k + 1] = r[1] standing for the successor of k
-        r = (None,) + q.rgs + q.rgs[:1]
-        for i in range(1, k + 1):
-            if ((i,) in comp_blocks) != (r[i] == r[i + 1]):
-                return f"singleton rule fails at {i} for {q}"
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                is_pair = (i, j) in comp_blocks
-                rule = r[i] == r[j + 1] and r[i + 1] == r[j] and r[i] != r[j]
-                if is_pair != rule:
-                    return f"pair rule fails at ({i}, {j}) for {q}"
+        comp_blocks = comp.blocks()
+        # q's labels 0-based, with r[k] = r[0] standing for the successor of k
+        r = q.rgs + q.rgs[:1]
+        singletons = {i + 1 for i in range(k) if r[i] == r[i + 1]}
+        failed = singletons.symmetric_difference(b[0] for b in comp_blocks if len(b) == 1)
+        if failed:
+            return f"singleton rule fails at {min(failed)} for {q}"
+        # the pair rule r[i] == r[j + 1] != r[j] == r[i + 1] for i < j, found by
+        # looking up (r[j + 1], r[j]) among the steps (r[i], r[i + 1])
+        steps = defaultdict(list)
+        for i in range(k):
+            steps[r[i], r[i + 1]].append(i)
+        pairs = set()
+        for j in range(k):
+            if r[j] != r[j + 1]:
+                pairs.update((i + 1, j + 1) for i in steps[r[j + 1], r[j]] if i < j)
+        failed = pairs.symmetric_difference(b for b in comp_blocks if len(b) == 2)
+        if failed:
+            return f"pair rule fails at {min(failed)} for {q}"
         seen.add(comp.rgs)
     if len(seen) != catalan(k):
         return f"complement is not injective on NC({k})"
@@ -547,9 +556,9 @@ def _matching_bounds_suite(k: int) -> str:
     parts = list(set_partitions(k))
     for pa in parts:
         for pc in parts:
-            stats = wishart_matching_stats(pa.rgs, pc.rgs)
-            if not stats.matches:
+            if not _couples_match(pa.rgs, pc.rgs):
                 continue
+            stats = wishart_matching_stats(pa.rgs, pc.rgs)
             if not stats.distinct_values <= stats.distinct_couples + 1 <= k + 1:
                 return f"value/couple bound fails for a={pa}, c={pc}"
             if stats.heavy_count > 4 * (k + 1 - stats.distinct_values):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -44,7 +45,7 @@ class Partition:
     """Set partition of [k] in canonical restricted-growth form.
 
     Labels must be integers (numpy integers included); a float or a string
-    is refused, not truncated.
+    is refused, not truncated; the string is validated once, at construction.
     """
 
     rgs: tuple[int, ...]
@@ -57,11 +58,10 @@ class Partition:
         object.__setattr__(self, "rgs", rgs)
         if not rgs:
             raise ParameterError("partition of the empty set is not supported")
-        top = -1
-        for label in rgs:
-            if not 0 <= label <= top + 1:
-                raise ParameterError(f"not a restricted-growth string: {rgs}")
-            top = max(top, label)
+        # restricted growth: the labels, in order of first use, are 0, 1, ..., m - 1
+        first_use = tuple(dict.fromkeys(rgs))
+        if first_use != tuple(range(len(first_use))):
+            raise ParameterError(f"not a restricted-growth string: {rgs}")
 
     @property
     def k(self) -> int:
@@ -90,8 +90,7 @@ class Partition:
         except TypeError:
             raise ParameterError(f"block elements must be integers, got {blocks}") from None
         elements = [e for block in converted for e in block]
-        if k is None:
-            k = len(elements)
+        k = len(elements) if k is None else k
         if sorted(elements) != list(range(1, k + 1)):
             raise ParameterError(f"blocks do not partition [{k}]: {blocks}")
         owner = {e: group for group, block in enumerate(converted) for e in block}
@@ -104,14 +103,13 @@ class Partition:
 def induced_partition(values: Sequence) -> Partition:
     """Partition of positions induced by value equality: i ~ j iff values equal."""
     seen: dict = {}
-    rgs = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        rgs.append(seen[v])
+    try:
+        rgs = tuple([seen.setdefault(v, len(seen)) for v in values])
+    except TypeError:
+        raise ParameterError(f"values must be a sequence of hashable labels, got {values!r}") from None
     if not rgs:
         raise ParameterError("cannot induce a partition from an empty sequence")
-    return Partition(tuple(rgs))
+    return Partition(rgs)
 
 
 def set_partitions(k: int) -> Iterator[Partition]:
@@ -134,23 +132,20 @@ def set_partitions(k: int) -> Iterator[Partition]:
 def is_noncrossing(partition: Partition) -> bool:
     """True iff no i < j < k < l has i ~ k and j ~ l with i, j in different blocks.
 
-    Linear scan: blocks must nest like balanced parentheses, so a revisited
-    block has to sit on top of the stack of currently open blocks.
+    One scan over the stack of open blocks: revisiting a block closes every
+    block opened after it, and the partition crosses iff a closed block is
+    revisited.  A label is new iff it equals the number of labels seen so far.
     """
-    rgs = partition.rgs
-    last = {}
-    for pos, label in enumerate(rgs):
-        last[label] = pos
     stack: list[int] = []
-    open_labels: set[int] = set()
-    for pos, label in enumerate(rgs):
-        if label not in open_labels:
-            open_labels.add(label)
+    n_labels = 0
+    for label in partition.rgs:
+        if label == n_labels:
+            n_labels += 1
             stack.append(label)
-        elif stack[-1] != label:
+        elif label in stack:
+            del stack[stack.index(label) + 1 :]
+        else:
             return False
-        if last[label] == pos:
-            stack.pop()
     return True
 
 
@@ -206,50 +201,44 @@ def chordings(k: int) -> Iterator[Partition]:
 def kreweras_complement(partition: Partition) -> Partition:
     """Kreweras complement: the coarsest partition interleaving non-crossingly.
 
-    For non-crossing input this equals the cycle decomposition of the
-    permutation i -> p_inv(i + 1) (indices cyclic), where p traverses each
-    block in increasing order; the complement lives on the interleaved copy
-    {1+, ..., k+} identified back with [k].  Raises for crossing input.
+    For non-crossing input, the cycles of i -> prev(i + 1) (indices cyclic; prev
+    is the cyclic predecessor within a block, read off the restricted-growth
+    string), numbered by least element, are the complement's string directly.
+    Raises for crossing input.
     """
     if not is_noncrossing(partition):
         raise ParameterError("Kreweras complement requires a non-crossing partition")
-    k = partition.k
-    block_next = [0] * (k + 1)
-    for block in partition.blocks():
-        for t, e in enumerate(block):
-            block_next[e] = block[(t + 1) % len(block)]
-    block_prev = [0] * (k + 1)
-    for e in range(1, k + 1):
-        block_prev[block_next[e]] = e
-    image = [0] * (k + 1)
-    for e in range(1, k + 1):
-        image[e] = block_prev[e % k + 1]
-    blocks = []
-    seen = [False] * (k + 1)
-    for start in range(1, k + 1):
-        if seen[start]:
-            continue
-        cycle = []
+    rgs = partition.rgs
+    k = len(rgs)
+    # the first use of a label takes its last use, the block's largest element
+    last = dict(zip(rgs, range(k)))
+    prev = []
+    for pos, label in enumerate(rgs):
+        prev.append(last[label])
+        last[label] = pos
+    out = [-1] * k
+    n_cycles = 0
+    for start in range(k):
         e = start
-        while not seen[e]:
-            seen[e] = True
-            cycle.append(e)
-            e = image[e]
-        blocks.append(sorted(cycle))
-    return Partition.from_blocks(blocks, k)
+        while out[e] < 0:
+            out[e] = n_cycles
+            e = prev[(e + 1) % k]
+        n_cycles = max(n_cycles, out[start] + 1)
+    return Partition(tuple(out))
 
 
 def interleaved_union(first: Partition, second: Partition) -> Partition:
     """Partition of [2k] with `first` on odd positions and `second` on even ones.
 
     This is the interleaved order 1- < 1+ < 2- < 2+ < ... used to define the
-    Kreweras complement.
+    Kreweras complement; the two strings are interleaved and canonicalized once.
     """
     if first.k != second.k:
         raise ParameterError("interleaved union needs equal ground-set sizes")
-    blocks = [tuple(2 * e - 1 for e in b) for b in first.blocks()]
-    blocks += [tuple(2 * e for e in b) for b in second.blocks()]
-    return Partition.from_blocks(blocks, 2 * first.k)
+    labels = [0] * (2 * first.k)
+    labels[0::2] = first.rgs
+    labels[1::2] = [label + first.n_blocks for label in second.rgs]
+    return induced_partition(labels)
 
 
 def _as_multi_index(values: Sequence, name: str) -> tuple:
@@ -266,12 +255,8 @@ def wishart_couple_list(a: Sequence, c: Sequence) -> list[tuple]:
     c = _as_multi_index(c, "c")
     if len(a) != len(c):
         raise ParameterError(f"multi-index lengths differ: {len(a)} vs {len(c)}")
-    k = len(a)
-    out = []
-    for i in range(k):
-        out.append((a[i], c[i]))
-        out.append((a[(i + 1) % k], c[i]))
-    return out
+    pairs = zip(zip(a, c), zip(a[1:] + a[:1], c))
+    return [couple for pair in pairs for couple in pair]
 
 
 @dataclass(frozen=True)
@@ -290,11 +275,34 @@ class WishartMatchingStats:
     heavy_count: int
 
 
+def _couples_match(a: tuple, c: tuple) -> bool:
+    """Wishart matching condition on equal-length tuples: each couple (a_i, c_i)
+    and (a_i, c_{i-1}), i cyclic, occurs an even number of times.  A set holds
+    the couples seen an odd number of times, so labels need not be orderable."""
+    odd = set()
+    try:
+        for couple in zip(a + a, c + c[-1:] + c[:-1]):
+            if couple in odd:
+                odd.remove(couple)
+            else:
+                odd.add(couple)
+    except TypeError:
+        try:
+            hash(a)
+            name, labels = "c", c
+        except TypeError:
+            name, labels = "a", a
+        raise ParameterError(f"multi-index {name} must hold hashable labels, got {labels!r}") from None
+    return not odd
+
+
 def wishart_matching_stats(a: Sequence, c: Sequence) -> WishartMatchingStats:
+    a, c = tuple(a), tuple(c)
     couples = wishart_couple_list(a, c)
+    matches = _couples_match(a, c)
     counts = Counter(couples)
     return WishartMatchingStats(
-        matches=all(v % 2 == 0 for v in counts.values()),
+        matches=matches,
         distinct_values=len(set(a)) + len(set(c)),
         distinct_couples=len(counts),
         heavy_count=sum(1 for cp in couples if counts[cp] >= 4),
@@ -310,12 +318,8 @@ def triple_list(a: Sequence, b: Sequence, c: Sequence) -> list[tuple]:
     c = _as_multi_index(c, "c")
     if not len(a) == len(b) == len(c):
         raise ParameterError("multi-index lengths differ")
-    k = len(a)
-    out = []
-    for i in range(k):
-        out.append((a[i], b[(i + 1) % k], c[i]))
-        out.append((a[(i + 1) % k], b[i], c[i]))
-    return out
+    pairs = zip(zip(a, b[1:] + b[:1], c), zip(a[1:] + a[:1], b, c))
+    return [triple for pair in pairs for triple in pair]
 
 
 @dataclass(frozen=True)
@@ -336,15 +340,10 @@ class TripleAdmissibility:
 
 def triple_admissibility(a: Sequence, b: Sequence, c: Sequence) -> TripleAdmissibility:
     trips = triple_list(a, b, c)
-    counts = Counter(trips)
     k = len(trips) // 2
-    a = tuple(a)
-    b = tuple(b)
-    c = tuple(c)
-    matching = all(v % 2 == 0 for v in counts.values())
-    non_repeating = all(
-        (a[i], b[i]) != (a[(i + 1) % k], b[(i + 1) % k]) for i in range(k)
-    )
+    a, b, c = tuple(a), tuple(b), tuple(c)
+    matching = all(v % 2 == 0 for v in Counter(trips).values())
+    non_repeating = all(map(operator.ne, zip(a, b), zip(a[1:] + a[:1], b[1:] + b[:1])))
     weight = len(set(a)) + len(set(b)) + 2 * len(set(c))
     return TripleAdmissibility(
         matching=matching,
@@ -362,8 +361,8 @@ def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
     Wishart matching condition with distinct_values == k + 1 (the classes
     that survive in the first-order trace expansion).  The distinct entries
     of a restricted-growth string are its block labels, so distinct_values
-    is nb(a) + nb(c) and only the pairs whose block counts sum to k + 1 are
-    tested.
+    is nb(a) + nb(c): only the pairs whose block counts sum to k + 1 are
+    tested, and for them only the matching condition is left to decide.
     """
     if not 1 <= k <= MAX_TRIPLE_SIZE:
         raise ParameterError(f"couple enumeration supports 1 <= k <= {MAX_TRIPLE_SIZE}")
@@ -371,13 +370,8 @@ def wishart_admissible_couples(k: int) -> list[tuple[Partition, Partition]]:
     by_blocks = defaultdict(list)
     for pc in parts:
         by_blocks[pc.n_blocks].append(pc)
-    out = []
-    for pa in parts:
-        for pc in by_blocks[k + 1 - pa.n_blocks]:
-            stats = wishart_matching_stats(pa.rgs, pc.rgs)
-            if stats.matches and stats.distinct_values == k + 1:
-                out.append((pa, pc))
-    return out
+    return [(pa, pc) for pa in parts for pc in by_blocks[k + 1 - pa.n_blocks]
+            if _couples_match(pa.rgs, pc.rgs)]
 
 
 def admissible_triples(couples: Sequence[tuple]) -> Iterator[tuple[Partition, Partition, Partition]]:
@@ -414,4 +408,10 @@ def mp_moment_via_noncrossing(alpha: float, k: int) -> float:
         raise ParameterError(f"moment order must be in [0, {MAX_ENUMERATION_SIZE}], got {k}")
     if k == 0:
         return 1.0
-    return float(sum(alpha ** (q.n_blocks - k) for q in noncrossing_partitions(k)))
+    return float(sum(count * alpha ** (b - k) for b, count in _noncrossing_block_counts(k)))
+
+
+@cache
+def _noncrossing_block_counts(k: int) -> tuple[tuple[int, int], ...]:
+    """(b, #{q in NC(k) with b blocks}) in increasing b; one enumeration per k."""
+    return tuple(sorted(Counter(q.n_blocks for q in noncrossing_partitions(k)).items()))

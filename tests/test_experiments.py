@@ -414,10 +414,11 @@ def test_selftest_all_pass(monkeypatch):
 
 def test_selftest_pruned_call_counts(monkeypatch):
     # one run_selftest() tests 196 triples (one per couple) in place of 29,220,
-    # and at k = 6 the 12,632 couples whose block counts sum to 7 in place of 41,209
-    order, stats_calls, triple_calls = [None], Counter(), [0]
+    # and at k = 6 the matching condition of the 12,632 couples whose block
+    # counts sum to 7 in place of 41,209
+    order, match_calls, triple_calls = [None], Counter(), [0]
     enumerate_couples = partitions.wishart_admissible_couples
-    matching_stats = partitions.wishart_matching_stats
+    couples_match = partitions._couples_match
     admissibility = partitions.triple_admissibility
 
     def spied_couples(k):
@@ -427,9 +428,9 @@ def test_selftest_pruned_call_counts(monkeypatch):
         finally:
             order[0] = None
 
-    def spied_stats(a, c):
-        stats_calls[order[0]] += 1
-        return matching_stats(a, c)
+    def spied_match(a, c):
+        match_calls[order[0]] += 1
+        return couples_match(a, c)
 
     def spied_admissibility(a, b, c):
         triple_calls[0] += 1
@@ -437,10 +438,10 @@ def test_selftest_pruned_call_counts(monkeypatch):
 
     for module in (partitions, experiments):
         monkeypatch.setattr(module, "wishart_admissible_couples", spied_couples)
-    monkeypatch.setattr(partitions, "wishart_matching_stats", spied_stats)
+    monkeypatch.setattr(partitions, "_couples_match", spied_match)
     monkeypatch.setattr(partitions, "triple_admissibility", spied_admissibility)
     assert run_selftest()["all_pass"] is True
-    assert 0 < stats_calls[6] <= 12_632
+    assert 0 < match_calls[6] <= 12_632
     assert 0 < triple_calls[0] <= 200
 
 
@@ -456,13 +457,8 @@ def test_selftest_catches_a_wrong_kreweras_complement(monkeypatch):
 
 
 def test_selftest_catches_a_matching_condition_that_always_holds(monkeypatch):
-    matching_stats = partitions.wishart_matching_stats
-
-    def always_matches(a, c):
-        return dataclasses.replace(matching_stats(a, c), matches=True)
-
     for module in (partitions, experiments):
-        monkeypatch.setattr(module, "wishart_matching_stats", always_matches)
+        monkeypatch.setattr(module, "_couples_match", lambda a, c: True)
     # this test is about the couples: the triple scan over the mutant's 12,632
     # couples at k = 6 would take about 15 s, so it yields nothing here
     monkeypatch.setattr(experiments, "admissible_triples", lambda couples: iter(()))

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -320,3 +323,135 @@ def test_interleaved_union_layout():
     second = Partition.from_blocks([(1,), (2,)], 2)
     union = interleaved_union(first, second)
     assert union.blocks() == ((1, 3), (2,), (4,))
+
+
+# Reference copies of the block-based kernels that the restricted-growth ones
+# replaced; the exhaustive tests below hold the new kernels to them.
+
+
+def reference_rgs_refusal(labels):
+    """The label-by-label restricted-growth check: None, or the refusal message."""
+    if not labels:
+        return "partition of the empty set is not supported"
+    top = -1
+    for label in labels:
+        if not 0 <= label <= top + 1:
+            return f"not a restricted-growth string: {labels}"
+        top = max(top, label)
+    return None
+
+
+def reference_kreweras(partition):
+    k = partition.k
+    block_next = [0] * (k + 1)
+    for block in partition.blocks():
+        for t, e in enumerate(block):
+            block_next[e] = block[(t + 1) % len(block)]
+    block_prev = [0] * (k + 1)
+    for e in range(1, k + 1):
+        block_prev[block_next[e]] = e
+    image = [0] * (k + 1)
+    for e in range(1, k + 1):
+        image[e] = block_prev[e % k + 1]
+    blocks = []
+    seen = [False] * (k + 1)
+    for start in range(1, k + 1):
+        if seen[start]:
+            continue
+        cycle = []
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            cycle.append(e)
+            e = image[e]
+        blocks.append(sorted(cycle))
+    return Partition.from_blocks(blocks, k)
+
+
+def reference_interleaved_union(first, second):
+    blocks = [tuple(2 * e - 1 for e in b) for b in first.blocks()]
+    blocks += [tuple(2 * e for e in b) for b in second.blocks()]
+    return Partition.from_blocks(blocks, 2 * first.k)
+
+
+def reference_matching_stats(a, c):
+    a, c = tuple(a), tuple(c)
+    k = len(a)
+    couples = []
+    for i in range(k):
+        couples.append((a[i], c[i]))
+        couples.append((a[(i + 1) % k], c[i]))
+    counts = Counter(couples)
+    return (
+        all(v % 2 == 0 for v in counts.values()),
+        len(set(a)) + len(set(c)),
+        len(counts),
+        sum(1 for cp in couples if counts[cp] >= 4),
+    )
+
+
+def test_rgs_validation_matches_the_label_loop():
+    # every label tuple of length <= 5 over -1..6: 37,448 tuples
+    for length in range(6):
+        for labels in itertools.product(range(-1, 7), repeat=length):
+            want = reference_rgs_refusal(labels)
+            if want is None:
+                assert Partition(labels).rgs == labels
+            else:
+                with pytest.raises(ParameterError) as refused:
+                    Partition(labels)
+                assert str(refused.value) == want
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_kreweras_and_interleaved_union_match_the_block_kernels(k):
+    for q in noncrossing_partitions(k):
+        comp = kreweras_complement(q)
+        assert comp.rgs == reference_kreweras(q).rgs
+        assert interleaved_union(q, comp).rgs == reference_interleaved_union(q, comp).rgs
+
+
+def reference_triple_admissibility(a, b, c):
+    k = len(a)
+    trips = []
+    for i in range(k):
+        trips.append((a[i], b[(i + 1) % k], c[i]))
+        trips.append((a[(i + 1) % k], b[i], c[i]))
+    matching = all(v % 2 == 0 for v in Counter(trips).values())
+    non_repeating = all((a[i], b[i]) != (a[(i + 1) % k], b[(i + 1) % k]) for i in range(k))
+    weight = len(set(a)) + len(set(b)) + 2 * len(set(c))
+    return trips, (matching, non_repeating, weight, matching and non_repeating and weight == 2 * k + 2)
+
+
+def test_triple_admissibility_matches_the_index_loops():
+    for k in range(1, 4):
+        for a in itertools.product(range(3), repeat=k):
+            for b in itertools.product(range(3), repeat=k):
+                for c in itertools.product(range(2), repeat=k):
+                    trips, flags = reference_triple_admissibility(a, b, c)
+                    got = triple_admissibility(a, b, c)
+                    assert triple_list(a, b, c) == trips
+                    assert (got.matching, got.non_repeating, got.distinct_weight, got.admissible) == flags
+
+
+def stats_tuple(stats):
+    return (stats.matches, stats.distinct_values, stats.distinct_couples, stats.heavy_count)
+
+
+def test_wishart_matching_stats_match_the_counter_kernel():
+    parts = [p.rgs for p in set_partitions(5)]
+    for a in parts:
+        for c in parts:
+            assert stats_tuple(wishart_matching_stats(a, c)) == reference_matching_stats(a, c)
+    # labels of any hashable type, orderable or not
+    for a, c in [("xyyz", "qrqq"), ("ab", "cd"), ((1, "x", 1), (None, None, 2.5)), ([1j, 2j], [frozenset(), 0])]:
+        assert stats_tuple(wishart_matching_stats(a, c)) == reference_matching_stats(a, c)
+
+
+def test_unhashable_labels_are_refused_by_name():
+    with pytest.raises(ParameterError, match="values must be a sequence of hashable labels"):
+        induced_partition([[0], [1]])
+    with pytest.raises(ParameterError, match="multi-index a must hold hashable labels"):
+        wishart_matching_stats([[0]], [[1]])
+    with pytest.raises(ParameterError, match="multi-index c must hold hashable labels"):
+        wishart_matching_stats([0, 1], [1, {}])
