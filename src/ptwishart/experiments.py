@@ -65,7 +65,6 @@ from .spectra import (
     histogram,
     ks_distance,
     ppt_gauge,
-    pt_spectrum_from_schmidt,
     schmidt_coefficients,
 )
 
@@ -97,9 +96,10 @@ MAX_MIXTURE_ENTRIES = 2**30
 # LAPACK's eigensolver workspace, in matrix rows: ru_maxrss rose by 170-305
 # rows' worth during zheevd, dsyevd and zheevd_2stage at n = 900-3600
 SOLVER_WORK_ROWS = 512
-# a pure-state trial holds arrays of its n = d**2 entries, never an n x n
-# matrix: ru_maxrss rose by 50-60 bytes per entry at d = 500-2000
-PURE_ENTRY_BYTES = 64
+# a pure-state trial holds its state of n = d**2 entries and the SVD's copy of
+# it, never an n x n matrix: ru_maxrss rose by 34-42 bytes per entry at
+# d = 1000-3000, falling with d; larger d is admitted by extrapolation
+PURE_ENTRY_BYTES = 48
 
 
 def _cgroup_limits():
@@ -327,6 +327,7 @@ def _report(config: ExperimentConfig, records: list[dict], check=None, **section
         "platform": reporting.platform_block(),
         "rng": {"bit_generator": "PCG64", "master_seed": config.master_seed},
         "records": records,
+        "scale": "wishart_raw" if config.ensemble == "wishart" else "state_rescaled",
         **sections,
     }
     if config.check and check is not None:
@@ -393,7 +394,6 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     mean_ks = aggregates["statistics"]["ks_semicircle"]["mean"]
     return _report(
         config, _records(config, per_trial, p, alpha), ("mean_ks_semicircle", mean_ks, 0.08),
-        scale="wishart_raw" if config.ensemble == "wishart" else "state_rescaled",
         aggregates=aggregates, spectra=spectra, theory=theory,
     )
 
@@ -419,8 +419,7 @@ def run_extremes(config: ExperimentConfig) -> dict:
     )
     return _report(
         config, _records(config, per_trial, p, alpha), ("extreme_eigenvalue_deviation", worst, 0.25),
-        scale="wishart_raw", aggregates=_aggregate_stats(per_trial),
-        theory={"edge_low": edge_lo, "edge_high": edge_hi},
+        aggregates=_aggregate_stats(per_trial), theory={"edge_low": edge_lo, "edge_high": edge_hi},
     )
 
 
@@ -488,19 +487,23 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
         "threshold_alpha": 4.0,
         "min_eigenvalue_limits": [1.0 - 2.0 / sqrt(a) for a, _ in grid],
     }
-    return _report(config, records, scale="state_rescaled", aggregates=aggregates, theory=theory)
+    return _report(config, records, aggregates=aggregates, theory=theory)
 
 
 def run_pure_state(config: ExperimentConfig) -> dict:
-    """Spectrum of d * rho^PT for uniform pure states on a square bipartition."""
+    """Moments k = 1..6 of d * rho^PT for uniform pure states on a square bipartition.
+
+    Beside the Schmidt coefficients li, rho^PT has the eigenvalues +-sqrt(li * lj), i < j,
+    so Tr (rho^PT)^k is P_k for odd k and P_(k/2)**2 for even k, with P_j = sum_i li**j.
+    """
     shape = config.shape
     d = shape.d1
     law = ProductSemicircle()
 
     def one_trial(stream: SampleStream) -> dict:
-        psi = sample_pure_state(shape, stream)
-        sample = SpectralSample(d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, shape)))
-        return {f"moment_k{k}": empirical_moment(sample, k) for k in range(1, 7)}
+        lam = schmidt_coefficients(sample_pure_state(shape, stream), shape)
+        power = {j: float(np.sum(lam**j)) for j in (1, 2, 3, 5)}
+        return {f"moment_k{k}": d ** (k - 2) * (power[k] if k % 2 else power[k // 2] ** 2) for k in range(1, 7)}
 
     per_trial = _run_trials(config, one_trial, config.trials)
     aggregates = _aggregate_stats(per_trial)
@@ -508,8 +511,7 @@ def run_pure_state(config: ExperimentConfig) -> dict:
     # no ancilla in the pure-state model; blank p and alpha in the records
     return _report(
         config, _records(config, per_trial, p="", alpha=""), ("mean_moment_k2_deviation", dev, 0.1),
-        scale="state_rescaled", aggregates=aggregates,
-        theory={"moments": {f"moment_k{k}": law.moment(k) for k in range(1, 7)}},
+        aggregates=aggregates, theory={"moments": {f"moment_k{k}": law.moment(k) for k in range(1, 7)}},
     )
 
 

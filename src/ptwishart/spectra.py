@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import BipartiteShape, pt_eigenvalues
+from .linalg import BipartiteShape, _as_square, pt_eigenvalues
 
 # Numerical tolerance for "positive partial transpose": lambda_min may dip
 # this far below zero, relative to the spectral radius, and still count.
@@ -93,10 +93,7 @@ def histogram(sample: SpectralSample, bins: int = 100) -> tuple[np.ndarray, np.n
 
 def diag_deviation(w) -> float:
     """Largest deviation of a diagonal entry from 1: max_i |w_ii - 1|."""
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {w.shape}")
-    return float(np.max(np.abs(np.diagonal(w) - 1.0)))
+    return float(np.max(np.abs(np.diagonal(_as_square(w)) - 1.0)))
 
 
 @dataclass(frozen=True)

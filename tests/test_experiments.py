@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from math import sqrt
 from pathlib import Path
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptwishart import MarchenkoPastur, _blas, experiments, partitions, reporting
-from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state
+from ptwishart import MarchenkoPastur, _blas, experiments, partitions, reporting, spectra
+from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state, sample_pure_state
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
     ExperimentConfig,
@@ -21,9 +22,11 @@ from ptwishart.experiments import (
     run_extremes,
     run_laws,
     run_ppt_sweep,
+    run_pure_state,
     run_selftest,
     run_spectrum,
 )
+from ptwishart.spectra import SpectralSample, empirical_moment, pt_spectrum_from_schmidt, schmidt_coefficients
 
 
 def small_config(**kwargs):
@@ -294,6 +297,58 @@ def test_wishart_draw_is_the_eigensolve_buffer(monkeypatch, runner, subcommand, 
     monkeypatch.setattr(experiments, "pt_eigenvalues", checked_solve)
     runner(small_config(subcommand=subcommand, d1=d, d2=d))
     assert solved == [True] * 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 20])
+def test_pure_moments_equal_the_spectrum_route(d):
+    # the power sums of the Schmidt coefficients give, trial by trial, the mean
+    # of (d * eigenvalue)**k over the d**2-entry closed-form spectrum
+    config = small_config(**PURE, d1=d, d2=d, trials=4)
+    got = [(r["trial"], r["statistic"], r["value"]) for r in run_pure_state(config)["records"]]
+    want = []
+    for t in range(4):
+        psi = sample_pure_state(config.shape, SampleStream(config.master_seed, t))
+        sample = SpectralSample(d * pt_spectrum_from_schmidt(schmidt_coefficients(psi, config.shape)))
+        want += [(t, f"moment_k{k}", empirical_moment(sample, k)) for k in range(1, 7)]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (*_, value), (*_, expected) in zip(got, want):
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_pure_run_builds_no_spectrum(monkeypatch):
+    called = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("pt_spectrum_from_schmidt", "empirical_moment"):
+        real = getattr(spectra, name)
+        for module in (spectra, experiments):
+            monkeypatch.setattr(module, name, spy(name, real), raising=False)
+    monkeypatch.setattr(SpectralSample, "__post_init__", spy("SpectralSample", SpectralSample.__post_init__))
+    run_pure_state(small_config(**PURE, trials=2))
+    assert called == []
+    # the spies see a spectrum run's samples and moments
+    run_spectrum(small_config(trials=1))
+    assert {"SpectralSample", "empirical_moment"} <= set(called)
+
+
+def test_pure_trial_holds_no_spectrum():
+    # tracemalloc sees the state and its normalized copy, 32 bytes per entry;
+    # building and sorting the d**2-entry spectrum peaked at 44
+    d = 300
+    config = small_config(**PURE, d1=d, d2=d, trials=1)
+    run_pure_state(config)
+    tracemalloc.start()
+    try:
+        run_pure_state(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * d**2
 
 
 def test_ppt_grid_maps_one_stream_per_grid_point_and_trial():

@@ -138,7 +138,7 @@ def test_histogram_defaults_cover_sample():
 def test_diag_deviation():
     assert diag_deviation(np.eye(3)) == 0.0
     assert diag_deviation(np.diag([1.2, 0.9])) == pytest.approx(0.2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         diag_deviation(np.zeros((2, 3)))
 
 

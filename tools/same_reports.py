@@ -46,7 +46,9 @@ ARGVS = [
     ["ppt", "--d", "4", "--trials", "4", "--ensemble", "mixture", "--alphas", "2", "8"],
     ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
+    # pure: one trial worker and two
     ["pure", "--d", "6", "--trials", "3", "--check"],
+    ["pure", "--d", "30", "--trials", "4", "--threads", "2"],
     # the law quadrature, the default (alpha = 4) law tables and those at alpha =
     # 0.5, a mixture whose p = 576 > GRAM_CHUNK takes two Gram updates, and the
     # real field's lauum (n = 256) under a two-worker BLAS split
