@@ -100,9 +100,9 @@ def zheevd_2stage():
 
 def eigenvalues(solver, work: np.ndarray, uplo: bytes) -> np.ndarray:
     """The eigenvalues, ascending, that `solver` (from `heevd` or `zheevd_2stage`)
-    finds in triangle `uplo` of work read column-major; a C-ordered work reads
-    as its transpose.  work, a C- or F-ordered square float64 or complex128
-    array, is the solver's workspace and is overwritten."""
+    finds in triangle `uplo` of work read column-major: a C-ordered work reads
+    as its transpose, the conjugate of a self-adjoint work.  work, a C- or
+    F-ordered square float64 or complex128 array, is overwritten."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):

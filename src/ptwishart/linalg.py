@@ -9,13 +9,16 @@ float64 arrays take the real-symmetric eigensolver, complex arrays the
 Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
 ctypes calls release the GIL, so trial workers overlap their eigensolves.
 Below TWO_STAGE_MIN_N, and for the real field, the solver is LAPACKE_zheevd
-or LAPACKE_dsyevd, called as eigvalsh calls it, so the eigenvalues are
-eigvalsh's bit for bit.  Complex matrices of size TWO_STAGE_MIN_N and up go
-to LAPACK's two-stage tridiagonal reduction (zheevd_2stage; Haidar, Ltaief &
-Dongarra, SC'11), which numpy does not wrap.  Where the OpenBLAS lacks the
-symbol, np.linalg.eigvalsh is the fallback.  `partial_transpose` and
-`hermitian_eigenvalues` never write their input; `pt_eigenvalues`, which
-the Monte Carlo trials call, does both steps in its input's own memory.
+or LAPACKE_dsyevd on the lower triangle, as eigvalsh calls it.  Complex
+matrices of size TWO_STAGE_MIN_N and up go to LAPACK's two-stage
+tridiagonal reduction (zheevd_2stage; Haidar, Ltaief & Dongarra, SC'11),
+which numpy does not wrap, on the upper triangle.  Where the OpenBLAS lacks
+the symbol, np.linalg.eigvalsh is the fallback.  A solver reads each matrix
+in the memory order it has, a C-ordered one as its conjugate, to which
+these routines give the same eigenvalue bits; so heevd's are eigvalsh's bit
+for bit.  `partial_transpose` and `hermitian_eigenvalues` never write their
+input; `pt_eigenvalues`, which the Monte Carlo trials call, does both steps
+in its input's own memory.
 """
 
 from __future__ import annotations
@@ -110,14 +113,11 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
 
     In 4-index form the output satisfies out[i, j; k, l] = a[i, j; l, k].
     The operation is an involution and preserves trace, Frobenius norm,
-    and self-adjointness.
+    and self-adjointness.  The output is a new C-ordered array.
     """
     a = _bipartite(a, shape)
-    # [i, k, j, l] indexes the entry of block (i, j) at inner position (k, l);
-    # splitting each axis of a 2-d array gives a view, so out is written once
-    blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
-    out = np.empty_like(a, order="C")
-    out.reshape(blocks)[...] = a.reshape(blocks).swapaxes(1, 3)
+    out = np.array(a, order="C")
+    _transpose_blocks(out.reshape(shape.d1, shape.d2, shape.d1, shape.d2), reverse=False)
     return out
 
 
@@ -131,19 +131,15 @@ def _check_self_adjoint(a: np.ndarray):
 
 
 def _solver(complex_field: bool, n: int):
-    """(solver, memory order, triangle) of the LAPACKE call for an n x n matrix,
-    or None when the OpenBLAS lacks the symbol and eigvalsh is the fallback."""
+    """(solver, triangle) of the LAPACKE call for an n x n matrix, or None
+    when the OpenBLAS lacks the symbol and eigvalsh is the fallback."""
     if complex_field and n >= TWO_STAGE_MIN_N:
         solver = _blas.zheevd_2stage()
         if solver is not None:
-            # Read column-major, the C-ordered matrix is its transpose, i.e. its
-            # conjugate, which has the same eigenvalues; its upper triangle is
-            # the matrix's lower one, the triangle eigvalsh reads.
-            return solver, "C", b"U"
+            return solver, b"U"
     solver = _blas.heevd(complex_field)
     if solver is not None:
-        # the column-major matrix and the triangle that eigvalsh passes
-        return solver, "F", b"L"
+        return solver, b"L"
     return None
 
 
@@ -153,12 +149,12 @@ def _dtype(a: np.ndarray):
 
 def _checked_eigenvalues(a: np.ndarray, plan, in_place: bool) -> np.ndarray:
     """a's eigenvalues, once `_check_self_adjoint` passes a: by `plan` (from `_solver`) in a's memory,
-    or in a copy in the plan's order unless `in_place`; by np.linalg.eigvalsh(a) when plan is None."""
+    or in a copy in a's memory order unless `in_place`; by np.linalg.eigvalsh(a) when plan is None."""
     _check_self_adjoint(a)
     if plan is None:
         return np.linalg.eigvalsh(a)
-    solver, order, uplo = plan
-    work = a if in_place else np.array(a, dtype=_dtype(a), order=order)
+    solver, uplo = plan
+    work = a if in_place else np.array(a, dtype=_dtype(a))
     return _blas.eigenvalues(solver, work, uplo)
 
 
@@ -169,48 +165,32 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when
     numpy's OpenBLAS exports it; otherwise LAPACKE_zheevd or
     LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
-    the fallback when that symbol is missing.  The solver works on a copy,
-    so the input is never written.  Raises NumericError on non-finite
-    entries, when the input is not self-adjoint to within HERMITICITY_RTOL,
-    or when the solver does not converge.
+    the fallback when that symbol is missing.  The solver works on a copy in
+    the input's memory order, so the input is never written.  Raises
+    NumericError on non-finite entries, when the input is not self-adjoint
+    to within HERMITICITY_RTOL, or when the solver does not converge.
     """
     a = _as_square(a)
     return _checked_eigenvalues(a, _solver(np.iscomplexobj(a), len(a)), in_place=False)
 
 
-def _swap_in_place(blocks: np.ndarray, reverse: bool, swap_blocks: bool):
-    """Apply an involution of the 4-index view blocks[i, k, j, l], in place.
+def _transpose_blocks(blocks: np.ndarray, reverse: bool):
+    """Transpose each block of the 4-index view blocks[i, k, j, l], in place.
 
-    With * the index reversal x -> dim - 1 - x when `reverse` holds, and the
-    identity otherwise, the new blocks[i, k, j, l] is the old
-    blocks[i*, l*, j*, k*] (each block transposed), or with `swap_blocks` the
-    old blocks[j*, k*, i*, l*] (block (i, j) traded for block (j, i)).  Either
-    map is its own inverse, so the entries move by pairwise swaps of slabs,
-    and the copies held are one slab of at most d2 * d1 * d2 entries.
+    The new blocks[i, k, j, l] is the old blocks[i, l, j, k], or with
+    `reverse` the old blocks[i*, l*, j*, k*], * the index reversal
+    x -> dim - 1 - x.  Either map is its own inverse, so the entries move by
+    swaps of slabs blocks[i] and blocks[i*], and the copy held is one slab of
+    d2 * d1 * d2 entries.
     """
     d1 = blocks.shape[0]
-
-    def flip(slab):
-        return slab[::-1, ::-1, ::-1] if reverse else slab
-
     for i in range(d1):
         partner = d1 - 1 - i if reverse else i
-        if swap_blocks:
-            # the blocks (i, j) in row i that trade with a block of a later row,
-            # all of them in column `partner`
-            row = blocks[i, :, :partner] if reverse else blocks[i, :, i + 1:]
-            column = blocks[i + 1:, :, partner]
-            saved = row.copy()
-            row[...] = flip(column).transpose(1, 0, 2)
-            column[...] = flip(saved).transpose(1, 0, 2)
-            if reverse:
-                # the one block of row i that trades with itself
-                blocks[i, :, partner] = blocks[i, ::-1, partner, ::-1].copy()
-        elif partner >= i:
+        if partner >= i:
             saved = blocks[i].copy()
             if partner != i:
-                blocks[i] = flip(blocks[partner]).transpose(2, 1, 0)
-            blocks[partner] = flip(saved).transpose(2, 1, 0)
+                blocks[i] = blocks[partner, ::-1, ::-1, ::-1].transpose(2, 1, 0)
+            blocks[partner] = (saved[::-1, ::-1, ::-1] if reverse else saved).transpose(2, 1, 0)
 
 
 def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
@@ -218,15 +198,15 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
 
     w is consumed: its memory becomes the partial transpose and then the
     solver's workspace, so a trial holds one n x n buffer from its draw to
-    its eigenvalues.  The values are those of
-    hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit: the
-    solver receives the same bytes.  That holds because the partial
-    transpose, composed with w's memory layout and the layout the solver
-    reads (C order for zheevd_2stage, F order for heevd), is an involution of
-    the entries, which `_swap_in_place` applies.  w may be C- or F-ordered,
-    or such an array reversed in both indices, as sample_wishart's lauum path
-    returns it.  Any other w (another layout or dtype) is first copied, and
-    is then left unchanged.  Raises as hermitian_eigenvalues does.
+    its eigenvalues.  w may be C- or F-ordered, or such an array reversed in
+    both indices, as sample_wishart's lauum path returns it; any other w is
+    first copied, and is then left unchanged.  The blocks of w's memory read
+    in C order are transposed in place, which leaves that memory, read in its
+    own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
+    a reversed w is un-reversed in the same pass, as J X J would move the
+    eigenvalues' bits.  So the values are those of
+    hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit.  Raises
+    as hermitian_eigenvalues does.
     """
     a = _bipartite(w, shape)
     dtype = _dtype(a)
@@ -235,12 +215,6 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
     if not (memory.dtype == dtype and (memory.flags.c_contiguous or memory.flags.f_contiguous)
             and memory.flags.writeable):
         memory, reverse = np.array(a, dtype=dtype), False
-    plan = _solver(dtype is np.complex128, shape.n)
-    # memory read in C order holds w, or w's transpose when memory is F-ordered;
-    # the solver reads the partial transpose in C order, or its transpose in F order
-    source_f = not memory.flags.c_contiguous
-    target_f = plan is not None and plan[1] == "F"
     blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
-    _swap_in_place(blocks, reverse, swap_blocks=source_f != target_f)
-    a = blocks.reshape(shape.n, shape.n)
-    return _checked_eigenvalues(a.T if target_f else a, plan, in_place=True)
+    _transpose_blocks(blocks, reverse)
+    return _checked_eigenvalues(memory, _solver(dtype is np.complex128, shape.n), in_place=True)

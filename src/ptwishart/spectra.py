@@ -42,9 +42,9 @@ class SpectralSample:
 
 
 def esd_fraction(sample: SpectralSample, lo: float, hi: float) -> float:
-    """Fraction of eigenvalues in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ParameterError(f"interval endpoints out of order: [{lo}, {hi}]")
+    """Fraction of eigenvalues in the closed interval [lo, hi], for lo <= hi."""
+    if not lo <= hi:
+        raise ParameterError(f"interval endpoints must satisfy lo <= hi, got [{lo}, {hi}]")
     e = sample.eigenvalues
     count = np.searchsorted(e, hi, side="right") - np.searchsorted(e, lo, side="left")
     return float(count) / sample.n

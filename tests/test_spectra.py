@@ -34,8 +34,10 @@ def test_esd_fraction_examples():
     assert esd_fraction(s, 1.5, 3.0) == pytest.approx(2.0 / 3.0)
     assert esd_fraction(s, 1.0, 3.0) == 1.0
     assert esd_fraction(s, 10.0, 20.0) == 0.0
-    with pytest.raises(ParameterError):
-        esd_fraction(s, 2.0, 1.0)
+    # out of order, or a NaN edge, for which lo > hi is False
+    for lo, hi in [(2.0, 1.0), (float("nan"), 3.0), (1.0, float("nan")), (float("nan"), float("nan"))]:
+        with pytest.raises(ParameterError, match="lo <= hi"):
+            esd_fraction(s, lo, hi)
 
 
 def test_esd_fraction_is_additive():

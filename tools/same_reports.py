@@ -58,10 +58,12 @@ ARGVS = [
     ["spectrum", "--d", "12", "--trials", "2", "--ensemble", "mixture"],
     ["spectrum", "--d", "16", "--trials", "2", "--field", "real", "--threads", "2"],
     # odd, unbalanced shapes on the lauum path (n = 272) and on the two-stage
-    # path (n = 1260), an explicit p below n (zherk and dsyrk at n = 289), and
+    # path (n = 1260), zherk's F-ordered draw (p < n) on the two-stage path
+    # (n = 1296), an explicit p below n (zherk and dsyrk at n = 289), and
     # induced states at n = 256 (lauum) for spectrum and ppt
     ["spectrum", "--d1", "17", "--d2", "16", "--trials", "2"],
     ["extremes", "--d1", "36", "--d2", "35", "--trials", "1"],
+    ["extremes", "--d", "36", "--p", "600", "--trials", "1"],
     ["spectrum", "--d", "17", "--p", "100", "--trials", "2"],
     ["spectrum", "--d", "17", "--p", "100", "--field", "real", "--trials", "2"],
     ["spectrum", "--d", "16", "--trials", "2", "--ensemble", "induced"],
