@@ -5,8 +5,8 @@ The routines come from numpy's own OpenBLAS (64-bit integers, "64_" suffix)
 through ctypes, one cached lookup `_function` for all of them:
 
 - `heevd`: LAPACKE_zheevd or LAPACKE_dsyevd, the front end of the routine
-  numpy's eigvalsh itself calls;
-- `zheevd_2stage`: LAPACKE_zheevd_2stage, which numpy does not wrap;
+  numpy's eigvalsh itself calls, and `zheevd_2stage`: LAPACKE_zheevd_2stage,
+  which numpy does not wrap; `eigenvalues` runs either on the lower triangle;
 - `herk`: cblas_zherk or cblas_dsyrk;
 - `lauum`: LAPACKE_zlauum or LAPACKE_dlauum.
 
@@ -98,18 +98,18 @@ def zheevd_2stage():
     return _function(*_ZHEEVD_2STAGE)
 
 
-def eigenvalues(solver, work: np.ndarray, uplo: bytes) -> np.ndarray:
+def eigenvalues(solver, work: np.ndarray) -> np.ndarray:
     """The eigenvalues, ascending, that `solver` (from `heevd` or `zheevd_2stage`)
-    finds in triangle `uplo` of work read column-major: a C-ordered work reads
-    as its transpose, the conjugate of a self-adjoint work.  work, a C- or
-    F-ordered square float64 or complex128 array, is overwritten."""
+    finds in the lower triangle of work read column-major: a C-ordered work
+    reads as its transpose, the conjugate of a self-adjoint work.  work, a C-
+    or F-ordered square float64 or complex128 array, is overwritten."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
         raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
                          f"got shape {work.shape} and dtype {work.dtype}")
     values = np.empty(n)
-    info = solver(_COL_MAJOR, b"N", uplo, n, work.ctypes.data, max(n, 1), values.ctypes.data)
+    info = solver(_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), values.ctypes.data)
     if info != 0:
         raise NumericError(f"{solver.__name__} failed with info {info}")
     return values

@@ -94,7 +94,8 @@ MAX_MIXTURE_ENTRIES = 2**30
 
 
 # LAPACK's eigensolver workspace, in matrix rows: ru_maxrss rose by 170-305
-# rows' worth during zheevd, dsyevd and zheevd_2stage at n = 900-3600
+# rows' worth during zheevd and dsyevd at n = 900-3600, and by 82-216 during
+# zheevd_2stage at n = 380-3600 after a draw's BLAS call, as in a trial
 SOLVER_WORK_ROWS = 512
 # a pure-state trial holds its state of n = d**2 entries and the SVD's copy of
 # it, never an n x n matrix: ru_maxrss rose by 34-42 bytes per entry at

@@ -8,17 +8,17 @@ sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
 float64 arrays take the real-symmetric eigensolver, complex arrays the
 Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
 ctypes calls release the GIL, so trial workers overlap their eigensolves.
-Below TWO_STAGE_MIN_N, and for the real field, the solver is LAPACKE_zheevd
-or LAPACKE_dsyevd on the lower triangle, as eigvalsh calls it.  Complex
-matrices of size TWO_STAGE_MIN_N and up go to LAPACK's two-stage
+Every solver reads the lower triangle, as eigvalsh does: LAPACKE_zheevd or
+LAPACKE_dsyevd, eigvalsh's own routine, for the real field and below
+TWO_STAGE_MIN_N, and from there for complex matrices LAPACK's two-stage
 tridiagonal reduction (zheevd_2stage; Haidar, Ltaief & Dongarra, SC'11),
-which numpy does not wrap, on the upper triangle.  Where the OpenBLAS lacks
-the symbol, np.linalg.eigvalsh is the fallback.  A solver reads each matrix
-in the memory order it has, a C-ordered one as its conjugate, to which
-these routines give the same eigenvalue bits; so heevd's are eigvalsh's bit
-for bit.  `partial_transpose` and `hermitian_eigenvalues` never write their
-input; `pt_eigenvalues`, which the Monte Carlo trials call, does both steps
-in its input's own memory.
+which numpy does not wrap.  Where the OpenBLAS lacks the symbol,
+np.linalg.eigvalsh is the fallback.  A solver reads each matrix in the
+memory order it has, a C-ordered one as its conjugate, to which these
+routines give the same eigenvalue bits; so heevd's are eigvalsh's bit for
+bit.  `partial_transpose` and `hermitian_eigenvalues` never write their input;
+`pt_eigenvalues`, which the Monte Carlo trials call, does both steps in its
+input's own memory.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .errors import NumericError, ParameterError, ShapeError
 # Relative tolerance for the structural self-adjointness check.
 HERMITICITY_RTOL = 1e-10
 
-# Smallest complex matrix that takes the two-stage eigensolver.  On 2 cores at
-# the default 2 BLAS threads it is 12% slower than eigvalsh at n = 1225 and
-# 4-12% faster from n = 1296 on; with one BLAS thread it wins from n = 625.
-TWO_STAGE_MIN_N = 1250
+# Smallest complex matrix that takes the two-stage eigensolver.  In medians of 31
+# paired calls on 2 cores, both on the lower triangle, it is no slower than zheevd
+# from here on at 1 and at 2 BLAS threads, and 1% slower at n = 361-370 with one.
+TWO_STAGE_MIN_N = 380
 
 # is_hermitian compares a with its conjugate transpose in square tiles of this
 # side, tile (i, j) against tile (j, i).  Its temporaries stay small (24 bytes
@@ -116,8 +116,10 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     and self-adjointness.  The output is a new C-ordered array.
     """
     a = _bipartite(a, shape)
-    out = np.array(a, order="C")
-    _transpose_blocks(out.reshape(shape.d1, shape.d2, shape.d1, shape.d2), reverse=False)
+    # splitting each axis of a 2-d array gives a view, so a is read once
+    blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
+    out = np.empty(a.shape, dtype=a.dtype)
+    _transpose_blocks(out.reshape(blocks), reverse=False, source=a.reshape(blocks))
     return out
 
 
@@ -131,31 +133,27 @@ def _check_self_adjoint(a: np.ndarray):
 
 
 def _solver(complex_field: bool, n: int):
-    """(solver, triangle) of the LAPACKE call for an n x n matrix, or None
-    when the OpenBLAS lacks the symbol and eigvalsh is the fallback."""
+    """The LAPACKE solver for an n x n matrix, or None when the OpenBLAS
+    lacks the symbol and eigvalsh is the fallback."""
     if complex_field and n >= TWO_STAGE_MIN_N:
         solver = _blas.zheevd_2stage()
         if solver is not None:
-            return solver, b"U"
-    solver = _blas.heevd(complex_field)
-    if solver is not None:
-        return solver, b"L"
-    return None
+            return solver
+    return _blas.heevd(complex_field)
 
 
 def _dtype(a: np.ndarray):
     return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
-def _checked_eigenvalues(a: np.ndarray, plan, in_place: bool) -> np.ndarray:
-    """a's eigenvalues, once `_check_self_adjoint` passes a: by `plan` (from `_solver`) in a's memory,
-    or in a copy in a's memory order unless `in_place`; by np.linalg.eigvalsh(a) when plan is None."""
+def _checked_eigenvalues(a: np.ndarray, solver, in_place: bool) -> np.ndarray:
+    """a's eigenvalues, once `_check_self_adjoint` passes a: by `solver` (from `_solver`) in a's memory,
+    or in a copy in a's memory order unless `in_place`; by np.linalg.eigvalsh(a) when solver is None."""
     _check_self_adjoint(a)
-    if plan is None:
+    if solver is None:
         return np.linalg.eigvalsh(a)
-    solver, uplo = plan
     work = a if in_place else np.array(a, dtype=_dtype(a))
-    return _blas.eigenvalues(solver, work, uplo)
+    return _blas.eigenvalues(solver, work)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -165,31 +163,33 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when
     numpy's OpenBLAS exports it; otherwise LAPACKE_zheevd or
     LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
-    the fallback when that symbol is missing.  The solver works on a copy in
-    the input's memory order, so the input is never written.  Raises
-    NumericError on non-finite entries, when the input is not self-adjoint
-    to within HERMITICITY_RTOL, or when the solver does not converge.
+    the fallback when that symbol is missing.  Each solver reads the lower
+    triangle of a copy in the input's memory order, so the input is never
+    written.  Raises NumericError on non-finite entries, when the input is
+    not self-adjoint to within HERMITICITY_RTOL, or when the solver does not
+    converge.
     """
     a = _as_square(a)
     return _checked_eigenvalues(a, _solver(np.iscomplexobj(a), len(a)), in_place=False)
 
 
-def _transpose_blocks(blocks: np.ndarray, reverse: bool):
-    """Transpose each block of the 4-index view blocks[i, k, j, l], in place.
+def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | None = None):
+    """Write into the 4-index view blocks[i, k, j, l] source's [i, l, j, k].
 
-    The new blocks[i, k, j, l] is the old blocks[i, l, j, k], or with
-    `reverse` the old blocks[i*, l*, j*, k*], * the index reversal
-    x -> dim - 1 - x.  Either map is its own inverse, so the entries move by
-    swaps of slabs blocks[i] and blocks[i*], and the copy held is one slab of
-    d2 * d1 * d2 entries.
+    With `reverse` it is source[i*, l*, j*, k*], * the index reversal
+    x -> dim - 1 - x.  source is blocks itself by default: either map is its
+    own inverse, so the entries move by swaps of slabs blocks[i] and
+    blocks[i*], and the copy held is one slab of d2 * d1 * d2 entries.  A
+    distinct source, sharing no memory with blocks, is read once.
     """
     d1 = blocks.shape[0]
+    source = blocks if source is None else source
     for i in range(d1):
         partner = d1 - 1 - i if reverse else i
         if partner >= i:
-            saved = blocks[i].copy()
+            saved = source[i].copy() if source is blocks else source[i]
             if partner != i:
-                blocks[i] = blocks[partner, ::-1, ::-1, ::-1].transpose(2, 1, 0)
+                blocks[i] = source[partner, ::-1, ::-1, ::-1].transpose(2, 1, 0)
             blocks[partner] = (saved[::-1, ::-1, ::-1] if reverse else saved).transpose(2, 1, 0)
 
 
@@ -204,7 +204,8 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
     in C order are transposed in place, which leaves that memory, read in its
     own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
     a reversed w is un-reversed in the same pass, as J X J would move the
-    eigenvalues' bits.  So the values are those of
+    eigenvalues' bits.  The solver, chosen as in hermitian_eigenvalues, reads
+    the lower triangle of that memory.  So the values are those of
     hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit.  Raises
     as hermitian_eigenvalues does.
     """

@@ -231,13 +231,44 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
 def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n):
     # linalg hands a solver each matrix in the memory order it has, on this
     # assumption: LAPACK reads a C-ordered buffer as its transpose, which for
-    # the self-adjoint x is conj(x), in the triangle of x's route
-    solver, uplo = (_heevd_solver(True), b"L") if lookup == "heevd" else (_two_stage_solver(), b"U")
+    # the self-adjoint x is conj(x), in the lower triangle, which both routes read
+    solver = _heevd_solver(True) if lookup == "heevd" else _two_stage_solver()
     x = random_hermitian(n, np.random.default_rng(n))
     assert np.array_equal(x, x.conj().T)
-    column_major = _blas.eigenvalues(solver, np.asfortranarray(x), uplo)
-    conjugate = _blas.eigenvalues(solver, np.ascontiguousarray(x), uplo)
+    column_major = _blas.eigenvalues(solver, np.asfortranarray(x))
+    conjugate = _blas.eigenvalues(solver, np.ascontiguousarray(x))
     assert column_major.tobytes() == conjugate.tobytes()
+
+
+@pytest.mark.parametrize("complex_field, n, routine", [
+    (True, TWO_STAGE_MIN_N, "zheevd_2stage"),
+    (True, TWO_STAGE_MIN_N - 1, "zheevd"),
+    (False, 2, "dsyevd"),
+    (False, TWO_STAGE_MIN_N - 1, "dsyevd"),
+    (False, TWO_STAGE_MIN_N, "dsyevd"),
+    (False, 1600, "dsyevd"),
+])
+def test_each_size_and_field_reaches_its_solver_on_the_lower_triangle(monkeypatch, complex_field, n, routine):
+    # skip where the OpenBLAS lacks the routine
+    _heevd_solver(complex_field)
+    if routine == "zheevd_2stage":
+        _two_stage_solver()
+    seen = []
+    for lookup in BOTH_SOLVERS:
+        def spying(*field, find=getattr(_blas, lookup)):
+            solver = find(*field)
+
+            def spy(layout, jobz, uplo, n, *rest):
+                seen.append((solver.__name__, uplo, n))
+                return solver(layout, jobz, uplo, n, *rest)
+            return spy
+
+        monkeypatch.setattr(_blas, lookup, spying)
+    a = random_hermitian(n, np.random.default_rng(n), complex_field)
+    hermitian_eigenvalues(a)
+    pt_eigenvalues(a, BipartiteShape(1, n))
+    # numpy's OpenBLAS names LAPACKE_<routine> scipy_LAPACKE_<routine>64_
+    assert seen == [(f"scipy_LAPACKE_{routine}64_", b"L", n)] * 2
 
 
 def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
@@ -255,9 +286,6 @@ def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
     # a.T, the conjugate of a, is copied in its F order, which the solver reads as
     # it reads a's C order: the same bytes
     assert hermitian_eigenvalues(a.T).tobytes() == vals.tobytes()
-    # the real field and smaller matrices stay off the two-stage solver
-    hermitian_eigenvalues(a.real)
-    hermitian_eigenvalues(a[:TWO_STAGE_MIN_N - 1, :TWO_STAGE_MIN_N - 1])
     assert calls == [shape.n, shape.n]
 
 

@@ -5,7 +5,7 @@ allocates W next to its Gram array, `partial_transpose` writes a second
 n x n array and `hermitian_eigenvalues` copies that into a third, the
 solver's workspace.  The one-buffer path must hand the solver the
 reference's matrix, bytes compared, not only give the same eigenvalues.  It
-may hand it as stored or transposed, in the same triangle: LAPACK reads a
+may hand it as stored or transposed, in the lower triangle: LAPACK reads a
 C-ordered buffer as its transpose, the conjugate of a self-adjoint matrix,
 and `test_linalg.py::test_solvers_give_a_matrix_and_its_conjugate_the_same_bits`
 checks that a matrix and its conjugate give the same eigenvalue bits.  Any
@@ -108,9 +108,9 @@ def _solver_spy(monkeypatch):
 
 
 def _assert_same_matrix(seen):
-    """The first solver call read, in the second's triangle, the second's matrix or its transpose."""
+    """Both solver calls read the lower triangle, the first of the second's matrix or its transpose."""
     (uplo, matrix, _), (reference_uplo, reference, _) = seen
-    assert uplo == reference_uplo
+    assert uplo == reference_uplo == b"L"
     assert matrix.tobytes() in (reference.tobytes(), reference.T.tobytes())
 
 
@@ -225,7 +225,8 @@ def test_public_functions_leave_their_input_unchanged():
 @pytest.mark.parametrize("field, itemsize", [("complex", 16), ("real", 8)])
 def test_one_trial_peaks_near_one_buffer(field, itemsize):
     # a draw, its partial transpose and the eigensolve at n = 400 (the lauum
-    # path and heevd); the three-buffer path peaked at about 2 * itemsize * n^2
+    # path, then dsyevd or zheevd_2stage); the three-buffer path peaked at
+    # about 2 * itemsize * n^2
     n, shape = 400, BipartiteShape(20, 20)
     params = WishartParams(n=n, p=4 * n, field=field)
     tracemalloc.start()

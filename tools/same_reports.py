@@ -24,7 +24,7 @@ TIMEOUT_S = 600
 
 ARGVS = [
     # spectrum: every ensemble and field, threads, an unbalanced shape, and both
-    # sides of the two-stage eigensolve bound (n = 1250)
+    # sides of the two-stage eigensolve bound (n = 378 and n = 380)
     ["spectrum", "--d", "6", "--trials", "3", "--seed", "11"],
     ["spectrum", "--d", "8", "--trials", "3", "--field", "real", "--threads", "2"],
     ["spectrum", "--d", "6", "--trials", "3", "--ensemble", "induced"],
@@ -32,6 +32,8 @@ ARGVS = [
     ["spectrum", "--d1", "3", "--d2", "5", "--trials", "3"],
     ["spectrum", "--d", "4", "--trials", "2", "--threads", "3"],
     ["spectrum", "--d", "17", "--trials", "2"],
+    ["spectrum", "--d1", "18", "--d2", "21", "--trials", "2"],
+    ["spectrum", "--d1", "19", "--d2", "20", "--trials", "2"],
     ["spectrum", "--alpha", "4", "--check", "--threads", "1", "--d", "30", "--trials", "2", "--seed", "1"],
     # extremes: a threshold pass and a miss (exit 3), the real field, an explicit
     # p (alpha = p / n in the edge theory and the check), and n = 1600
