@@ -4,16 +4,24 @@ the OpenBLAS that runs them.
 The routines come from numpy's own OpenBLAS (64-bit integers, "64_" suffix)
 through ctypes, one cached lookup `_function` for all of them:
 
-- `heevd`: LAPACKE_zheevd or LAPACKE_dsyevd, the front end of the routine
-  numpy's eigvalsh itself calls, and `zheevd_2stage`: LAPACKE_zheevd_2stage,
-  which numpy does not wrap; `eigenvalues` runs either on the lower triangle;
+- `hetrd`: LAPACKE_zhetrd or LAPACKE_dsytrd, the tridiagonal reduction
+  inside numpy's eigvalsh, and `zhetrd_2stage`: LAPACK's two-stage reduction,
+  which has no LAPACKE front end; `eigenvalues` runs either on the lower
+  triangle and finishes with
+- `dsterf`: LAPACKE_dsterf, every eigenvalue of the tridiagonal matrix, or
+  `dstebz`: LAPACKE_dstebz, one eigenvalue by Sturm-count bisection;
 - `herk`: cblas_zherk or cblas_dsyrk;
 - `lauum`: LAPACKE_zlauum or LAPACKE_dlauum.
+
+zhetrd_2stage is the Fortran symbol itself: every argument goes by reference,
+the two character arguments' lengths follow as hidden trailing arguments, and
+a first call with workspace sizes of -1 asks for the sizes of the workspace
+that numpy then allocates.
 
 A foreign call through ctypes releases the GIL, so trial workers run these
 routines at the same time; numpy's eigvalsh holds the GIL.  Where numpy's
 copy lacks a symbol (numpy < 2, or a numpy built on another BLAS), the
-eigensolver lookups return None and the caller falls back to eigvalsh, while
+eigenvalue lookups return None and the caller falls back to eigvalsh, while
 `herk` and `lauum` form their products with numpy's matmul.
 
 OpenBLAS starts one thread per core (or as many as OPENBLAS_NUM_THREADS
@@ -26,8 +34,9 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from ctypes import c_char, c_double, c_int, c_int64, c_void_p
+from ctypes import POINTER, byref, c_char, c_char_p, c_double, c_int, c_int64, c_size_t, c_void_p
 from functools import cache
+from math import sqrt
 
 import numpy as np
 
@@ -42,9 +51,14 @@ _CBLAS_NO_TRANS = 111
 # the dtype and the (name, restype, argtypes) of each routine, indexed by "is
 # the field complex"
 _DTYPES = (np.float64, np.complex128)
-_EVD = (c_int64, (c_int, c_char, c_char, c_int64, c_void_p, c_int64, c_void_p))
-_HEEVD = [("scipy_LAPACKE_dsyevd64_", *_EVD), ("scipy_LAPACKE_zheevd64_", *_EVD)]
-_ZHEEVD_2STAGE = ("scipy_LAPACKE_zheevd_2stage64_", *_EVD)
+_TRD = (c_int64, (c_int, c_char, c_int64, c_void_p, c_int64, c_void_p, c_void_p, c_void_p))
+_HETRD = [("scipy_LAPACKE_dsytrd64_", *_TRD), ("scipy_LAPACKE_zhetrd64_", *_TRD)]
+_REF = POINTER(c_int64)
+_ZHETRD_2STAGE = ("scipy_zhetrd_2stage_64_", None, (c_char_p, c_char_p, _REF, c_void_p, _REF, c_void_p, c_void_p,
+                                                    c_void_p, c_void_p, _REF, c_void_p, _REF, _REF, c_size_t, c_size_t))
+_DSTERF = ("scipy_LAPACKE_dsterf64_", c_int64, (c_int64, c_void_p, c_void_p))
+_DSTEBZ = ("scipy_LAPACKE_dstebz64_", c_int64, (c_char, c_char, c_int64, c_double, c_double, c_int64, c_int64,
+                                               c_double, c_void_p, c_void_p, _REF, _REF, c_void_p, c_void_p, c_void_p))
 _UPDATE = (None, (c_int, c_int, c_int, c_int64, c_int64, c_double, c_void_p, c_int64, c_double,
                   c_void_p, c_int64))
 _HERK = [("scipy_cblas_dsyrk64_", *_UPDATE), ("scipy_cblas_zherk64_", *_UPDATE)]
@@ -87,32 +101,101 @@ def _threads(lookup=_function) -> tuple | None:
     return get, set_, get()
 
 
-def heevd(complex_field: bool):
-    """LAPACKE_zheevd (complex) or LAPACKE_dsyevd (real), or None:
-    solver(layout, jobz, uplo, n, a, lda, w) -> info."""
-    return _function(*_HEEVD[complex_field])
+def hetrd(complex_field: bool):
+    """LAPACKE_zhetrd (complex) or LAPACKE_dsytrd (real), or None:
+    reduce(layout, uplo, n, a, lda, d, e, tau) -> info."""
+    return _function(*_HETRD[complex_field])
 
 
-def zheevd_2stage():
-    """LAPACKE_zheevd_2stage, with heevd's signature, or None."""
-    return _function(*_ZHEEVD_2STAGE)
+def zhetrd_2stage():
+    """LAPACK's zhetrd_2stage behind hetrd's signature, for column-major
+    storage, its workspace allocated here; or None."""
+    fn = _function(*_ZHETRD_2STAGE)
+    if fn is None:
+        return None
+
+    def reduce(layout, uplo, n, a, lda, d, e, tau):
+        n, lda, info = c_int64(n), c_int64(lda), c_int64()
+        sizes = np.empty(2, dtype=np.complex128)
+        query = c_int64(-1)
+        fn(b"N", uplo, byref(n), a, byref(lda), d, e, tau, sizes[:1].ctypes.data, byref(query),
+           sizes[1:].ctypes.data, byref(query), byref(info), 1, 1)
+        if info.value != 0:
+            return info.value
+        lhous, lwork = (c_int64(int(size.real)) for size in sizes)
+        hous, work = np.empty(lhous.value, dtype=np.complex128), np.empty(lwork.value, dtype=np.complex128)
+        fn(b"N", uplo, byref(n), a, byref(lda), d, e, tau, hous.ctypes.data, byref(lhous), work.ctypes.data,
+           byref(lwork), byref(info), 1, 1)
+        return info.value
+
+    reduce.__name__ = fn.__name__
+    return reduce
 
 
-def eigenvalues(solver, work: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, that `solver` (from `heevd` or `zheevd_2stage`)
-    finds in the lower triangle of work read column-major: a C-ordered work
-    reads as its transpose, the conjugate of a self-adjoint work.  work, a C-
-    or F-ordered square float64 or complex128 array, is overwritten."""
+def dsterf():
+    """LAPACKE_dsterf, or None: finish(n, d, e) -> info, d overwritten by the
+    eigenvalues, ascending."""
+    return _function(*_DSTERF)
+
+
+def dstebz():
+    """LAPACKE_dstebz, or None: finish(range, order, n, vl, vu, il, iu, abstol,
+    d, e, m, nsplit, w, iblock, isplit) -> info."""
+    return _function(*_DSTEBZ)
+
+
+def _unscaled(work: np.ndarray) -> bool:
+    """Whether LAPACK's eigenvalue drivers would reduce work as it is.  They
+    rescale a matrix whose largest entry m lies outside [sqrt(safmin / eps),
+    sqrt(eps / safmin)], about [1.4e-146, 7.1e145]; the bare reduction does
+    not.  The largest real or imaginary part p bounds m to [p, sqrt(2) p], so
+    every p for which m might lie outside counts as outside."""
+    parts = work.ravel(order="K").view(np.float64)
+    p = max(float(parts.max()), -float(parts.min()))
+    low = sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).epsneg)
+    return p == 0.0 or low <= p and sqrt(2.0) * p <= 1.0 / low
+
+
+def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -> np.ndarray | None:
+    """The eigenvalues, ascending, of the self-adjoint matrix in the lower
+    triangle of work read column-major: a C-ordered work reads as its
+    transpose, the conjugate of a self-adjoint work.  One tridiagonal
+    reduction, by `hetrd`, or by `zhetrd_2stage` for a complex work with
+    `two_stage` where it is exported, then one finish: `dsterf` for all n, or
+    with `ends` `dstebz` twice, for the smallest and then the largest.  work,
+    a C- or F-ordered square float64 or complex128 array, is overwritten.
+    None, with work untouched, where numpy's OpenBLAS lacks a routine or the
+    drivers would rescale work (`_unscaled`)."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
         raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
                          f"got shape {work.shape} and dtype {work.dtype}")
-    values = np.empty(n)
-    info = solver(_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), values.ctypes.data)
+    complex_field = work.dtype == np.complex128
+    reduce = (zhetrd_2stage() if complex_field and two_stage else None) or hetrd(complex_field)
+    finish = dstebz() if ends else dsterf()
+    if reduce is None or finish is None or not _unscaled(work):
+        return None
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1), dtype=work.dtype)
+    info = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data)
     if info != 0:
-        raise NumericError(f"{solver.__name__} failed with info {info}")
-    return values
+        raise NumericError(f"{reduce.__name__} failed with info {info}")
+    if not ends:
+        info = finish(n, d.ctypes.data, e.ctypes.data)
+        if info != 0:
+            raise NumericError(f"{finish.__name__} failed with info {info}")
+        return d
+    found, blocks = c_int64(), c_int64()
+    value, block, split_at = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    extremes = np.empty(2)
+    for k, index in enumerate((1, n)):
+        # RANGE = 'I' with IL = IU = index; ABSTOL = 0 asks for LAPACK's default tolerance
+        info = finish(b"I", b"E", n, 0.0, 0.0, index, index, 0.0, d.ctypes.data, e.ctypes.data, byref(found),
+                      byref(blocks), value.ctypes.data, block.ctypes.data, split_at.ctypes.data)
+        if info != 0 or found.value != 1:
+            raise NumericError(f"{finish.__name__} failed with info {info}")
+        extremes[k] = value[0]
+    return extremes
 
 
 def herk(alpha: float, a: np.ndarray, c: np.ndarray, beta: float = 0.0) -> np.ndarray:

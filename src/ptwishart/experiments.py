@@ -7,9 +7,10 @@ loop, over streams 0..count-1 (ppt maps its whole grid at once: grid point ai
 draws streams ai * trials + t).  With two or more trial workers the loop sets
 numpy's OpenBLAS to max(1, start-up thread count // workers) threads while
 they run, so the cores are split, not oversubscribed.  A trial holds one n x n
-array: `pt_eigenvalues` transposes its `_draw` in place and solves it there,
-and `worker_memory` is what a worker holds at its peak, which the config
-checks against `memory_budget` before any trial.
+array: `pt_eigenvalues`, or for the two ends `pt_extreme_eigenvalues`,
+transposes its `_draw` in place and solves it there, and `worker_memory` is
+what a worker holds at its peak, which the config checks against
+`memory_budget` before any trial.
 A report is a pure function of its config, `threads` included, on a given machine; with two or
 more workers its values can differ from a one-worker run in the last bits,
 because the BLAS thread count changes the order of floating-point sums.
@@ -42,7 +43,7 @@ from .ensembles import (
 )
 from .errors import ParameterError
 from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
-from .linalg import BipartiteShape, pt_eigenvalues
+from .linalg import BipartiteShape, pt_eigenvalues, pt_extreme_eigenvalues
 from .partitions import (
     _couples_match,
     admissible_triples,
@@ -93,9 +94,11 @@ MAX_SPECTRUM_VALUES = 10**7
 MAX_MIXTURE_ENTRIES = 2**30
 
 
-# LAPACK's eigensolver workspace, in matrix rows: ru_maxrss rose by 170-305
-# rows' worth during zheevd and dsyevd at n = 900-3600, and by 82-216 during
-# zheevd_2stage at n = 380-3600 after a draw's BLAS call, as in a trial
+# LAPACK's eigensolver workspace, in matrix rows: after a small call of the
+# same route and a matmul, as a trial's draw sets up OpenBLAS before its solve,
+# ru_maxrss rose by 72-194 rows' worth during zhetrd_2stage at n = 380-3600,
+# by 23-109 during zhetrd at n = 225-361 and by 43-73 during dsytrd at
+# n = 380-3600, at 1 and 2 BLAS threads, with either finish
 SOLVER_WORK_ROWS = 512
 # a pure-state trial holds its state of n = d**2 entries and the SVD's copy of
 # it, never an n x n matrix: ru_maxrss rose by 34-42 bytes per entry at
@@ -411,7 +414,7 @@ def run_extremes(config: ExperimentConfig) -> dict:
         # the partial transpose keeps W's diagonal entry for entry; read before
         # the eigensolve overwrites w
         deviation = diag_deviation(w)
-        lam_lo, lam_hi = extremes(SpectralSample(pt_eigenvalues(w, shape)))
+        lam_lo, lam_hi = pt_extreme_eigenvalues(w, shape)
         return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": deviation}
 
     per_trial = _run_trials(config, one_trial, config.trials)

@@ -8,17 +8,22 @@ sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
 float64 arrays take the real-symmetric eigensolver, complex arrays the
 Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
 ctypes calls release the GIL, so trial workers overlap their eigensolves.
-Every solver reads the lower triangle, as eigvalsh does: LAPACKE_zheevd or
-LAPACKE_dsyevd, eigvalsh's own routine, for the real field and below
-TWO_STAGE_MIN_N, and from there for complex matrices LAPACK's two-stage
-tridiagonal reduction (zheevd_2stage; Haidar, Ltaief & Dongarra, SC'11),
-which numpy does not wrap.  Where the OpenBLAS lacks the symbol,
-np.linalg.eigvalsh is the fallback.  A solver reads each matrix in the
-memory order it has, a C-ordered one as its conjugate, to which these
-routines give the same eigenvalue bits; so heevd's are eigvalsh's bit for
-bit.  `partial_transpose` and `hermitian_eigenvalues` never write their input;
-`pt_eigenvalues`, which the Monte Carlo trials call, does both steps in its
-input's own memory.
+An eigensolve is one tridiagonal reduction of the lower triangle, as in
+eigvalsh, and one finish.  The reduction is LAPACKE_zhetrd or LAPACKE_dsytrd,
+eigvalsh's own, for the real field and below TWO_STAGE_MIN_N, and from there
+for complex matrices LAPACK's two-stage reduction (zhetrd_2stage; Haidar,
+Ltaief & Dongarra, SC'11), which numpy does not wrap.  The finish is dsterf
+for all n eigenvalues, which gives the bits of the drivers that pair the same
+reduction with it (zheevd, dsyevd, zheevd_2stage), so eigvalsh's bit for bit
+below TWO_STAGE_MIN_N; or, for `pt_extreme_eigenvalues`, dstebz's Sturm-count
+bisection, once for the smallest and once for the largest eigenvalue.  Where
+the OpenBLAS lacks a symbol, or a matrix's largest entry lies where the
+drivers would rescale it, np.linalg.eigvalsh is the fallback.  A solver reads
+each matrix in the memory order it has, a C-ordered one as its conjugate, to
+which these routines give the same eigenvalue bits.  `partial_transpose` and
+`hermitian_eigenvalues` never write their input; `pt_eigenvalues` and
+`pt_extreme_eigenvalues`, which the Monte Carlo trials call, do both steps in
+their input's own memory.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ from .errors import NumericError, ParameterError, ShapeError
 # Relative tolerance for the structural self-adjointness check.
 HERMITICITY_RTOL = 1e-10
 
-# Smallest complex matrix that takes the two-stage eigensolver.  In medians of 31
-# paired calls on 2 cores, both on the lower triangle, it is no slower than zheevd
-# from here on at 1 and at 2 BLAS threads, and 1% slower at n = 361-370 with one.
+# Smallest complex matrix that takes the two-stage reduction.  In medians of 31
+# paired calls on 2 cores, both on the lower triangle, zheevd_2stage is no slower
+# than zheevd from here on at 1 and at 2 BLAS threads, and 1% slower at n =
+# 361-370 with one; with the dstebz ends the two reductions are within 1% of
+# each other at n = 361-380 with one thread, and the two-stage one is 8% faster
+# there with two.
 TWO_STAGE_MIN_N = 380
 
 # is_hermitian compares a with its conjugate transpose in square tiles of this
@@ -132,45 +140,39 @@ def _check_self_adjoint(a: np.ndarray):
         raise NumericError("matrix is not self-adjoint within tolerance")
 
 
-def _solver(complex_field: bool, n: int):
-    """The LAPACKE solver for an n x n matrix, or None when the OpenBLAS
-    lacks the symbol and eigvalsh is the fallback."""
-    if complex_field and n >= TWO_STAGE_MIN_N:
-        solver = _blas.zheevd_2stage()
-        if solver is not None:
-            return solver
-    return _blas.heevd(complex_field)
-
-
 def _dtype(a: np.ndarray):
     return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
-def _checked_eigenvalues(a: np.ndarray, solver, in_place: bool) -> np.ndarray:
-    """a's eigenvalues, once `_check_self_adjoint` passes a: by `solver` (from `_solver`) in a's memory,
-    or in a copy in a's memory order unless `in_place`; by np.linalg.eigvalsh(a) when solver is None."""
+def _checked_eigenvalues(a: np.ndarray, in_place: bool, ends: bool = False) -> np.ndarray:
+    """a's eigenvalues, all or with `ends` the smallest and the largest, once `_check_self_adjoint`
+    passes a: by `_blas.eigenvalues` in a's memory, or in a copy in a's memory order unless `in_place`,
+    a complex matrix of size TWO_STAGE_MIN_N or more on the two-stage reduction; by
+    np.linalg.eigvalsh(a) where `_blas` returns None."""
     _check_self_adjoint(a)
-    if solver is None:
-        return np.linalg.eigvalsh(a)
     work = a if in_place else np.array(a, dtype=_dtype(a))
-    return _blas.eigenvalues(solver, work)
+    values = _blas.eigenvalues(work, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends)
+    if values is None:
+        values = np.linalg.eigvalsh(a)
+        return values[[0, -1]] if ends else values
+    return values
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
     Real-symmetric input (float dtype) takes the real solver.  A complex
-    matrix of size TWO_STAGE_MIN_N or more goes to zheevd_2stage when
-    numpy's OpenBLAS exports it; otherwise LAPACKE_zheevd or
-    LAPACKE_dsyevd returns exactly what np.linalg.eigvalsh would, which is
-    the fallback when that symbol is missing.  Each solver reads the lower
-    triangle of a copy in the input's memory order, so the input is never
-    written.  Raises NumericError on non-finite entries, when the input is
-    not self-adjoint to within HERMITICITY_RTOL, or when the solver does not
-    converge.
+    matrix of size TWO_STAGE_MIN_N or more takes the two-stage reduction
+    where numpy's OpenBLAS exports it; otherwise the values are exactly what
+    np.linalg.eigvalsh returns, which is the fallback where a symbol is
+    missing or the matrix's scale is one LAPACK's drivers would rescale.
+    The solver reads the lower triangle of a copy in the input's memory
+    order, so the input is never written.  Raises NumericError on non-finite
+    entries, when the input is not self-adjoint to within HERMITICITY_RTOL,
+    or when the solver does not converge.
     """
     a = _as_square(a)
-    return _checked_eigenvalues(a, _solver(np.iscomplexobj(a), len(a)), in_place=False)
+    return _checked_eigenvalues(a, in_place=False)
 
 
 def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | None = None):
@@ -193,22 +195,8 @@ def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | No
             blocks[partner] = (saved[::-1, ::-1, ::-1] if reverse else saved).transpose(2, 1, 0)
 
 
-def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
-    """All eigenvalues, ascending, of w's partial transpose, found in w's memory.
-
-    w is consumed: its memory becomes the partial transpose and then the
-    solver's workspace, so a trial holds one n x n buffer from its draw to
-    its eigenvalues.  w may be C- or F-ordered, or such an array reversed in
-    both indices, as sample_wishart's lauum path returns it; any other w is
-    first copied, and is then left unchanged.  The blocks of w's memory read
-    in C order are transposed in place, which leaves that memory, read in its
-    own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
-    a reversed w is un-reversed in the same pass, as J X J would move the
-    eigenvalues' bits.  The solver, chosen as in hermitian_eigenvalues, reads
-    the lower triangle of that memory.  So the values are those of
-    hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit.  Raises
-    as hermitian_eigenvalues does.
-    """
+def _pt_solve(w, shape: BipartiteShape, ends: bool) -> np.ndarray:
+    """pt_eigenvalues, or with `ends` its smallest and largest value."""
     a = _bipartite(w, shape)
     dtype = _dtype(a)
     reverse = not (a.flags.c_contiguous or a.flags.f_contiguous)
@@ -218,4 +206,37 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
         memory, reverse = np.array(a, dtype=dtype), False
     blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
     _transpose_blocks(blocks, reverse)
-    return _checked_eigenvalues(memory, _solver(dtype is np.complex128, shape.n), in_place=True)
+    return _checked_eigenvalues(memory, in_place=True, ends=ends)
+
+
+def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
+    """All eigenvalues, ascending, of w's partial transpose, found in w's memory.
+
+    w is consumed: its memory becomes the partial transpose and then the
+    reduction's workspace, so a trial holds one n x n buffer from its draw to
+    its eigenvalues.  w may be C- or F-ordered, or such an array reversed in
+    both indices, as sample_wishart's lauum path returns it; any other w is
+    first copied, and is then left unchanged.  The blocks of w's memory read
+    in C order are transposed in place, which leaves that memory, read in its
+    own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
+    a reversed w is un-reversed in the same pass, as J X J would move the
+    eigenvalues' bits.  The reduction, chosen as in hermitian_eigenvalues,
+    reads the lower triangle of that memory, and dsterf finishes.  So the
+    values are those of hermitian_eigenvalues(partial_transpose(w, shape)),
+    bit for bit.  Raises as hermitian_eigenvalues does.
+    """
+    return _pt_solve(w, shape, ends=False)
+
+
+def pt_extreme_eigenvalues(w, shape: BipartiteShape) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of w's partial transpose, found in w's memory.
+
+    w is consumed and read as by pt_eigenvalues, on the same reduction; two
+    dstebz bisections then find the two ends, in O(n) work per step, where
+    dsterf would find all n eigenvalues.  The ends agree with
+    pt_eigenvalues' first and last value to within a few units in the last
+    place of the spectral radius, not bit for bit.  Raises as
+    hermitian_eigenvalues does.
+    """
+    low, high = _pt_solve(w, shape, ends=True)
+    return float(low), float(high)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import BipartiteShape, _as_square, pt_eigenvalues
+from .linalg import BipartiteShape, _as_square, pt_extreme_eigenvalues
 
 # Numerical tolerance for "positive partial transpose": lambda_min may dip
 # this far below zero, relative to the spectral radius, and still count.
@@ -112,15 +112,16 @@ class PPTResult:
 def ppt_gauge(rho, shape: BipartiteShape, overwrite: bool = False) -> PPTResult:
     """PPT test and gauge for a unit-trace state on the given bipartition.
 
-    rho is not written, unless `overwrite` hands its memory to
-    `pt_eigenvalues` in place of a copy."""
+    Only the ends of the partial transpose's spectrum are found, by
+    `pt_extreme_eigenvalues`: lambda_min and the spectral radius.  rho is not
+    written, unless `overwrite` hands its memory to that function in place of
+    a copy."""
     rho = np.asarray(rho)
     trace = complex(np.trace(rho)).real
     if abs(trace - 1.0) > STATE_TRACE_TOL:
         raise ParameterError(f"state trace must be 1 within {STATE_TRACE_TOL}, got {trace}")
-    eigs = pt_eigenvalues(rho if overwrite else rho.copy(order="K"), shape)
-    lam_min = float(eigs[0])
-    spectral_radius = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+    lam_min, lam_max = pt_extreme_eigenvalues(rho if overwrite else rho.copy(order="K"), shape)
+    spectral_radius = max(abs(lam_min), abs(lam_max))
     is_ppt = lam_min >= -PPT_EIGENVALUE_RTOL * spectral_radius
     gauge = 1.0 - shape.n * lam_min if shape.d1 == shape.d2 else None
     return PPTResult(is_ppt=bool(is_ppt), min_eigenvalue=lam_min, gauge=gauge)

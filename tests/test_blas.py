@@ -178,23 +178,33 @@ def test_split_survives_a_lookup_without_the_symbols():
 
 
 def test_trials_without_the_symbols_match_and_import_no_scipy():
-    # a lauum-route spectrum trial at n = 289, solved by eigvalsh, and a mixture
-    # trial of two Gram blocks, first with numpy's OpenBLAS routines and then without
+    # a lauum-route spectrum trial at n = 289, solved by eigvalsh, a mixture
+    # trial of two Gram blocks, an extremes trial at n = 289 and a ppt sweep at
+    # n = 400 (the two-stage ends), first with numpy's OpenBLAS routines and
+    # then without; spectrum compares eigenvalues, extremes and ppt their records
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from ptwishart import _blas, experiments\n"
-        "configs = [experiments.ExperimentConfig(subcommand='spectrum', d1=d, d2=d, trials=1, alpha=4.0,\n"
-        "                                        ensemble=ensemble)\n"
-        "           for d, ensemble in ((17, 'wishart'), (12, 'mixture'))]\n"
-        "def spectra():\n"
-        "    return [np.array(experiments.run_spectrum(c)['spectra'][0]['eigenvalues']) for c in configs]\n"
-        "expected = spectra()\n"
+        "def config(subcommand, d, ensemble, **kw):\n"
+        "    return experiments.ExperimentConfig(subcommand=subcommand, d1=d, d2=d, ensemble=ensemble, **kw)\n"
+        "configs = [config('spectrum', 17, 'wishart', trials=1, alpha=4.0),\n"
+        "           config('spectrum', 12, 'mixture', trials=1, alpha=4.0),\n"
+        "           config('extremes', 17, 'wishart', trials=1, alpha=4.0),\n"
+        "           config('ppt', 20, 'induced', trials=2, alpha=None, alphas=(3.0, 5.0))]\n"
+        "runners = {'spectrum': experiments.run_spectrum, 'extremes': experiments.run_extremes,\n"
+        "           'ppt': experiments.run_ppt_sweep}\n"
+        "def values(c):\n"
+        "    report = runners[c.subcommand](c)\n"
+        "    if c.subcommand == 'spectrum':\n"
+        "        return np.array(report['spectra'][0]['eigenvalues'])\n"
+        "    return np.array([r['value'] for r in report['records']])\n"
+        "expected = [values(c) for c in configs]\n"
         "_blas._function = lambda *routine: None\n"
-        "for e, g in zip(expected, spectra()):\n"
-        "    print(np.max(np.abs(g - e)) / np.max(np.abs(e)))\n"
+        "for e, c in zip(expected, configs):\n"
+        "    print(np.max(np.abs(values(c) - e)) / np.max(np.abs(e)))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     *errors, imported = _fresh(code)
-    assert len(errors) == 2 and all(0 <= float(e) <= 1e-12 for e in errors), errors
+    assert len(errors) == 4 and all(0 <= float(e) <= 1e-12 for e in errors), errors
     assert imported == "[]"

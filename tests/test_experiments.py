@@ -274,13 +274,14 @@ def test_two_workers_match_one_worker_at_the_per_worker_blas_count(tmp_path):
 
 
 
-@pytest.mark.parametrize("runner, subcommand", [(run_spectrum, "spectrum"), (run_extremes, "extremes")])
+@pytest.mark.parametrize("runner, subcommand, solver", [(run_spectrum, "spectrum", "pt_eigenvalues"),
+                                                       (run_extremes, "extremes", "pt_extreme_eigenvalues")])
 @pytest.mark.parametrize("d", [6, 16], ids=["herk", "lauum"])
-def test_wishart_draw_is_the_eigensolve_buffer(monkeypatch, runner, subcommand, d):
+def test_wishart_draw_is_the_eigensolve_buffer(monkeypatch, runner, subcommand, solver, d):
     # a trial holds one n x n buffer: the draw itself is transposed, checked
     # and solved in place, so no second n x n array is alive through the solve
     draws, solved = [], []
-    sample, solve = experiments.sample_wishart, experiments.pt_eigenvalues
+    sample, solve = experiments.sample_wishart, getattr(experiments, solver)
 
     def tracked_sample(params, stream):
         w = sample(params, stream)
@@ -294,7 +295,7 @@ def test_wishart_draw_is_the_eigensolve_buffer(monkeypatch, runner, subcommand, 
         return values
 
     monkeypatch.setattr(experiments, "sample_wishart", tracked_sample)
-    monkeypatch.setattr(experiments, "pt_eigenvalues", checked_solve)
+    monkeypatch.setattr(experiments, solver, checked_solve)
     runner(small_config(subcommand=subcommand, d1=d, d2=d))
     assert solved == [True] * 3
 

@@ -9,12 +9,21 @@ from ptwishart import (
     SampleStream,
     WishartParams,
     _blas,
+    experiments,
     hermitian_eigenvalues,
     partial_transpose,
     sample_wishart,
 )
 from ptwishart.errors import NumericError, ParameterError, ShapeError
-from ptwishart.linalg import _HERMITICITY_TILE, HERMITICITY_RTOL, TWO_STAGE_MIN_N, is_hermitian, pt_eigenvalues
+from ptwishart.experiments import ExperimentConfig
+from ptwishart.linalg import (
+    _HERMITICITY_TILE,
+    HERMITICITY_RTOL,
+    TWO_STAGE_MIN_N,
+    is_hermitian,
+    pt_eigenvalues,
+    pt_extreme_eigenvalues,
+)
 
 
 def random_hermitian(n, rng, complex_field=True):
@@ -181,30 +190,30 @@ def test_psd_product_is_numerically_psd():
     assert vals[0] >= -1e-10 * np.abs(vals).max()
 
 
-def _two_stage_solver():
-    solver = _blas.zheevd_2stage()
-    if solver is None:
-        pytest.skip("the loaded OpenBLAS exports no LAPACKE_zheevd_2stage")
-    return solver
+def _two_stage_reduction():
+    reduce = _blas.zhetrd_2stage()
+    if reduce is None:
+        pytest.skip("the loaded OpenBLAS exports no zhetrd_2stage")
+    return reduce
 
 
-def _heevd_solver(complex_field):
-    solver = _blas.heevd(complex_field)
-    if solver is None:
-        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_zheevd/LAPACKE_dsyevd")
-    return solver
+def _one_stage_reduction(complex_field):
+    reduce = _blas.hetrd(complex_field)
+    if reduce is None:
+        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_zhetrd/LAPACKE_dsytrd")
+    return reduce
 
 
-def _spy(monkeypatch, complex_field=True, lookups=("zheevd_2stage",)):
-    """Count, by n, the calls that reach the solvers the `_blas` lookups return
-    for the field; skip when the OpenBLAS lacks one."""
+def _spy(monkeypatch, complex_field=True, lookups=("zhetrd_2stage",)):
+    """Count, by n, the calls that reach the reductions the `_blas` lookups
+    return for the field; skip when the OpenBLAS lacks one."""
     calls = []
     for lookup in lookups:
-        solver = _heevd_solver(complex_field) if lookup == "heevd" else _two_stage_solver()
+        reduce = _one_stage_reduction(complex_field) if lookup == "hetrd" else _two_stage_reduction()
 
-        def spy(*args, solver=solver):
-            calls.append(args[3])
-            return solver(*args)
+        def spy(*args, reduce=reduce):
+            calls.append(args[2])
+            return reduce(*args)
 
         monkeypatch.setattr(_blas, lookup, lambda *field, spy=spy: spy)
     return calls
@@ -213,7 +222,7 @@ def _spy(monkeypatch, complex_field=True, lookups=("zheevd_2stage",)):
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2, 9, 225, TWO_STAGE_MIN_N - 1])
 def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
-    calls = _spy(monkeypatch, complex_field, ("heevd",))
+    calls = _spy(monkeypatch, complex_field, ("hetrd",))
     rng = np.random.default_rng(47)
     a = random_hermitian(n, rng, complex_field)
     # C-ordered, F-ordered, and a strided view of a larger Hermitian matrix
@@ -226,49 +235,98 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
     assert calls == [n] * len(inputs)
 
 
-@pytest.mark.parametrize("lookup, n", [("heevd", 2), ("heevd", 9), ("heevd", 225), ("zheevd_2stage", 9),
-                                       ("zheevd_2stage", TWO_STAGE_MIN_N)])
-def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n):
-    # linalg hands a solver each matrix in the memory order it has, on this
+@pytest.mark.parametrize("ends", [False, True], ids=["dsterf", "dstebz"])
+@pytest.mark.parametrize("lookup, n", [("hetrd", 2), ("hetrd", 9), ("hetrd", 225), ("zhetrd_2stage", 9),
+                                       ("zhetrd_2stage", TWO_STAGE_MIN_N)])
+def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n, ends):
+    # linalg hands a reduction each matrix in the memory order it has, on this
     # assumption: LAPACK reads a C-ordered buffer as its transpose, which for
-    # the self-adjoint x is conj(x), in the lower triangle, which both routes read
-    solver = _heevd_solver(True) if lookup == "heevd" else _two_stage_solver()
+    # the self-adjoint x is conj(x), in the lower triangle, which both routes
+    # read; and either finish gives the two the same bits
+    two_stage = lookup == "zhetrd_2stage"
+    _two_stage_reduction() if two_stage else _one_stage_reduction(True)
     x = random_hermitian(n, np.random.default_rng(n))
     assert np.array_equal(x, x.conj().T)
-    column_major = _blas.eigenvalues(solver, np.asfortranarray(x))
-    conjugate = _blas.eigenvalues(solver, np.ascontiguousarray(x))
+    column_major = _blas.eigenvalues(np.asfortranarray(x), two_stage, ends)
+    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), two_stage, ends)
     assert column_major.tobytes() == conjugate.tobytes()
 
 
-@pytest.mark.parametrize("complex_field, n, routine", [
-    (True, TWO_STAGE_MIN_N, "zheevd_2stage"),
-    (True, TWO_STAGE_MIN_N - 1, "zheevd"),
-    (False, 2, "dsyevd"),
-    (False, TWO_STAGE_MIN_N - 1, "dsyevd"),
-    (False, TWO_STAGE_MIN_N, "dsyevd"),
-    (False, 1600, "dsyevd"),
-])
-def test_each_size_and_field_reaches_its_solver_on_the_lower_triangle(monkeypatch, complex_field, n, routine):
-    # skip where the OpenBLAS lacks the routine
-    _heevd_solver(complex_field)
-    if routine == "zheevd_2stage":
-        _two_stage_solver()
-    seen = []
-    for lookup in BOTH_SOLVERS:
-        def spying(*field, find=getattr(_blas, lookup)):
-            solver = find(*field)
+# the routine each size and field reaches, as numpy's OpenBLAS names it:
+# LAPACKE_<routine> is scipy_LAPACKE_<routine>64_, the Fortran zhetrd_2stage
+# scipy_zhetrd_2stage_64_
+ROUTINE_NAMES = {"zhetrd_2stage": "scipy_zhetrd_2stage_64_", "zhetrd": "scipy_LAPACKE_zhetrd64_",
+                 "dsytrd": "scipy_LAPACKE_dsytrd64_"}
+LOOKUPS = ("hetrd", "zhetrd_2stage", "dsterf", "dstebz")
 
-            def spy(layout, jobz, uplo, n, *rest):
-                seen.append((solver.__name__, uplo, n))
-                return solver(layout, jobz, uplo, n, *rest)
+
+def routine_spy(monkeypatch, complex_field=True):
+    """Record each call that reaches the routines the four `_blas` lookups
+    return: (name, uplo, n) for a reduction, ("dsterf", n) and ("dstebz", il)
+    for a finish; skip where the OpenBLAS lacks the one-stage route."""
+    _one_stage_reduction(complex_field)
+    if _blas.dsterf() is None or _blas.dstebz() is None:
+        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_dsterf/LAPACKE_dstebz")
+    seen = []
+    for lookup in LOOKUPS:
+        def spying(*field, find=getattr(_blas, lookup), lookup=lookup):
+            routine = find(*field)
+            if routine is None:
+                return None
+
+            def spy(*args):
+                if lookup in ("hetrd", "zhetrd_2stage"):
+                    seen.append((routine.__name__, args[1], args[2]))
+                else:
+                    seen.append((lookup, args[0] if lookup == "dsterf" else args[5]))
+                return routine(*args)
+            spy.__name__ = routine.__name__
             return spy
 
         monkeypatch.setattr(_blas, lookup, spying)
+    return seen
+
+
+@pytest.mark.parametrize("complex_field, n, routine", [
+    (True, TWO_STAGE_MIN_N, "zhetrd_2stage"),
+    (True, TWO_STAGE_MIN_N - 1, "zhetrd"),
+    (False, 2, "dsytrd"),
+    (False, TWO_STAGE_MIN_N - 1, "dsytrd"),
+    (False, TWO_STAGE_MIN_N, "dsytrd"),
+    (False, 1600, "dsytrd"),
+])
+def test_each_size_and_field_reaches_its_reduction_on_the_lower_triangle(monkeypatch, complex_field, n, routine):
+    seen = routine_spy(monkeypatch, complex_field)
+    if routine == "zhetrd_2stage":
+        _two_stage_reduction()
     a = random_hermitian(n, np.random.default_rng(n), complex_field)
     hermitian_eigenvalues(a)
-    pt_eigenvalues(a, BipartiteShape(1, n))
-    # numpy's OpenBLAS names LAPACKE_<routine> scipy_LAPACKE_<routine>64_
-    assert seen == [(f"scipy_LAPACKE_{routine}64_", b"L", n)] * 2
+    pt_eigenvalues(a.copy(), BipartiteShape(1, n))
+    pt_extreme_eigenvalues(a, BipartiteShape(1, n))
+    reduction = (ROUTINE_NAMES[routine], b"L", n)
+    # all n values: one reduction, then dsterf; the ends: one reduction, then
+    # dstebz for the smallest (il = 1) and for the largest (il = n)
+    assert seen == [reduction, ("dsterf", n)] * 2 + [reduction, ("dstebz", 1), ("dstebz", n)]
+
+
+@pytest.mark.parametrize("subcommand, runner, ensemble, field", [
+    ("spectrum", "run_spectrum", "wishart", "complex"),
+    ("spectrum", "run_spectrum", "wishart", "real"),
+    ("extremes", "run_extremes", "wishart", "complex"),
+    ("extremes", "run_extremes", "wishart", "real"),
+    ("ppt", "run_ppt_sweep", "induced", "complex"),
+    ("ppt", "run_ppt_sweep", "mixture", "complex"),
+])
+def test_each_trial_reaches_one_reduction_and_its_finish(monkeypatch, subcommand, runner, ensemble, field):
+    # spectrum reads all n eigenvalues, extremes and ppt only the two ends
+    seen = routine_spy(monkeypatch, field == "complex")
+    alphas = {"alphas": (2.0, 8.0), "alpha": None} if subcommand == "ppt" else {"alpha": 4.0}
+    config = ExperimentConfig(subcommand=subcommand, ensemble=ensemble, field=field, d1=3, d2=4, trials=2,
+                              master_seed=5, **alphas)
+    getattr(experiments, runner)(config)
+    reduction = (ROUTINE_NAMES["zhetrd" if field == "complex" else "dsytrd"], b"L", 12)
+    finish = [("dsterf", 12)] if subcommand == "spectrum" else [("dstebz", 1), ("dstebz", 12)]
+    assert seen == ([reduction] + finish) * (4 if subcommand == "ppt" else 2)
 
 
 def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
@@ -306,16 +364,27 @@ def _wishart(n, p, index):
     return lambda: sample_wishart(WishartParams(n=n, p=p), SampleStream(9, index))
 
 
-BOTH_SOLVERS = ("heevd", "zheevd_2stage")
+BOTH_REDUCTIONS = ("hetrd", "zhetrd_2stage")
 
 
-@pytest.mark.parametrize("shape, make, missing", [
-    pytest.param(None, _hermitian(225, 53, False), ("heevd",), id="hermitian_eigenvalues-evd-real"),
-    pytest.param(None, _hermitian(225, 53), ("heevd",), id="hermitian_eigenvalues-evd-complex"),
-    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 37), ("zheevd_2stage",), id="hermitian_eigenvalues-two-stage"),
-    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_SOLVERS, id="pt_eigenvalues-no-solver"),
+def _extremes(a, shape):
+    return np.array(pt_extreme_eigenvalues(a, shape))
+
+
+@pytest.mark.parametrize("shape, make, missing, solve", [
+    pytest.param(None, _hermitian(225, 53, False), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 53), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 37), ("zhetrd_2stage",), _solve,
+                 id="hermitian_eigenvalues-two-stage"),
+    pytest.param(None, _hermitian(225, 53), ("dsterf",), _solve, id="hermitian_eigenvalues-no-dsterf"),
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_REDUCTIONS, _solve,
+                 id="pt_eigenvalues-no-solver"),
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_REDUCTIONS, _extremes,
+                 id="pt_extreme_eigenvalues-no-solver"),
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), ("dstebz",), _extremes,
+                 id="pt_extreme_eigenvalues-no-dstebz"),
 ])
-def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing):
+def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing, solve):
     for lookup in missing:
         monkeypatch.setattr(_blas, lookup, lambda *complex_field: None)
     fallback = []
@@ -323,38 +392,43 @@ def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
     a = make()
     expected = eigvalsh(a if shape is None else partial_transpose(a, shape))
-    np.testing.assert_array_equal(_solve(a, shape), expected)
-    # without the two-stage symbol alone heevd solves; with no solver left, eigvalsh
-    assert fallback == ([len(a)] if _blas.heevd(np.iscomplexobj(a)) is None else [])
+    got = solve(a, shape)
+    np.testing.assert_array_equal(got, expected if len(got) == len(a) else expected[[0, -1]])
+    # without the two-stage symbol alone hetrd reduces; with no route left, eigvalsh
+    routes = _blas.hetrd(np.iscomplexobj(a)) and _blas.dsterf() and _blas.dstebz()
+    assert fallback == ([len(a)] if routes is None else [])
 
 
-@pytest.mark.parametrize("shape, make, lookups", [
-    pytest.param(None, _hermitian(225, 59, False), ("heevd",), id="hermitian_eigenvalues-evd-real"),
-    pytest.param(None, _hermitian(225, 59), ("heevd",), id="hermitian_eigenvalues-evd-complex"),
-    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 41), ("zheevd_2stage",), id="hermitian_eigenvalues-two-stage"),
-    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_SOLVERS, id="pt_eigenvalues-evd"),
+@pytest.mark.parametrize("shape, make, lookups, solve", [
+    pytest.param(None, _hermitian(225, 59, False), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 59), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 41), ("zhetrd_2stage",), _solve,
+                 id="hermitian_eigenvalues-two-stage"),
+    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_REDUCTIONS, _solve, id="pt_eigenvalues-evd"),
+    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_REDUCTIONS, _extremes,
+                 id="pt_extreme_eigenvalues-evd"),
 ])
-def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups):
+def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups, solve):
     a = make()
     calls = _spy(monkeypatch, np.iscomplexobj(a), lookups)
     bad = a.copy()
     bad[3, 5] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
-        _solve(bad, shape)
+        solve(bad, shape)
     bad = a.copy()
     bad[3, 5] += 1.0
     with pytest.raises(NumericError, match="self-adjoint"):
-        _solve(bad, shape)
+        solve(bad, shape)
     if shape is not None:
         with pytest.raises(ShapeError):
-            pt_eigenvalues(a, BipartiteShape(3, 3))
+            solve(a, BipartiteShape(3, 3))
     assert calls == []
 
 
 @pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, lookup", [
-    pytest.param(False, 225, 61, 4, 2, 3, "heevd", id="hermitian_eigenvalues-evd-real"),
-    pytest.param(True, 225, 61, 4, 2, 3, "heevd", id="hermitian_eigenvalues-evd-complex"),
-    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zheevd_2stage", id="hermitian_eigenvalues-two-stage"),
+    pytest.param(False, 225, 61, 4, 2, 3, "hetrd", id="hermitian_eigenvalues-evd-real"),
+    pytest.param(True, 225, 61, 4, 2, 3, "hetrd", id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_2stage", id="hermitian_eigenvalues-two-stage"),
 ])
 def test_concurrent_calls_match_serial(monkeypatch, complex_field, n, seed, count, split, repeats, lookup):
     # ctypes releases the GIL, so pool workers run their solves at the same

@@ -3,7 +3,7 @@
 `_reference_*` below are test-local copies of the earlier path: the draw
 allocates W next to its Gram array, `partial_transpose` writes a second
 n x n array and `hermitian_eigenvalues` copies that into a third, the
-solver's workspace.  The one-buffer path must hand the solver the
+reduction's workspace.  The one-buffer path must hand the reduction the
 reference's matrix, bytes compared, not only give the same eigenvalues.  It
 may hand it as stored or transposed, in the lower triangle: LAPACK reads a
 C-ordered buffer as its transpose, the conjugate of a self-adjoint matrix,
@@ -27,7 +27,13 @@ from ptwishart.ensembles import (
     sample_mixture_state,
     sample_wishart,
 )
-from ptwishart.linalg import BipartiteShape, hermitian_eigenvalues, partial_transpose, pt_eigenvalues
+from ptwishart.linalg import (
+    BipartiteShape,
+    hermitian_eigenvalues,
+    partial_transpose,
+    pt_eigenvalues,
+    pt_extreme_eigenvalues,
+)
 from ptwishart.spectra import ppt_gauge
 
 
@@ -82,33 +88,33 @@ def _reference_pt(w, shape):
 
 def _solver_spy(monkeypatch):
     """Record (uplo, the n x n buffer read in C order, its address) for every call that reaches a
-    LAPACKE solver."""
+    tridiagonal reduction."""
     seen = []
 
     def spying(lookup):
         def wrapped(*complex_field):
-            solver = lookup(*complex_field)
-            if solver is None:
-                pytest.skip("numpy's OpenBLAS lacks a LAPACKE eigensolver")
-            # heevd(complex_field) serves either field, zheevd_2stage() the complex one
+            reduce = lookup(*complex_field)
+            if reduce is None:
+                pytest.skip("numpy's OpenBLAS lacks a tridiagonal reduction")
+            # hetrd(complex_field) serves either field, zhetrd_2stage() the complex one
             dtype = np.complex128 if complex_field in ((), (True,)) else np.float64
 
-            def spy(layout, jobz, uplo, n, a, lda, w):
+            def spy(layout, uplo, n, a, *rest):
                 buffer = ctypes.string_at(a, n * n * np.dtype(dtype).itemsize)
                 seen.append((uplo, np.frombuffer(buffer, dtype).reshape(n, n), a))
-                return solver(layout, jobz, uplo, n, a, lda, w)
+                return reduce(layout, uplo, n, a, *rest)
 
-            spy.__name__ = solver.__name__
+            spy.__name__ = reduce.__name__
             return spy
         return wrapped
 
-    monkeypatch.setattr(_blas, "heevd", spying(_blas.heevd))
-    monkeypatch.setattr(_blas, "zheevd_2stage", spying(_blas.zheevd_2stage))
+    monkeypatch.setattr(_blas, "hetrd", spying(_blas.hetrd))
+    monkeypatch.setattr(_blas, "zhetrd_2stage", spying(_blas.zhetrd_2stage))
     return seen
 
 
 def _assert_same_matrix(seen):
-    """Both solver calls read the lower triangle, the first of the second's matrix or its transpose."""
+    """Both reduction calls read the lower triangle, the first of the second's matrix or its transpose."""
     (uplo, matrix, _), (reference_uplo, reference, _) = seen
     assert uplo == reference_uplo == b"L"
     assert matrix.tobytes() in (reference.tobytes(), reference.T.tobytes())
@@ -122,7 +128,7 @@ def _cases():
         n = d1 * d2
         for ensemble, field in [("wishart", "complex"), ("wishart", "real"), ("induced", "complex"),
                                 ("mixture", "complex")]:
-            # (36, 35) is n = 1260, the two-stage solver, with d1 != d2; the
+            # (36, 35) is n = 1260, the two-stage reduction, with d1 != d2; the
             # real field and the states there run the same layouts as (17, 15)
             if n > 1000 and (field, ensemble) != ("complex", "wishart"):
                 continue
@@ -154,7 +160,8 @@ def test_one_buffer_trial_hands_the_solver_the_same_bytes(monkeypatch, ensemble,
 
 
 # every layout pt_eigenvalues reads in place: C, F and each of them reversed in
-# both indices, each on heevd and on the two-stage solver, here forced at small n
+# both indices, each on the one-stage and on the two-stage reduction, here
+# forced at small n
 LAYOUTS = {
     "C": lambda a: np.array(a, order="C"),
     "F": lambda a: np.array(a, order="F"),
@@ -164,10 +171,11 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", list(LAYOUTS))
-@pytest.mark.parametrize("field, solver", [("real", "heevd"), ("complex", "heevd"), ("complex", "two-stage")])
+@pytest.mark.parametrize("field, reduction", [("real", "one-stage"), ("complex", "one-stage"),
+                                             ("complex", "two-stage")])
 @pytest.mark.parametrize("d1, d2", [(1, 4), (4, 1), (3, 4), (4, 3), (5, 5)])
-def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, solver, d1, d2):
-    if solver == "two-stage":
+def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, reduction, d1, d2):
+    if reduction == "two-stage":
         monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
     shape = BipartiteShape(d1, d2)
     w = sample_wishart(WishartParams(n=shape.n, p=shape.n + 2, field=field), SampleStream(5, d1 + 7 * d2))
@@ -180,8 +188,67 @@ def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, 
     expected = hermitian_eigenvalues(_reference_pt(w, shape))
     _assert_same_matrix(seen)
     assert values.tobytes() == expected.tobytes()
-    # the solver ran in the buffer's own memory
+    # the reduction ran in the buffer's own memory
     assert seen[0][2] == address
+
+
+# |end - eigvalsh's end| / spectral radius: the ends come from dstebz's
+# bisection, eigvalsh's from dsterf, whose rounding differs.  The largest
+# measured over the cases below was 2.0e-15; over 132 draws of both fields at
+# n = 6-1600 and alpha = 0.5, 4 and 9 it was 7.0e-15
+ENDS_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("field, d1, d2, forced", [
+    ("real", 3, 4, False), ("complex", 3, 4, False), ("complex", 3, 4, True), ("complex", 5, 1, True),
+    ("real", 19, 20, False), ("complex", 18, 21, False), ("complex", 19, 20, False),
+])
+def test_extreme_eigenvalues_are_eigvalsh_ends_in_every_layout(monkeypatch, layout, field, d1, d2, forced):
+    # both fields, both sides of TWO_STAGE_MIN_N (n = 378 and 380), and the
+    # two-stage reduction forced at small n
+    if forced:
+        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
+    shape = BipartiteShape(d1, d2)
+    w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(13, d1 + 7 * d2))
+    seen = _solver_spy(monkeypatch)
+    buffer = LAYOUTS[layout](w)
+    address = (buffer[::-1, ::-1] if layout.startswith("reversed") else buffer).ctypes.data
+    low, high = pt_extreme_eigenvalues(buffer, shape)
+    expected = np.linalg.eigvalsh(_reference_pt(w, shape))
+    hermitian_eigenvalues(_reference_pt(w, shape))
+    _assert_same_matrix(seen)
+    assert seen[0][2] == address
+    radius = np.abs(expected).max()
+    assert abs(low - expected[0]) <= ENDS_RTOL * radius
+    assert abs(high - expected[-1]) <= ENDS_RTOL * radius
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("exponent, rescaled", [(-700, True), (-400, False), (400, False), (700, True)])
+def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field, exponent, rescaled):
+    # LAPACK's drivers rescale a matrix whose largest entry lies outside about
+    # [1e-146, 1e146]; the bare reduction does not, so such a matrix takes the
+    # eigvalsh fallback, and one inside the range takes the reduction
+    shape = BipartiteShape(4, 5)
+    w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 0))
+    unscaled = pt_eigenvalues(w.copy(), shape)
+    w *= 2.0 ** exponent
+    eigvalsh, fallback = np.linalg.eigvalsh, []
+    expected = eigvalsh(_reference_pt(w, shape))
+    seen = _solver_spy(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
+    values = pt_eigenvalues(w.copy(), shape)
+    ends = np.array(pt_extreme_eigenvalues(w.copy(), shape))
+    assert len(seen) == (0 if rescaled else 2)
+    assert fallback == ([shape.n] * 2 if rescaled else [])
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(ends))
+    if rescaled:
+        assert values.tobytes() == expected.tobytes()
+        assert ends.tobytes() == expected[[0, -1]].tobytes()
+    radius = np.abs(unscaled).max() * 2.0 ** exponent
+    assert np.abs(values - unscaled * 2.0 ** exponent).max() <= 1e-13 * radius
+    assert np.abs(ends - unscaled[[0, -1]] * 2.0 ** exponent).max() <= 1e-13 * radius
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -222,16 +289,18 @@ def test_public_functions_leave_their_input_unchanged():
         np.testing.assert_array_equal(rho, rho_before)
 
 
+@pytest.mark.parametrize("solve", [pt_eigenvalues, pt_extreme_eigenvalues], ids=["dsterf", "dstebz"])
 @pytest.mark.parametrize("field, itemsize", [("complex", 16), ("real", 8)])
-def test_one_trial_peaks_near_one_buffer(field, itemsize):
+def test_one_trial_peaks_near_one_buffer(field, itemsize, solve):
     # a draw, its partial transpose and the eigensolve at n = 400 (the lauum
-    # path, then dsyevd or zheevd_2stage); the three-buffer path peaked at
-    # about 2 * itemsize * n^2
+    # path, then dsytrd or zhetrd_2stage, whose workspace numpy allocates,
+    # about 0.18 * 16 * n^2 here); the three-buffer path peaked at about
+    # 2 * itemsize * n^2
     n, shape = 400, BipartiteShape(20, 20)
     params = WishartParams(n=n, p=4 * n, field=field)
     tracemalloc.start()
     try:
-        pt_eigenvalues(sample_wishart(params, SampleStream(3, 0)), shape)
+        solve(sample_wishart(params, SampleStream(3, 0)), shape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -36,18 +36,23 @@ ARGVS = [
     ["spectrum", "--d1", "19", "--d2", "20", "--trials", "2"],
     ["spectrum", "--alpha", "4", "--check", "--threads", "1", "--d", "30", "--trials", "2", "--seed", "1"],
     # extremes: a threshold pass and a miss (exit 3), the real field, an explicit
-    # p (alpha = p / n in the edge theory and the check), and n = 1600
+    # p (alpha = p / n in the edge theory and the check), n = 1600, and both
+    # sides of the two-stage bound (n = 378 and n = 380)
     ["extremes", "--d", "10", "--trials", "3", "--check"],
     ["extremes", "--d", "10", "--trials", "2", "--check", "--tol", "1e-9"],
     ["extremes", "--d", "17", "--trials", "2", "--field", "real"],
     ["extremes", "--d", "12", "--p", "500", "--trials", "2", "--check"],
     ["extremes", "--alpha", "4", "--check", "--threads", "1", "--d", "40", "--trials", "1", "--seed", "1"],
-    # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3
+    ["extremes", "--d1", "18", "--d2", "21", "--trials", "1"],
+    ["extremes", "--d1", "19", "--d2", "20", "--trials", "1"],
+    # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3,
+    # and n = 400 on the two-stage reduction
     ["ppt", "--d", "6", "--trials", "5", "--threads", "2"],
     ["ppt", "--d", "6", "--trials", "1", "--threads", "2"],
     ["ppt", "--d", "4", "--trials", "4", "--ensemble", "mixture", "--alphas", "2", "8"],
     ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
+    ["ppt", "--d", "20", "--trials", "2", "--alphas", "3", "5"],
     # pure: one trial worker and two
     ["pure", "--d", "6", "--trials", "3", "--check"],
     ["pure", "--d", "30", "--trials", "4", "--threads", "2"],
