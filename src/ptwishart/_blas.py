@@ -9,14 +9,20 @@ through ctypes, one cached lookup `_function` for all of them:
   which has no LAPACKE front end; `eigenvalues` runs either on the lower
   triangle and finishes with
 - `dsterf`: LAPACKE_dsterf, every eigenvalue of the tridiagonal matrix, or
-  `dstebz`: LAPACKE_dstebz, one eigenvalue by Sturm-count bisection;
+  `dstebz`: LAPACKE_dstebz, one eigenvalue by Sturm-count bisection, for the
+  two ends after `hetrd`;
+- `zhetrd_he2hb`: the first stage of zhetrd_2stage alone, a reduction to a
+  Hermitian band matrix, whose two ends `eigenvalues` finds by bisection on
+- `zpbtrf`: the banded Cholesky factorization, which succeeds exactly where
+  the shifted band matrix is positive definite;
 - `herk`: cblas_zherk or cblas_dsyrk;
 - `lauum`: LAPACKE_zlauum or LAPACKE_dlauum.
 
-zhetrd_2stage is the Fortran symbol itself: every argument goes by reference,
-the two character arguments' lengths follow as hidden trailing arguments, and
-a first call with workspace sizes of -1 asks for the sizes of the workspace
-that numpy then allocates.
+zhetrd_2stage, zhetrd_he2hb, zpbtrf and ilaenv2stage, which gives the band
+width zhetrd_2stage picks, are the Fortran symbols themselves: every argument
+goes by reference, the character arguments' lengths follow as hidden trailing
+arguments, and a first call of a reduction with workspace sizes of -1 asks
+for the sizes of the workspace that numpy then allocates.
 
 A foreign call through ctypes releases the GIL, so trial workers run these
 routines at the same time; numpy's eigvalsh holds the GIL.  Where numpy's
@@ -56,6 +62,11 @@ _HETRD = [("scipy_LAPACKE_dsytrd64_", *_TRD), ("scipy_LAPACKE_zhetrd64_", *_TRD)
 _REF = POINTER(c_int64)
 _ZHETRD_2STAGE = ("scipy_zhetrd_2stage_64_", None, (c_char_p, c_char_p, _REF, c_void_p, _REF, c_void_p, c_void_p,
                                                     c_void_p, c_void_p, _REF, c_void_p, _REF, _REF, c_size_t, c_size_t))
+_ZHETRD_HE2HB = ("scipy_zhetrd_he2hb_64_", None, (c_char_p, _REF, _REF, c_void_p, _REF, c_void_p, _REF, c_void_p,
+                                                  c_void_p, _REF, _REF, c_size_t))
+_ZPBTRF = ("scipy_zpbtrf_64_", None, (c_char_p, _REF, _REF, c_void_p, _REF, _REF, c_size_t))
+_ILAENV2STAGE = ("scipy_ilaenv2stage_64_", c_int64, (_REF, c_char_p, c_char_p, _REF, _REF, _REF, _REF, c_size_t,
+                                                     c_size_t))
 _DSTERF = ("scipy_LAPACKE_dsterf64_", c_int64, (c_int64, c_void_p, c_void_p))
 _DSTEBZ = ("scipy_LAPACKE_dstebz64_", c_int64, (c_char, c_char, c_int64, c_double, c_double, c_int64, c_int64,
                                                c_double, c_void_p, c_void_p, _REF, _REF, c_void_p, c_void_p, c_void_p))
@@ -132,6 +143,65 @@ def zhetrd_2stage():
     return reduce
 
 
+def zhetrd_he2hb():
+    """The first stage of LAPACK's zhetrd_2stage, to the band width kd that
+    zhetrd_2stage asks ilaenv2stage for, behind hetrd's leading arguments for
+    column-major storage, or None: reduce(layout, uplo, n, a, lda) -> (info,
+    band, spare).  band, n x (kd + 1) in C order, holds column j of the
+    Hermitian band matrix's `uplo` band in row j, as LAPACK stores a band with
+    leading dimension kd + 1 ('L': band[j, k] = B[j + k, j]), and zeros past
+    the matrix's end.  spare, of band's shape, was the reduction's workspace;
+    band, its tau and that workspace come from one allocation, whose size a
+    first call asks for."""
+    fn, width = _function(*_ZHETRD_HE2HB), _function(*_ILAENV2STAGE)
+    if fn is None or width is None:
+        return None
+
+    def reduce(layout, uplo, n, a, lda):
+        unset = c_int64(-1)
+        kd = width(byref(c_int64(1)), b"ZHETRD_2STAGE", b"N", byref(c_int64(n)), byref(unset), byref(unset),
+                   byref(unset), 13, 1)
+        entries, info = (kd + 1) * n, c_int64()
+
+        def call(band, tau, work, lwork):
+            fn(uplo, byref(c_int64(n)), byref(c_int64(kd)), a, byref(c_int64(lda)), band, byref(c_int64(kd + 1)),
+               tau, work, byref(c_int64(lwork)), byref(info), 1)
+            return info.value
+
+        size = np.empty(1, dtype=np.complex128)
+        if call(None, None, size.ctypes.data, -1) != 0:
+            return info.value, None, None
+        lwork = int(size[0].real)
+        band, tau, work = np.split(np.empty(entries + n + max(lwork, entries), dtype=np.complex128),
+                                   [entries, entries + n])
+        call(band.ctypes.data, tau.ctypes.data, work.ctypes.data, lwork)
+        band = band.reshape(n, kd + 1)
+        for k in range(1, kd + 1):
+            band[max(n - k, 0):, k] = 0.0
+        return info.value, band, work[:entries].reshape(band.shape)
+
+    reduce.__name__ = fn.__name__
+    return reduce
+
+
+def zpbtrf():
+    """LAPACK's zpbtrf, or None: factor(uplo, n, kd, ab, ldab) -> info, 0
+    where the Hermitian band matrix in ab is positive definite, ab then
+    overwritten by its Cholesky factor, and k > 0 where the leading minor of
+    order k is not."""
+    fn = _function(*_ZPBTRF)
+    if fn is None:
+        return None
+
+    def factor(uplo, n, kd, ab, ldab):
+        info = c_int64()
+        fn(uplo, byref(c_int64(n)), byref(c_int64(kd)), ab, byref(c_int64(ldab)), byref(info), 1)
+        return info.value
+
+    factor.__name__ = fn.__name__
+    return factor
+
+
 def dsterf():
     """LAPACKE_dsterf, or None: finish(n, d, e) -> info, d overwritten by the
     eigenvalues, ascending."""
@@ -156,22 +226,74 @@ def _unscaled(work: np.ndarray) -> bool:
     return p == 0.0 or low <= p and sqrt(2.0) * p <= 1.0 / low
 
 
+def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
+    """The smallest and the largest eigenvalue of the Hermitian band matrix B
+    that `zhetrd_he2hb` returns in band, each by bisection from B's
+    Gershgorin bounds [gl, gu].  A shift s lies below the smallest where
+    `factor` factors B - s I, and above the largest where it factors s I - B;
+    each test copies band into spare and shifts the diagonal there.  A
+    bisection stops when no double lies between its bounds or they are
+    closer than 2 eps max(|gl|, |gu|), dstebz's default tolerance, and gives
+    their midpoint."""
+    n, width = band.shape
+    # |band| in spare's first half, which the bisection overwrites later
+    size = np.abs(band, out=spare.reshape(-1).view(np.float64)[:band.size].reshape(band.shape))
+    size[:, 0] = 0.0
+    # row j's off-diagonal entries: column j's below the diagonal, and by
+    # symmetry band[j - k, k] for each k
+    radius = size.sum(axis=1)
+    for k in range(1, min(width, n)):
+        radius[k:] += size[:n - k, k]
+    centre = band[:, 0].real
+    bounds = float((centre - radius).min()), float((centre + radius).max())
+    tolerance = 2.0 * np.finfo(np.float64).eps * max(abs(bounds[0]), abs(bounds[1]))
+    ends = np.empty(2)
+    for end, sign in enumerate((1.0, -1.0)):
+        low, high = bounds
+        while True:
+            middle = 0.5 * (low + high)
+            if not low < middle < high or high - low < tolerance:
+                break
+            np.multiply(band, sign, out=spare)
+            spare[:, 0] -= sign * middle
+            info = factor(b"L", n, width - 1, spare.ctypes.data, width)
+            if info < 0:
+                raise NumericError(f"{factor.__name__} failed with info {info}")
+            # factored: B - middle I, or middle I - B, is positive definite
+            if (info == 0) == (sign > 0):
+                low = middle
+            else:
+                high = middle
+        ends[end] = middle
+    return ends
+
+
 def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -> np.ndarray | None:
     """The eigenvalues, ascending, of the self-adjoint matrix in the lower
     triangle of work read column-major: a C-ordered work reads as its
     transpose, the conjugate of a self-adjoint work.  One tridiagonal
     reduction, by `hetrd`, or by `zhetrd_2stage` for a complex work with
     `two_stage` where it is exported, then one finish: `dsterf` for all n, or
-    with `ends` `dstebz` twice, for the smallest and then the largest.  work,
-    a C- or F-ordered square float64 or complex128 array, is overwritten.
-    None, with work untouched, where numpy's OpenBLAS lacks a routine or the
-    drivers would rescale work (`_unscaled`)."""
+    with `ends` `dstebz` twice, for the smallest and then the largest.  A
+    complex work with both `two_stage` and `ends` stops at a band matrix
+    instead, after `zhetrd_he2hb`, and `_band_ends` bisects with `zpbtrf` for
+    the two ends.  work, a C- or F-ordered square float64 or complex128 array,
+    is overwritten.  None, with work untouched, where numpy's OpenBLAS lacks a
+    routine of the route or the drivers would rescale work (`_unscaled`)."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
         raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
                          f"got shape {work.shape} and dtype {work.dtype}")
     complex_field = work.dtype == np.complex128
+    if complex_field and two_stage and ends:
+        reduce, factor = zhetrd_he2hb(), zpbtrf()
+        if reduce is None or factor is None or not _unscaled(work):
+            return None
+        info, band, spare = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1))
+        if info != 0:
+            raise NumericError(f"{reduce.__name__} failed with info {info}")
+        return _band_ends(band, spare, factor)
     reduce = (zhetrd_2stage() if complex_field and two_stage else None) or hetrd(complex_field)
     finish = dstebz() if ends else dsterf()
     if reduce is None or finish is None or not _unscaled(work):

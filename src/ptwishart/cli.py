@@ -54,9 +54,9 @@ def _add_common(sub, subcommand, help):
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"trial workers (1..{experiments.MAX_THREADS}, at most one per trial); "
-                             "with two or more, numpy's OpenBLAS runs its start-up thread "
-                             "count // workers threads (at least 1) while they run")
+                        help=f"trial workers (1..{experiments.MAX_THREADS}, at most one per draw: per trial, "
+                             "or for ppt per trial and alpha); with two or more, numpy's OpenBLAS runs its "
+                             "start-up thread count // workers threads (at least 1) while they run")
     return parser
 
 

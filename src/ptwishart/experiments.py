@@ -97,8 +97,9 @@ MAX_MIXTURE_ENTRIES = 2**30
 # LAPACK's eigensolver workspace, in matrix rows: after a small call of the
 # same route and a matmul, as a trial's draw sets up OpenBLAS before its solve,
 # ru_maxrss rose by 72-194 rows' worth during zhetrd_2stage at n = 380-3600,
-# by 23-109 during zhetrd at n = 225-361 and by 43-73 during dsytrd at
-# n = 380-3600, at 1 and 2 BLAS threads, with either finish
+# by 73-172 during zhetrd_he2hb and the band's bisection there, by 23-109
+# during zhetrd at n = 225-361 and by 43-73 during dsytrd at n = 380-3600, at
+# 1 and 2 BLAS threads, with either finish
 SOLVER_WORK_ROWS = 512
 # a pure-state trial holds its state of n = d**2 entries and the SVD's copy of
 # it, never an n x n matrix: ru_maxrss rose by 34-42 bytes per entry at
@@ -261,6 +262,11 @@ class ExperimentConfig:
             grid.append((float(alpha), ancilla_dim(alpha, n)))
         return grid
 
+    @property
+    def streams(self) -> int:
+        """How many streams the run maps: trials per grid point for ppt, trials otherwise."""
+        return self.trials * len(self.grid) if self.subcommand == "ppt" else self.trials
+
 
 def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field="", trial="") -> dict:
     """One report row: the CSV columns, blank where a run has no such axis."""
@@ -269,7 +275,7 @@ def _record(subcommand, statistic, value, d1="", d2="", p="", alpha="", field=""
 
 
 def _trial_workers(config: ExperimentConfig) -> int:
-    return min(config.threads, config.trials)
+    return min(config.threads, config.streams)
 
 
 def thread_budget(config: ExperimentConfig) -> str:
@@ -283,19 +289,19 @@ def thread_budget(config: ExperimentConfig) -> str:
     return f"{workers} trial workers x {blas} BLAS thread{'' if blas == 1 else 's'}"
 
 
-def _run_trials(config: ExperimentConfig, trial, count: int) -> list:
-    """The one trial loop: `trial(SampleStream(master_seed, s))` for s < count, in
-    stream order, each stream built in its worker; ppt passes its whole grid."""
+def _run_trials(config: ExperimentConfig, trial) -> list:
+    """The one trial loop: `trial(SampleStream(master_seed, s))` for each of the
+    run's streams s (ppt's whole grid), in stream order, each built in its worker."""
 
     def one(s: int):
         return trial(SampleStream(config.master_seed, s))
 
     workers = _trial_workers(config)
     if workers == 1:
-        return [one(s) for s in range(count)]
+        return [one(s) for s in range(config.streams)]
     # the pool is joined before the BLAS thread counts are restored
     with _blas.split(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
+        return list(pool.map(one, range(config.streams)))
 
 
 def _records(config: ExperimentConfig, per_trial: list[dict], p, alpha) -> list[dict]:
@@ -385,7 +391,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
             "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
         }
 
-    results = _run_trials(config, one_trial, config.trials)
+    results = _run_trials(config, one_trial)
     per_trial = [stats for stats, _ in results]
     spectra = [entry for _, entry in results]
     aggregates = _aggregate_stats(per_trial)
@@ -417,7 +423,7 @@ def run_extremes(config: ExperimentConfig) -> dict:
         lam_lo, lam_hi = pt_extreme_eigenvalues(w, shape)
         return {"lambda_min": lam_lo, "lambda_max": lam_hi, "diag_deviation": deviation}
 
-    per_trial = _run_trials(config, one_trial, config.trials)
+    per_trial = _run_trials(config, one_trial)
     worst = max(
         max(abs(s["lambda_max"] - edge_hi), abs(s["lambda_min"] - edge_lo)) for s in per_trial
     )
@@ -456,7 +462,7 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
             stats["gauge"] = result.gauge
         return stats
 
-    results = _run_trials(config, one_trial, len(grid) * trials)
+    results = _run_trials(config, one_trial)
     records, per_alpha = [], []
     for ai, (alpha, p) in enumerate(grid):
         per_trial = results[ai * trials:(ai + 1) * trials]
@@ -509,7 +515,7 @@ def run_pure_state(config: ExperimentConfig) -> dict:
         power = {j: float(np.sum(lam**j)) for j in (1, 2, 3, 5)}
         return {f"moment_k{k}": d ** (k - 2) * (power[k] if k % 2 else power[k // 2] ** 2) for k in range(1, 7)}
 
-    per_trial = _run_trials(config, one_trial, config.trials)
+    per_trial = _run_trials(config, one_trial)
     aggregates = _aggregate_stats(per_trial)
     dev = abs(aggregates["statistics"]["moment_k2"]["mean"] - law.moment(2))
     # no ancilla in the pure-state model; blank p and alpha in the records

@@ -8,18 +8,23 @@ sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
 float64 arrays take the real-symmetric eigensolver, complex arrays the
 Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
 ctypes calls release the GIL, so trial workers overlap their eigensolves.
-An eigensolve is one tridiagonal reduction of the lower triangle, as in
-eigvalsh, and one finish.  The reduction is LAPACKE_zhetrd or LAPACKE_dsytrd,
-eigvalsh's own, for the real field and below TWO_STAGE_MIN_N, and from there
-for complex matrices LAPACK's two-stage reduction (zhetrd_2stage; Haidar,
-Ltaief & Dongarra, SC'11), which numpy does not wrap.  The finish is dsterf
-for all n eigenvalues, which gives the bits of the drivers that pair the same
-reduction with it (zheevd, dsyevd, zheevd_2stage), so eigvalsh's bit for bit
-below TWO_STAGE_MIN_N; or, for `pt_extreme_eigenvalues`, dstebz's Sturm-count
-bisection, once for the smallest and once for the largest eigenvalue.  Where
-the OpenBLAS lacks a symbol, or a matrix's largest entry lies where the
-drivers would rescale it, np.linalg.eigvalsh is the fallback.  A solver reads
-each matrix in the memory order it has, a C-ordered one as its conjugate, to
+An eigensolve is one reduction of the lower triangle, as in eigvalsh, and
+one finish.  The reduction is LAPACKE_zhetrd or LAPACKE_dsytrd, eigvalsh's
+own, to a tridiagonal matrix, for the real field and below TWO_STAGE_MIN_N,
+and from there for complex matrices LAPACK's two-stage reduction (Haidar,
+Ltaief & Dongarra, SC'11), which numpy does not wrap: zhetrd_2stage, or for
+`pt_extreme_eigenvalues` its first stage alone, zhetrd_he2hb, to a band of
+the width kd that zhetrd_2stage picks (16 in OpenBLAS 0.3.31).  For all n
+eigenvalues the finish is dsterf, which gives the bits of the drivers that
+pair the same reduction with it (zheevd, dsyevd, zheevd_2stage), so
+eigvalsh's bit for bit below TWO_STAGE_MIN_N.  For `pt_extreme_eigenvalues`
+it is a bisection, once for the smallest and once for the largest
+eigenvalue: on the tridiagonal matrix dstebz's Sturm counts, and on the band,
+from its Gershgorin bounds, whether zpbtrf can factor the shifted band as
+positive definite, O(n kd^2) work per step.  Where the OpenBLAS lacks a
+symbol of the route, or a matrix's largest entry lies where the drivers
+would rescale it, np.linalg.eigvalsh is the fallback.  A solver reads each
+matrix in the memory order it has, a C-ordered one as its conjugate, to
 which these routines give the same eigenvalue bits.  `partial_transpose` and
 `hermitian_eigenvalues` never write their input; `pt_eigenvalues` and
 `pt_extreme_eigenvalues`, which the Monte Carlo trials call, do both steps in
@@ -41,9 +46,22 @@ HERMITICITY_RTOL = 1e-10
 # Smallest complex matrix that takes the two-stage reduction.  In medians of 31
 # paired calls on 2 cores, both on the lower triangle, zheevd_2stage is no slower
 # than zheevd from here on at 1 and at 2 BLAS threads, and 1% slower at n =
-# 361-370 with one; with the dstebz ends the two reductions are within 1% of
-# each other at n = 361-380 with one thread, and the two-stage one is 8% faster
-# there with two.
+# 361-370 with one.  For the two ends, the first stage and the band's bisection
+# against the one-stage reduction and dstebz below here, and against the whole
+# two-stage reduction and dstebz from here on, in ms (medians of 9 in-process
+# calls, 2 cores, complex Hermitian matrices):
+#
+#     n       2 BLAS threads     1 BLAS thread
+#     324      10.27 /  9.30      9.77 /  8.09
+#     361      11.96 / 12.25     11.35 / 10.50
+#     380      13.26 / 13.19     11.92 / 12.24
+#     400      13.61 / 13.46     14.16 / 13.79
+#     484      17.81 / 19.88     21.07 / 22.63
+#     625      30.15 / 38.66     34.32 / 40.75
+#     900      64.53 / 88.78     82.10 / 102.11
+#    1600     243.4 / 316.3     422.0 / 524.2
+#
+# The band's ends break even near here too, so one bound serves every route.
 TWO_STAGE_MIN_N = 380
 
 # is_hermitian compares a with its conjugate transpose in square tiles of this
@@ -231,9 +249,13 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
 def pt_extreme_eigenvalues(w, shape: BipartiteShape) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of w's partial transpose, found in w's memory.
 
-    w is consumed and read as by pt_eigenvalues, on the same reduction; two
-    dstebz bisections then find the two ends, in O(n) work per step, where
-    dsterf would find all n eigenvalues.  The ends agree with
+    w is consumed and read as by pt_eigenvalues.  Below TWO_STAGE_MIN_N, and
+    for the real field, the reduction is pt_eigenvalues' own and two dstebz
+    bisections then find the two ends, in O(n) work per step, where dsterf
+    would find all n eigenvalues.  From TWO_STAGE_MIN_N on, a complex w
+    takes only the first stage of the two-stage reduction, to a band of
+    width kd, and each step of the two bisections is one banded Cholesky
+    factorization (zpbtrf), in O(n kd^2) work.  The ends agree with
     pt_eigenvalues' first and last value to within a few units in the last
     place of the spectral radius, not bit for bit.  Raises as
     hermitian_eigenvalues does.

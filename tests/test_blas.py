@@ -180,7 +180,7 @@ def test_split_survives_a_lookup_without_the_symbols():
 def test_trials_without_the_symbols_match_and_import_no_scipy():
     # a lauum-route spectrum trial at n = 289, solved by eigvalsh, a mixture
     # trial of two Gram blocks, an extremes trial at n = 289 and a ppt sweep at
-    # n = 400 (the two-stage ends), first with numpy's OpenBLAS routines and
+    # n = 400 (the band's ends), first with numpy's OpenBLAS routines and
     # then without; spectrum compares eigenvalues, extremes and ppt their records
     code = (
         "import sys\n"

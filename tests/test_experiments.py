@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -233,7 +234,7 @@ def test_trial_workers_split_the_blas_threads():
     for workers in (2, 3):
         seen = []
         config = small_config(threads=workers, trials=workers)
-        _run_trials(config, lambda stream: seen.append(blas_count()) or {}, workers)
+        _run_trials(config, lambda stream: seen.append(blas_count()) or {})
         assert seen == [max(1, start // workers)] * workers
         assert blas_count() == before
 
@@ -241,7 +242,7 @@ def test_trial_workers_split_the_blas_threads():
         raise RuntimeError("trial failed")
 
     with pytest.raises(RuntimeError, match="trial failed"):
-        _run_trials(small_config(threads=2), boom, 3)
+        _run_trials(small_config(threads=2), boom)
     assert blas_count() == before
 
 
@@ -254,6 +255,33 @@ def test_one_worker_leaves_blas_alone(monkeypatch):
         assert experiments._trial_workers(config) == 1
         assert experiments.thread_budget(config) == "1 trial worker x default BLAS threads"
         run_spectrum(config)
+
+
+@pytest.mark.parametrize("overrides, streams, workers", [
+    pytest.param(dict(threads=2, trials=1), 1, 1, id="spectrum-one-trial"),
+    pytest.param(dict(threads=3, trials=2), 2, 2, id="spectrum-two-trials"),
+    # ppt maps each trial at each alpha: one trial over two alphas is two draws
+    pytest.param(dict(PPT, threads=2, trials=1), 2, 2, id="ppt-one-trial"),
+    pytest.param(dict(PPT, threads=4, trials=1, alphas=(2.0, 4.0, 8.0)), 3, 3, id="ppt-three-alphas"),
+    pytest.param(dict(PPT, threads=1, trials=3), 6, 1, id="ppt-one-thread"),
+    pytest.param(dict(PURE, threads=2, trials=1), 1, 1, id="pure-one-trial"),
+])
+def test_trial_workers_are_at_most_one_per_stream(monkeypatch, overrides, streams, workers):
+    config = small_config(**overrides)
+    assert config.streams == streams
+    assert experiments._trial_workers(config) == workers
+    seen = []
+    monkeypatch.setattr(experiments._blas, "split", lambda count: seen.append(count) or contextlib.nullcontext())
+    assert _run_trials(config, lambda stream: stream.stream_index) == list(range(streams))
+    assert seen == ([workers] if workers > 1 else [])
+    # the memory check counts the same workers
+    need = max(experiments.worker_memory(config.shape.n, p, config.field, config.ensemble)
+               for p in [p for _, p in config.grid] or [0])
+    monkeypatch.setattr(experiments, "memory_budget", lambda: workers * need)
+    small_config(**overrides)
+    monkeypatch.setattr(experiments, "memory_budget", lambda: workers * need - 1)
+    with pytest.raises(ParameterError, match=f"^{workers} trial worker"):
+        small_config(**overrides)
 
 
 def test_two_workers_match_one_worker_at_the_per_worker_blas_count(tmp_path):

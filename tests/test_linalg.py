@@ -204,12 +204,21 @@ def _one_stage_reduction(complex_field):
     return reduce
 
 
+def _band_route():
+    """The first-stage reduction to a band; skip where the OpenBLAS lacks it or zpbtrf."""
+    reduce = _blas.zhetrd_he2hb()
+    if reduce is None or _blas.zpbtrf() is None:
+        pytest.skip("numpy's OpenBLAS exports no zhetrd_he2hb/zpbtrf")
+    return reduce
+
+
 def _spy(monkeypatch, complex_field=True, lookups=("zhetrd_2stage",)):
     """Count, by n, the calls that reach the reductions the `_blas` lookups
     return for the field; skip when the OpenBLAS lacks one."""
     calls = []
     for lookup in lookups:
-        reduce = _one_stage_reduction(complex_field) if lookup == "hetrd" else _two_stage_reduction()
+        reduce = {"hetrd": lambda: _one_stage_reduction(complex_field), "zhetrd_2stage": _two_stage_reduction,
+                  "zhetrd_he2hb": _band_route}[lookup]()
 
         def spy(*args, reduce=reduce):
             calls.append(args[2])
@@ -235,16 +244,19 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
     assert calls == [n] * len(inputs)
 
 
-@pytest.mark.parametrize("ends", [False, True], ids=["dsterf", "dstebz"])
+@pytest.mark.parametrize("ends", [False, True], ids=["all", "ends"])
 @pytest.mark.parametrize("lookup, n", [("hetrd", 2), ("hetrd", 9), ("hetrd", 225), ("zhetrd_2stage", 9),
                                        ("zhetrd_2stage", TWO_STAGE_MIN_N)])
 def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n, ends):
     # linalg hands a reduction each matrix in the memory order it has, on this
     # assumption: LAPACK reads a C-ordered buffer as its transpose, which for
-    # the self-adjoint x is conj(x), in the lower triangle, which both routes
-    # read; and either finish gives the two the same bits
+    # the self-adjoint x is conj(x), in the lower triangle, which every route
+    # reads; and every finish gives the two the same bits (with the ends at
+    # TWO_STAGE_MIN_N, the band's bisection)
     two_stage = lookup == "zhetrd_2stage"
     _two_stage_reduction() if two_stage else _one_stage_reduction(True)
+    if two_stage and ends:
+        _band_route()
     x = random_hermitian(n, np.random.default_rng(n))
     assert np.array_equal(x, x.conj().T)
     column_major = _blas.eigenvalues(np.asfortranarray(x), two_stage, ends)
@@ -254,16 +266,24 @@ def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n, ends):
 
 # the routine each size and field reaches, as numpy's OpenBLAS names it:
 # LAPACKE_<routine> is scipy_LAPACKE_<routine>64_, the Fortran zhetrd_2stage
-# scipy_zhetrd_2stage_64_
+# scipy_zhetrd_2stage_64_ and zhetrd_he2hb scipy_zhetrd_he2hb_64_
 ROUTINE_NAMES = {"zhetrd_2stage": "scipy_zhetrd_2stage_64_", "zhetrd": "scipy_LAPACKE_zhetrd64_",
-                 "dsytrd": "scipy_LAPACKE_dsytrd64_"}
-LOOKUPS = ("hetrd", "zhetrd_2stage", "dsterf", "dstebz")
+                 "dsytrd": "scipy_LAPACKE_dsytrd64_", "zhetrd_he2hb": "scipy_zhetrd_he2hb_64_"}
+REDUCTIONS = ("hetrd", "zhetrd_2stage", "zhetrd_he2hb")
+# the argument each finish's record keeps: dsterf's n, dstebz's il, zpbtrf's n
+FINISH_ARGUMENT = {"dsterf": 0, "dstebz": 5, "zpbtrf": 1}
+LOOKUPS = REDUCTIONS + tuple(FINISH_ARGUMENT)
+# zpbtrf calls of one band bisection: its Gershgorin interval is at most
+# 2 max(|gl|, |gu|) wide, each step halves it up to half a unit in the last
+# place of max(|gl|, |gu|), and it stops below 2 eps max(|gl|, |gu|)
+BISECTION_STEPS = 53
 
 
 def routine_spy(monkeypatch, complex_field=True):
-    """Record each call that reaches the routines the four `_blas` lookups
+    """Record each call that reaches the routines the six `_blas` lookups
     return: (name, uplo, n) for a reduction, ("dsterf", n) and ("dstebz", il)
-    for a finish; skip where the OpenBLAS lacks the one-stage route."""
+    for a finish on the tridiagonal matrix, ("zpbtrf", n) for a step of the
+    band bisection; skip where the OpenBLAS lacks the one-stage route."""
     _one_stage_reduction(complex_field)
     if _blas.dsterf() is None or _blas.dstebz() is None:
         pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_dsterf/LAPACKE_dstebz")
@@ -275,16 +295,33 @@ def routine_spy(monkeypatch, complex_field=True):
                 return None
 
             def spy(*args):
-                if lookup in ("hetrd", "zhetrd_2stage"):
+                if lookup in REDUCTIONS:
                     seen.append((routine.__name__, args[1], args[2]))
                 else:
-                    seen.append((lookup, args[0] if lookup == "dsterf" else args[5]))
+                    seen.append((lookup, args[FINISH_ARGUMENT[lookup]]))
                 return routine(*args)
             spy.__name__ = routine.__name__
             return spy
 
         monkeypatch.setattr(_blas, lookup, spying)
     return seen
+
+
+def _solves(seen):
+    """The calls routine_spy saw, one (reduction, [finish calls]) pair per eigensolve."""
+    solves = []
+    for call in seen:
+        if len(call) == 3:
+            solves.append((call, []))
+        else:
+            solves[-1][1].append(call)
+    return solves
+
+
+def _assert_band_bisection(finish, n):
+    """finish is two bisections' zpbtrf steps on the band matrix of order n."""
+    assert set(finish) == {("zpbtrf", n)}
+    assert 2 <= len(finish) <= 2 * BISECTION_STEPS
 
 
 @pytest.mark.parametrize("complex_field, n, routine", [
@@ -299,34 +336,62 @@ def test_each_size_and_field_reaches_its_reduction_on_the_lower_triangle(monkeyp
     seen = routine_spy(monkeypatch, complex_field)
     if routine == "zhetrd_2stage":
         _two_stage_reduction()
+        _band_route()
     a = random_hermitian(n, np.random.default_rng(n), complex_field)
     hermitian_eigenvalues(a)
     pt_eigenvalues(a.copy(), BipartiteShape(1, n))
     pt_extreme_eigenvalues(a, BipartiteShape(1, n))
     reduction = (ROUTINE_NAMES[routine], b"L", n)
-    # all n values: one reduction, then dsterf; the ends: one reduction, then
-    # dstebz for the smallest (il = 1) and for the largest (il = n)
-    assert seen == [reduction, ("dsterf", n)] * 2 + [reduction, ("dstebz", 1), ("dstebz", n)]
+    # all n values: one reduction, then dsterf
+    assert seen[:4] == [reduction, ("dsterf", n)] * 2
+    (ends_reduction, finish), = _solves(seen[4:])
+    if routine == "zhetrd_2stage":
+        # the ends from the two-stage size on: the first stage alone, to a band,
+        # then zpbtrf for each step of the two bisections
+        assert ends_reduction == (ROUTINE_NAMES["zhetrd_he2hb"], b"L", n)
+        _assert_band_bisection(finish, n)
+    else:
+        # the ends below it: one reduction, then dstebz for the smallest (il = 1)
+        # and for the largest (il = n)
+        assert (ends_reduction, finish) == (reduction, [("dstebz", 1), ("dstebz", n)])
 
 
-@pytest.mark.parametrize("subcommand, runner, ensemble, field", [
-    ("spectrum", "run_spectrum", "wishart", "complex"),
-    ("spectrum", "run_spectrum", "wishart", "real"),
-    ("extremes", "run_extremes", "wishart", "complex"),
-    ("extremes", "run_extremes", "wishart", "real"),
-    ("ppt", "run_ppt_sweep", "induced", "complex"),
-    ("ppt", "run_ppt_sweep", "mixture", "complex"),
+@pytest.mark.parametrize("subcommand, runner, ensemble, field, d1, d2", [
+    ("spectrum", "run_spectrum", "wishart", "complex", 3, 4),
+    ("spectrum", "run_spectrum", "wishart", "real", 3, 4),
+    ("extremes", "run_extremes", "wishart", "complex", 3, 4),
+    ("extremes", "run_extremes", "wishart", "real", 3, 4),
+    ("ppt", "run_ppt_sweep", "induced", "complex", 3, 4),
+    ("ppt", "run_ppt_sweep", "mixture", "complex", 3, 4),
+    ("spectrum", "run_spectrum", "wishart", "complex", 19, 20),
+    ("extremes", "run_extremes", "wishart", "complex", 19, 20),
+    ("ppt", "run_ppt_sweep", "induced", "complex", 19, 20),
 ])
-def test_each_trial_reaches_one_reduction_and_its_finish(monkeypatch, subcommand, runner, ensemble, field):
-    # spectrum reads all n eigenvalues, extremes and ppt only the two ends
+def test_each_trial_reaches_one_reduction_and_its_finish(monkeypatch, subcommand, runner, ensemble, field, d1, d2):
+    # spectrum reads all n eigenvalues, extremes and ppt only the two ends; at
+    # n = TWO_STAGE_MIN_N the ends come from the band
     seen = routine_spy(monkeypatch, field == "complex")
+    n = d1 * d2
+    two_stage = field == "complex" and n >= TWO_STAGE_MIN_N
+    if two_stage:
+        _two_stage_reduction()
+        _band_route()
     alphas = {"alphas": (2.0, 8.0), "alpha": None} if subcommand == "ppt" else {"alpha": 4.0}
-    config = ExperimentConfig(subcommand=subcommand, ensemble=ensemble, field=field, d1=3, d2=4, trials=2,
+    config = ExperimentConfig(subcommand=subcommand, ensemble=ensemble, field=field, d1=d1, d2=d2, trials=2,
                               master_seed=5, **alphas)
     getattr(experiments, runner)(config)
-    reduction = (ROUTINE_NAMES["zhetrd" if field == "complex" else "dsytrd"], b"L", 12)
-    finish = [("dsterf", 12)] if subcommand == "spectrum" else [("dstebz", 1), ("dstebz", 12)]
-    assert seen == ([reduction] + finish) * (4 if subcommand == "ppt" else 2)
+    solves = _solves(seen)
+    assert len(solves) == (4 if subcommand == "ppt" else 2)
+    for reduction, finish in solves:
+        if subcommand == "spectrum":
+            name = "zhetrd_2stage" if two_stage else "zhetrd" if field == "complex" else "dsytrd"
+            assert (reduction, finish) == ((ROUTINE_NAMES[name], b"L", n), [("dsterf", n)])
+        elif two_stage:
+            assert reduction == (ROUTINE_NAMES["zhetrd_he2hb"], b"L", n)
+            _assert_band_bisection(finish, n)
+        else:
+            name = "zhetrd" if field == "complex" else "dsytrd"
+            assert (reduction, finish) == ((ROUTINE_NAMES[name], b"L", n), [("dstebz", 1), ("dstebz", n)])
 
 
 def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
@@ -383,6 +448,10 @@ def _extremes(a, shape):
                  id="pt_extreme_eigenvalues-no-solver"),
     pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), ("dstebz",), _extremes,
                  id="pt_extreme_eigenvalues-no-dstebz"),
+    pytest.param(BipartiteShape(20, 20), _wishart(400, 1600, 4), ("zhetrd_he2hb",), _extremes,
+                 id="pt_extreme_eigenvalues-no-he2hb"),
+    pytest.param(BipartiteShape(20, 20), _wishart(400, 1600, 4), ("zpbtrf",), _extremes,
+                 id="pt_extreme_eigenvalues-no-zpbtrf"),
 ])
 def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing, solve):
     for lookup in missing:
@@ -395,8 +464,8 @@ def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing, solve)
     got = solve(a, shape)
     np.testing.assert_array_equal(got, expected if len(got) == len(a) else expected[[0, -1]])
     # without the two-stage symbol alone hetrd reduces; with no route left, eigvalsh
-    routes = _blas.hetrd(np.iscomplexobj(a)) and _blas.dsterf() and _blas.dstebz()
-    assert fallback == ([len(a)] if routes is None else [])
+    routes = missing == ("zhetrd_2stage",) and _blas.hetrd(np.iscomplexobj(a)) and _blas.dsterf()
+    assert fallback == ([] if routes else [len(a)])
 
 
 @pytest.mark.parametrize("shape, make, lookups, solve", [
@@ -425,21 +494,29 @@ def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups, 
     assert calls == []
 
 
-@pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, lookup", [
-    pytest.param(False, 225, 61, 4, 2, 3, "hetrd", id="hermitian_eigenvalues-evd-real"),
-    pytest.param(True, 225, 61, 4, 2, 3, "hetrd", id="hermitian_eigenvalues-evd-complex"),
-    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_2stage", id="hermitian_eigenvalues-two-stage"),
+def _ends_of_a_copy(a):
+    # the one block of a 1 x n shape transposes to a^T = conj(a), whose ends are a's
+    return np.array(pt_extreme_eigenvalues(a.copy(), BipartiteShape(1, len(a))))
+
+
+@pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, lookup, solve", [
+    pytest.param(False, 225, 61, 4, 2, 3, "hetrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(True, 225, 61, 4, 2, 3, "hetrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_2stage", hermitian_eigenvalues,
+                 id="hermitian_eigenvalues-two-stage"),
+    pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_he2hb", _ends_of_a_copy,
+                 id="pt_extreme_eigenvalues-band"),
 ])
-def test_concurrent_calls_match_serial(monkeypatch, complex_field, n, seed, count, split, repeats, lookup):
+def test_concurrent_calls_match_serial(monkeypatch, complex_field, n, seed, count, split, repeats, lookup, solve):
     # ctypes releases the GIL, so pool workers run their solves at the same
     # time, as trial workers do, with the BLAS threads split among them
     calls = _spy(monkeypatch, complex_field, (lookup,))
     rng = np.random.default_rng(seed)
     matrices = [random_hermitian(n, rng, complex_field) for _ in range(count)]
     with _blas.split(split):
-        serial = [hermitian_eigenvalues(a) for a in matrices]
+        serial = [solve(a) for a in matrices]
         with ThreadPoolExecutor(max_workers=3) as pool:
-            concurrent = list(pool.map(hermitian_eigenvalues, matrices * repeats, timeout=300))
+            concurrent = list(pool.map(solve, matrices * repeats, timeout=300))
     assert len(calls) == count * (1 + repeats)
     for vals, expected in zip(concurrent, serial * repeats):
         np.testing.assert_array_equal(vals, expected)

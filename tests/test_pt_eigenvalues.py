@@ -88,15 +88,16 @@ def _reference_pt(w, shape):
 
 def _solver_spy(monkeypatch):
     """Record (uplo, the n x n buffer read in C order, its address) for every call that reaches a
-    tridiagonal reduction."""
+    reduction, to a tridiagonal matrix or to a band."""
     seen = []
 
     def spying(lookup):
         def wrapped(*complex_field):
             reduce = lookup(*complex_field)
             if reduce is None:
-                pytest.skip("numpy's OpenBLAS lacks a tridiagonal reduction")
-            # hetrd(complex_field) serves either field, zhetrd_2stage() the complex one
+                pytest.skip("numpy's OpenBLAS lacks a reduction")
+            # hetrd(complex_field) serves either field, zhetrd_2stage() and
+            # zhetrd_he2hb() the complex one
             dtype = np.complex128 if complex_field in ((), (True,)) else np.float64
 
             def spy(layout, uplo, n, a, *rest):
@@ -110,6 +111,7 @@ def _solver_spy(monkeypatch):
 
     monkeypatch.setattr(_blas, "hetrd", spying(_blas.hetrd))
     monkeypatch.setattr(_blas, "zhetrd_2stage", spying(_blas.zhetrd_2stage))
+    monkeypatch.setattr(_blas, "zhetrd_he2hb", spying(_blas.zhetrd_he2hb))
     return seen
 
 
@@ -193,9 +195,12 @@ def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, 
 
 
 # |end - eigvalsh's end| / spectral radius: the ends come from dstebz's
-# bisection, eigvalsh's from dsterf, whose rounding differs.  The largest
-# measured over the cases below was 2.0e-15; over 132 draws of both fields at
-# n = 6-1600 and alpha = 0.5, 4 and 9 it was 7.0e-15
+# bisection, or from TWO_STAGE_MIN_N on from the band's, eigvalsh's from
+# dsterf, whose rounding differs.  The largest measured over the cases below
+# and those of test_band_ends_are_eigvalsh_ends was 2.0e-15; over 132 draws of
+# both fields at n = 6-1600 and alpha = 0.5, 4 and 9 it was 7.0e-15 with
+# dstebz.  Over 42 other complex draws at n = 400-1600 it reached 1.7e-14, at
+# n = 1600 and alpha = 0.5, with the band's ends and with dstebz's alike
 ENDS_RTOL = 1e-14
 
 
@@ -224,12 +229,60 @@ def test_extreme_eigenvalues_are_eigvalsh_ends_in_every_layout(monkeypatch, layo
     assert abs(high - expected[-1]) <= ENDS_RTOL * radius
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
+def _random_hermitian(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2
+
+
+def _negative_definite(n):
+    w = sample_wishart(WishartParams(n=n, p=4 * n), SampleStream(19, n))
+    w += 0.01 * np.eye(n)
+    return -w
+
+
+@pytest.mark.parametrize("make, n, steps", [
+    # both ends repeated, and Gershgorin bounds that are the ends themselves
+    pytest.param(lambda n: np.diag(np.resize([-2.0, 0.5, 3.0, -2.0, 3.0], n)).astype(complex), 400, None,
+                 id="repeated-ends"),
+    pytest.param(_negative_definite, 400, None, id="negative-definite"),
+    # an empty Gershgorin interval holds no double to test
+    pytest.param(lambda n: np.zeros((n, n), dtype=complex), 400, 0, id="zero"),
+    pytest.param(_random_hermitian, 1, 0, id="n=1"),
+    # at most the band width, and one more: the first stage copies the whole triangle
+    pytest.param(_random_hermitian, 5, None, id="n=5"),
+    pytest.param(_random_hermitian, 16, None, id="n=16"),
+    pytest.param(_random_hermitian, 17, None, id="n=17"),
+])
+def test_band_ends_are_eigvalsh_ends(monkeypatch, make, n, steps):
+    # the two-stage ends, called directly at any n: the first stage to a band,
+    # then bisection with zpbtrf (test_linalg.py bounds its step count)
+    factor = _blas.zpbtrf()
+    if _blas.zhetrd_he2hb() is None or factor is None:
+        pytest.skip("numpy's OpenBLAS exports no zhetrd_he2hb/zpbtrf")
+    calls = []
+    monkeypatch.setattr(_blas, "zpbtrf", lambda: lambda *args: calls.append(args[1]) or factor(*args))
+    a = make(n)
+    expected = np.linalg.eigvalsh(a)
+    ends = _blas.eigenvalues(np.asfortranarray(a), two_stage=True, ends=True)
+    radius = np.abs(expected).max()
+    assert np.abs(ends - expected[[0, -1]]).max() <= ENDS_RTOL * radius
+    assert set(calls) <= {n}
+    assert len(calls) == steps if steps is not None else len(calls) >= 2
+
+
+@pytest.mark.parametrize("field, forced", [pytest.param("real", False, id="real"),
+                                           pytest.param("complex", False, id="complex"),
+                                           pytest.param("complex", True, id="complex-two-stage")])
 @pytest.mark.parametrize("exponent, rescaled", [(-700, True), (-400, False), (400, False), (700, True)])
-def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field, exponent, rescaled):
+def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field, forced, exponent, rescaled):
     # LAPACK's drivers rescale a matrix whose largest entry lies outside about
-    # [1e-146, 1e146]; the bare reduction does not, so such a matrix takes the
-    # eigvalsh fallback, and one inside the range takes the reduction
+    # [1e-146, 1e146]; the bare reductions do not, so such a matrix takes the
+    # eigvalsh fallback, and one inside the range takes the reduction; forced,
+    # the two-stage reduction, and for the ends its first stage and the band's
+    # bisection
+    if forced:
+        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
     shape = BipartiteShape(4, 5)
     w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 0))
     unscaled = pt_eigenvalues(w.copy(), shape)
@@ -289,12 +342,13 @@ def test_public_functions_leave_their_input_unchanged():
         np.testing.assert_array_equal(rho, rho_before)
 
 
-@pytest.mark.parametrize("solve", [pt_eigenvalues, pt_extreme_eigenvalues], ids=["dsterf", "dstebz"])
+@pytest.mark.parametrize("solve", [pt_eigenvalues, pt_extreme_eigenvalues], ids=["all", "ends"])
 @pytest.mark.parametrize("field, itemsize", [("complex", 16), ("real", 8)])
 def test_one_trial_peaks_near_one_buffer(field, itemsize, solve):
     # a draw, its partial transpose and the eigensolve at n = 400 (the lauum
-    # path, then dsytrd or zhetrd_2stage, whose workspace numpy allocates,
-    # about 0.18 * 16 * n^2 here); the three-buffer path peaked at about
+    # path, then dsytrd, zhetrd_2stage or for the complex ends zhetrd_he2hb,
+    # whose workspaces numpy allocates: about 0.18 and 0.17 * 16 * n^2 here
+    # for the two complex routes); the three-buffer path peaked at about
     # 2 * itemsize * n^2
     n, shape = 400, BipartiteShape(20, 20)
     params = WishartParams(n=n, p=4 * n, field=field)

@@ -45,14 +45,17 @@ ARGVS = [
     ["extremes", "--alpha", "4", "--check", "--threads", "1", "--d", "40", "--trials", "1", "--seed", "1"],
     ["extremes", "--d1", "18", "--d2", "21", "--trials", "1"],
     ["extremes", "--d1", "19", "--d2", "20", "--trials", "1"],
+    # two trial workers on the band's ends (n = 400)
+    ["extremes", "--d", "20", "--trials", "2", "--threads", "2"],
     # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3,
-    # and n = 400 on the two-stage reduction
+    # and n = 400 on the two-stage reduction's band, induced and mixture states
     ["ppt", "--d", "6", "--trials", "5", "--threads", "2"],
     ["ppt", "--d", "6", "--trials", "1", "--threads", "2"],
     ["ppt", "--d", "4", "--trials", "4", "--ensemble", "mixture", "--alphas", "2", "8"],
     ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
     ["ppt", "--d", "20", "--trials", "2", "--alphas", "3", "5"],
+    ["ppt", "--d", "20", "--ensemble", "mixture", "--alphas", "3", "5", "--trials", "1"],
     # pure: one trial worker and two
     ["pure", "--d", "6", "--trials", "3", "--check"],
     ["pure", "--d", "30", "--trials", "4", "--threads", "2"],
