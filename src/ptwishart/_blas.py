@@ -214,16 +214,21 @@ def dstebz():
     return _function(*_DSTEBZ)
 
 
-def _unscaled(work: np.ndarray) -> bool:
+def _unscaled(work: np.ndarray, scale: float | None) -> bool:
     """Whether LAPACK's eigenvalue drivers would reduce work as it is.  They
-    rescale a matrix whose largest entry m lies outside [sqrt(safmin / eps),
-    sqrt(eps / safmin)], about [1.4e-146, 7.1e145]; the bare reduction does
-    not.  The largest real or imaginary part p bounds m to [p, sqrt(2) p], so
-    every p for which m might lie outside counts as outside."""
-    parts = work.ravel(order="K").view(np.float64)
-    p = max(float(parts.max()), -float(parts.min()))
+    rescale a matrix whose largest entry modulus m, read from the lower
+    triangle, lies outside [sqrt(safmin / eps), sqrt(eps / safmin)], about
+    [1.4e-146, 7.1e145]; the bare reduction does not.  `scale` is the largest
+    modulus over all of work, as the Hermiticity check finds it, within a
+    relative 1e-10 of m; or None, and then one more pass over work finds the
+    largest real or imaginary part p, and m lies in [p, sqrt(2) p].  Either
+    value is within a factor of 2 of m, and every value for which m might
+    lie outside counts as outside."""
+    if scale is None:
+        parts = work.ravel(order="K").view(np.float64)
+        scale = max(float(parts.max()), -float(parts.min()))
     low = sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).epsneg)
-    return p == 0.0 or low <= p and sqrt(2.0) * p <= 1.0 / low
+    return scale == 0.0 or 2.0 * low <= scale <= 0.5 / low
 
 
 def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
@@ -268,7 +273,8 @@ def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
     return ends
 
 
-def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -> np.ndarray | None:
+def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False,
+                scale: float | None = None) -> np.ndarray | None:
     """The eigenvalues, ascending, of the self-adjoint matrix in the lower
     triangle of work read column-major: a C-ordered work reads as its
     transpose, the conjugate of a self-adjoint work.  One tridiagonal
@@ -279,7 +285,9 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -
     instead, after `zhetrd_he2hb`, and `_band_ends` bisects with `zpbtrf` for
     the two ends.  work, a C- or F-ordered square float64 or complex128 array,
     is overwritten.  None, with work untouched, where numpy's OpenBLAS lacks a
-    routine of the route or the drivers would rescale work (`_unscaled`)."""
+    routine of the route or the drivers would rescale work (`_unscaled`).
+    `scale`, work's largest entry modulus where the caller knows it, spares
+    `_unscaled` a pass over work."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
@@ -288,7 +296,7 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -
     complex_field = work.dtype == np.complex128
     if complex_field and two_stage and ends:
         reduce, factor = zhetrd_he2hb(), zpbtrf()
-        if reduce is None or factor is None or not _unscaled(work):
+        if reduce is None or factor is None or not _unscaled(work, scale):
             return None
         info, band, spare = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1))
         if info != 0:
@@ -296,7 +304,7 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False) -
         return _band_ends(band, spare, factor)
     reduce = (zhetrd_2stage() if complex_field and two_stage else None) or hetrd(complex_field)
     finish = dstebz() if ends else dsterf()
-    if reduce is None or finish is None or not _unscaled(work):
+    if reduce is None or finish is None or not _unscaled(work, scale):
         return None
     d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1), dtype=work.dtype)
     info = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data)

@@ -49,7 +49,9 @@ def _add_common(sub, subcommand, help):
     parser.add_argument("--d", type=int, default=None, help=f"square factor dimension d1 = d2 = d (default {d_default})")
     parser.add_argument("--d1", type=int, default=None, help="first factor dimension")
     parser.add_argument("--d2", type=int, default=None, help="second factor dimension")
-    parser.add_argument("--trials", type=int, default=trials_default)
+    parser.add_argument("--trials", type=int, default=trials_default,
+                        help=f"trials (for ppt, per alpha); a run makes at most {experiments.MAX_TRIALS} "
+                             "draws, trials x alphas for ppt")
     parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")

@@ -18,7 +18,11 @@ min(n, p) diagonal chi-square variates in diagonal order, then the strictly
 lower entries column by column, each column top to bottom, a complex entry
 again two consecutive normals.  One builder, `_fill_bartlett`, draws them into
 the layout that `_lauum_route`'s Gram routine reads: L itself for zherk/dsyrk,
-or the index-reversed view of the array lauum overwrites.
+or the index-reversed view of the array lauum overwrites.  It draws the
+normals of a block of whole columns, about _BLOCK_ENTRIES entries, in one
+call.  The block is a run of the stream, so the values are those of one call
+per column; but a draw makes a few numpy calls, not one per column, and each
+call hands the GIL to the other trial workers and waits to take it back.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import _blas
 from .errors import ParameterError
-from .linalg import BipartiteShape
+from .linalg import _BLOCK_ENTRIES, BipartiteShape
 
 FIELDS = ("real", "complex")
 
@@ -43,9 +47,6 @@ GRAM_CHUNK = 512
 # a complex report does not depend on the trial-worker count.  lauum would
 # save under 1 ms per trial there.
 LAUUM_MIN_N = 256
-
-# _mirror_lower copies a triangle in column blocks of about this many entries
-_MIRROR_BLOCK_ENTRIES = 2**14
 
 # largest ancilla count, well inside the int64 range of the chi-square degrees of
 # freedom p - j that sample_wishart draws with
@@ -130,14 +131,21 @@ def _lauum_route(n: int, p: int) -> bool:
     return p >= n >= LAUUM_MIN_N
 
 
+def _block_columns(n: int) -> int:
+    """Columns of an n-row matrix in one block of about _BLOCK_ENTRIES entries, at least one."""
+    return max(1, _BLOCK_ENTRIES // n)
+
+
 def _draw_bytes(n: int, p: int, field: str, mixture: bool) -> int:
     """Bytes a draw holds beside its n x n buffer: a GRAM_CHUNK block of mixture
-    vectors, the n x min(n, p) Bartlett factor zherk/dsyrk multiplies, or on
-    the lauum route only `_fill_bartlett`'s one column."""
+    vectors, or `_fill_bartlett`'s scratch block (at most 256 KB) and, off the
+    lauum route, the n x min(n, p) Bartlett factor zherk/dsyrk multiplies."""
     item = 8 if field == "real" else 16
     if mixture:
         return 16 * n * min(GRAM_CHUNK, p)
-    return item * n if _lauum_route(n, p) else item * n * min(n, p)
+    m = min(n, p)
+    scratch = item * min(m, _block_columns(n)) * (n - 1)
+    return scratch if _lauum_route(n, p) else scratch + item * n * m
 
 
 def _fill_bartlett(rng: np.random.Generator, p: int, out: np.ndarray) -> np.ndarray:
@@ -145,16 +153,23 @@ def _fill_bartlett(rng: np.random.Generator, p: int, out: np.ndarray) -> np.ndar
     view of either field's dtype, and return it.  Diagonal entry j is the square
     root of a chi-square variate with p - j degrees of freedom, 2(p - j) for the
     complex field (matching E|entry|^2 = 2); the entries below it are normals,
-    drawn a column at a time into one scratch column, so `out` may be any view."""
+    drawn `_block_columns(n)` columns at a time, in one call into a scratch
+    block, and copied out column by column, so `out` may be any view."""
     n, m = out.shape
     # doubled in float64: 2(p - j) in int64 would wrap for p near MAX_ANCILLA
     degrees = (p - np.arange(m)) * (2.0 if np.iscomplexobj(out) else 1.0)
     out[np.diag_indices(m)] = np.sqrt(rng.chisquare(degrees))
-    column = np.empty(n - 1, dtype=out.dtype)
-    for j in range(m):
-        below = column[:n - 1 - j]
-        rng.standard_normal(out=below.view(np.float64))
-        out[j + 1:, j] = below
+    cols = _block_columns(n)
+    scratch = np.empty(min(m, cols) * (n - 1), dtype=out.dtype)
+    for j in range(0, m, cols):
+        k = min(m, j + cols)
+        # columns j..k-1 hold n - 1 - c entries each below the diagonal
+        block = scratch[:(k - j) * (n - 1) - (k - j) * (j + k - 1) // 2]
+        rng.standard_normal(out=block.view(np.float64))
+        start = 0
+        for c in range(j, k):
+            out[c + 1:, c] = block[start:start + n - 1 - c]
+            start += n - 1 - c
     return out
 
 
@@ -172,17 +187,17 @@ def _mirror_lower(c: np.ndarray) -> np.ndarray:
     strict lower one, and each diagonal entry d becomes (d + conj(d)) * 0.5:
     the values of c + c^dagger with the doubly counted diagonal halved, bit
     for bit unless a Gram entry is exactly zero (x + 0 turns -0.0 into 0.0).
-    The copy runs in column blocks of about _MIRROR_BLOCK_ENTRIES entries, so
-    its temporaries stay small; c may be any 2-d view, such as a reversed one.
+    The copy runs in column blocks of about _BLOCK_ENTRIES entries, so its
+    temporaries stay small; c may be any 2-d view, such as a reversed one.
     """
     n = len(c)
-    cols = max(1, _MIRROR_BLOCK_ENTRIES // max(n, 1))
+    cols = min(n, _block_columns(n))
+    # the strict upper triangle of a diagonal block, the last one's leading part
+    upper = ~np.tri(cols, dtype=bool)
     for j in range(0, n, cols):
         k = min(n, j + cols)
         np.conjugate(c[j:k, :j].T, out=c[:j, j:k])
-        block = c[j:k, j:k]
-        upper = np.triu_indices(k - j, 1)
-        block[upper] = block.T[upper].conj()
+        np.copyto(c[j:k, j:k], np.conjugate(c[j:k, j:k].T), where=upper[:k - j, :k - j])
     diagonal = np.arange(n)
     d = c[diagonal, diagonal]
     d += d.conj()

@@ -82,7 +82,9 @@ ENSEMBLES = {
 DEFAULT_BINS = 100
 MAX_BINS = 10**5
 MAX_THREADS = 64
-# bounds the number of streams a run maps, not the size of its report
+# bounds the number of streams a run maps (`ExperimentConfig.streams`: its
+# trials, times the alpha grid's size for ppt), not the size of its report;
+# each stream's result is held until the report is built
 MAX_TRIALS = 10**5
 # largest number of values a spectrum report lists: each trial lists its n
 # eigenvalues and a histogram of 2 * bins + 1 values.  A run peaks at about
@@ -222,6 +224,9 @@ class ExperimentConfig:
         # the monotone block compares neighbouring grid entries
         if self.alphas and any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ParameterError(f"the alpha grid must be strictly increasing, got {list(self.alphas)}")
+        if self.streams > MAX_TRIALS:
+            raise ParameterError(f"ppt maps trials * alphas streams, at most {MAX_TRIALS}, "
+                                 f"got {self.trials} * {len(self.alphas)}")
         p = max(ps)
         if self.ensemble == "mixture" and shape.n * p > MAX_MIXTURE_ENTRIES:
             raise ParameterError(f"mixture states need n * p <= 2**30, got n={shape.n}, p={p}")

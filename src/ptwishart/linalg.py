@@ -22,10 +22,10 @@ it is a bisection, once for the smallest and once for the largest
 eigenvalue: on the tridiagonal matrix dstebz's Sturm counts, and on the band,
 from its Gershgorin bounds, whether zpbtrf can factor the shifted band as
 positive definite, O(n kd^2) work per step.  Where the OpenBLAS lacks a
-symbol of the route, or a matrix's largest entry lies where the drivers
-would rescale it, np.linalg.eigvalsh is the fallback.  A solver reads each
-matrix in the memory order it has, a C-ordered one as its conjugate, to
-which these routines give the same eigenvalue bits.  `partial_transpose` and
+symbol of the route, or a matrix's largest entry, which the Hermiticity check
+finds, lies where the drivers would rescale it, np.linalg.eigvalsh is the
+fallback.  A solver reads each matrix in the memory order it has, a C-ordered
+one as its conjugate, to which these routines give the same eigenvalue bits.  `partial_transpose` and
 `hermitian_eigenvalues` never write their input; `pt_eigenvalues` and
 `pt_extreme_eigenvalues`, which the Monte Carlo trials call, do both steps in
 their input's own memory.
@@ -64,6 +64,12 @@ HERMITICITY_RTOL = 1e-10
 # The band's ends break even near here too, so one bound serves every route.
 TWO_STAGE_MIN_N = 380
 
+# Python-level loops over a matrix take blocks of about this many entries:
+# _transpose_blocks runs of slabs, and in `ensembles` the Bartlett draw's and
+# the mirror's column blocks.  A block is a few numpy calls, each of which hands
+# the GIL to the other trial workers, and its temporaries stay at 256 KB
+_BLOCK_ENTRIES = 2**14
+
 # is_hermitian compares a with its conjugate transpose in square tiles of this
 # side, tile (i, j) against tile (j, i).  Its temporaries stay small (24 bytes
 # per tile entry for the complex field, 0.2 MB), and a tile reads contiguous
@@ -96,10 +102,10 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def is_hermitian(a) -> bool:
-    """Whether a equals its conjugate transpose to within HERMITICITY_RTOL times
-    its largest entry; False on a non-finite entry."""
-    a = _as_square(a)
+def _hermitian_scale(a: np.ndarray) -> float | None:
+    """The largest modulus of a square a's entries where a equals its conjugate
+    transpose to within HERMITICITY_RTOL times it, else None; None on a
+    non-finite entry."""
     n, t = len(a), _HERMITICITY_TILE
     # np.maximum, unlike max(), keeps a NaN
     scale = deviation = np.float64(0.0)
@@ -107,21 +113,31 @@ def is_hermitian(a) -> bool:
         for j in range(i, n, t):
             upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
             scale = np.maximum(scale, np.abs(upper).max())
-            if j != i:
-                scale = np.maximum(scale, np.abs(lower).max())
             if not np.isfinite(scale):
                 # a NaN or an infinity, for which inf <= HERMITICITY_RTOL * inf would
                 # hold; checked before the subtraction could form inf - inf
-                return False
-            # |conj(lower^T) - upper|, entry for entry; subtracting in place holds
+                return None
+            # conj(lower^T) - upper, entry for entry; subtracting in place holds
             # one temporary, not two (np.conjugate copies real input too, where
             # ndarray.conj would return a itself)
             diff = np.conjugate(lower.T)
             diff -= upper
+            if not diff.any():
+                # the tiles mirror each other exactly, as in every sampled
+                # matrix, so lower's largest modulus is upper's
+                continue
+            scale = np.maximum(scale, np.abs(lower).max())
+            if not np.isfinite(scale):
+                return None
             deviation = np.maximum(deviation, np.abs(diff).max())
-    if scale == 0.0:
-        return True
-    return float(deviation) <= HERMITICITY_RTOL * float(scale)
+    scale = float(scale)
+    return scale if float(deviation) <= HERMITICITY_RTOL * scale else None
+
+
+def is_hermitian(a) -> bool:
+    """Whether a equals its conjugate transpose to within HERMITICITY_RTOL times
+    its largest entry; False on a non-finite entry."""
+    return _hermitian_scale(_as_square(a)) is not None
 
 
 def _bipartite(a, shape: BipartiteShape) -> np.ndarray:
@@ -149,13 +165,16 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     return out
 
 
-def _check_self_adjoint(a: np.ndarray):
-    # is_hermitian is False on a non-finite entry, so the full isfinite pass
-    # runs only to name the failure
-    if not is_hermitian(a):
+def _check_self_adjoint(a: np.ndarray) -> float:
+    """a's largest entry modulus, once a passes the Hermiticity check."""
+    scale = _hermitian_scale(a)
+    if scale is None:
+        # the check fails on a non-finite entry, so the full isfinite pass runs
+        # only to name the failure
         if not np.all(np.isfinite(a)):
             raise NumericError("matrix has non-finite entries")
         raise NumericError("matrix is not self-adjoint within tolerance")
+    return scale
 
 
 def _dtype(a: np.ndarray):
@@ -167,9 +186,9 @@ def _checked_eigenvalues(a: np.ndarray, in_place: bool, ends: bool = False) -> n
     passes a: by `_blas.eigenvalues` in a's memory, or in a copy in a's memory order unless `in_place`,
     a complex matrix of size TWO_STAGE_MIN_N or more on the two-stage reduction; by
     np.linalg.eigvalsh(a) where `_blas` returns None."""
-    _check_self_adjoint(a)
+    scale = _check_self_adjoint(a)
     work = a if in_place else np.array(a, dtype=_dtype(a))
-    values = _blas.eigenvalues(work, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends)
+    values = _blas.eigenvalues(work, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends, scale)
     if values is None:
         values = np.linalg.eigvalsh(a)
         return values[[0, -1]] if ends else values
@@ -199,18 +218,27 @@ def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | No
     With `reverse` it is source[i*, l*, j*, k*], * the index reversal
     x -> dim - 1 - x.  source is blocks itself by default: either map is its
     own inverse, so the entries move by swaps of slabs blocks[i] and
-    blocks[i*], and the copy held is one slab of d2 * d1 * d2 entries.  A
-    distinct source, sharing no memory with blocks, is read once.
+    blocks[i*], a run of slabs of about _BLOCK_ENTRIES entries, at least one,
+    at a time, and the copy held is that run.  A distinct source, sharing no
+    memory with blocks, is read once.
     """
     d1 = blocks.shape[0]
     source = blocks if source is None else source
-    for i in range(d1):
-        partner = d1 - 1 - i if reverse else i
-        if partner >= i:
-            saved = source[i].copy() if source is blocks else source[i]
-            if partner != i:
-                blocks[i] = source[partner, ::-1, ::-1, ::-1].transpose(2, 1, 0)
-            blocks[partner] = (saved[::-1, ::-1, ::-1] if reverse else saved).transpose(2, 1, 0)
+    step = max(1, _BLOCK_ENTRIES // blocks[0].size)
+    # runs of slabs i in [a, b); reversed, the partners [d1 - b, d1 - a) of the
+    # slabs below the middle one, then the middle slab, its own partner
+    if reverse:
+        runs = [(a, min(a + step, d1 // 2)) for a in range(0, d1 // 2, step)]
+        runs += [(d1 // 2, d1 // 2 + 1)] if d1 % 2 else []
+    else:
+        runs = [(a, min(a + step, d1)) for a in range(0, d1, step)]
+    flip = (slice(None, None, -1),) * 4 if reverse else ()
+    for a, b in runs:
+        partners = slice(d1 - b, d1 - a) if reverse else slice(a, b)
+        saved = source[a:b].copy() if source is blocks else source[a:b]
+        if partners.start != a:
+            blocks[a:b] = source[partners][flip].transpose(0, 3, 2, 1)
+        blocks[partners] = saved[flip].transpose(0, 3, 2, 1)
 
 
 def _pt_solve(w, shape: BipartiteShape, ends: bool) -> np.ndarray:

@@ -83,6 +83,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         # the trial count bounds the number of streams a run maps
         (["spectrum", "--d", "2", "--trials", "1000000000000"], "trials must be between 1 and 100000"),
         (["spectrum", "--d", "2", "--trials", "100000000000000000000"], "trials must be between 1 and 100000"),
+        # a ppt run maps trials streams per alpha
+        (["ppt", "--d", "2", "--trials", "20000", "--alphas", "1", "2", "3", "4", "5", "6"],
+         "ppt maps trials * alphas streams, at most 100000, got 20000 * 6"),
         # a spectrum report lists every eigenvalue and histogram, so its size is bounded
         (["spectrum", "--trials", "9083"], "spectrum report lists"),
         (["spectrum", "--d", "1", "--bins", "100000", "--trials", "50"], "spectrum report lists"),

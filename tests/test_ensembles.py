@@ -112,6 +112,61 @@ def test_wishart_blocked_gram_matches_the_factor(field, p):
     assert np.array_equal(w, w.conj().T)
 
 
+def _per_column_bartlett(rng, p, out):
+    # the builder as it drew before the block draw: one standard_normal call per column
+    n, m = out.shape
+    out[np.diag_indices(m)] = np.sqrt(rng.chisquare((p - np.arange(m)) * (2.0 if np.iscomplexobj(out) else 1.0)))
+    for j in range(m):
+        below = np.empty(n - 1 - j, dtype=out.dtype)
+        rng.standard_normal(out=below.view(np.float64))
+        out[j + 1:, j] = below
+    return out
+
+
+class _NormalCounter:
+    """A generator's two draws, counting the standard_normal calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def chisquare(self, df):
+        return self.rng.chisquare(df)
+
+    def standard_normal(self, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n, p, layout", [
+    pytest.param(1, 5, "F", id="n=1"),
+    # 2**14 // 129 = 127 columns a block, so two blocks, the second of two columns
+    pytest.param(129, 200, "F", id="just-above-a-block"),
+    pytest.param(129, 129, "reversed", id="just-above-a-block-reversed"),
+    pytest.param(300, 130, "F", id="trapezoidal"),
+    pytest.param(300, 130, "reversed", id="trapezoidal-reversed"),
+    # the lauum route's view: 63 columns a block, five blocks
+    pytest.param(257, 1000, "reversed", id="lauum"),
+])
+def test_block_draw_matches_the_per_column_draw(field, n, p, layout):
+    m = min(n, p)
+    dtype = np.float64 if field == "real" else np.complex128
+    stream = SampleStream(41, n + p)
+
+    def zeroed():
+        out = np.zeros((n, m), dtype=dtype, order="F")
+        return out[::-1, ::-1] if layout == "reversed" else out
+
+    expected = _per_column_bartlett(stream.generator(), p, zeroed())
+    rng = _NormalCounter(stream.generator())
+    got = ensembles._fill_bartlett(rng, p, zeroed())
+    assert got.tobytes() == expected.tobytes()
+    # one normal draw per block of columns, never one per column
+    cols = max(1, ensembles._BLOCK_ENTRIES // n)
+    assert rng.calls == -(-m // cols)
+    assert rng.calls < m or m == 1
+
+
 def test_complex_wishart_below_the_lauum_bound_ignores_the_blas_thread_count():
     # lauum's product depends on the BLAS thread count, zherk's does not; below
     # LAUUM_MIN_N a complex report must not depend on the trial-worker count

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptwishart import MarchenkoPastur, _blas, experiments, partitions, reporting, spectra
+from ptwishart import BipartiteShape, MarchenkoPastur, _blas, experiments, partitions, reporting, spectra
 from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state, sample_pure_state
 from ptwishart.errors import ParameterError
 from ptwishart.experiments import (
@@ -61,6 +61,8 @@ def test_config_resolves_p_from_alpha():
     pytest.param(dict(trials=0), "trials", id="trials"),
     pytest.param(dict(trials=10**5 + 1), "trials must be between 1 and 100000",
                  id="trials-too-many"),
+    pytest.param(dict(PPT, trials=5 * 10**4 + 1), r"^ppt maps trials \* alphas streams, at most 100000, "
+                 r"got 50001 \* 2$", id="ppt-streams"),
     pytest.param(dict(d1=30, d2=30, trials=9083), "spectrum report lists", id="spectrum-report-size"),
     pytest.param(dict(d1=1, d2=1, trials=50, bins=10**5), "spectrum report lists", id="spectrum-report-bins"),
     pytest.param(dict(master_seed=-1), "master_seed", id="seed-negative"),
@@ -102,9 +104,9 @@ def test_spectrum_report_bound():
     assert small_config(**at_bound, trials=1000).trials == 1000
     with pytest.raises(ParameterError, match="spectrum report"):
         small_config(**at_bound, trials=1001)
-    # extremes and ppt list no spectra
+    # extremes and ppt list no spectra; ppt's two alphas map 2 * 5 * 10**4 streams
     assert small_config(subcommand="extremes", d1=30, d2=30, trials=10**5).trials == 10**5
-    assert small_config(**PPT, d1=30, d2=30, trials=10**5).trials == 10**5
+    assert small_config(**PPT, d1=30, d2=30, trials=5 * 10**4).streams == 10**5
 
 
 def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
@@ -121,7 +123,7 @@ def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
     with pytest.raises(ParameterError, match="memory"):
         small_config(**PPT, threads=4, trials=4)
     # the largest estimate over a ppt grid counts: at alpha = 0.5 (p < n) the
-    # zherk factor sits beside the buffer, at alpha = 4 one column of lauum's
+    # zherk factor sits beside the buffer, at alpha = 4 only lauum's scratch block
     grid = dict(PPT, d1=16, d2=16, trials=1)
     below = experiments.worker_memory(256, 128, "complex", "induced")
     assert below > experiments.worker_memory(256, 1024, "complex", "induced")
@@ -144,13 +146,16 @@ def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
 def test_worker_memory_counts_one_buffer_and_what_the_draw_holds_beside_it():
     rows = experiments.SOLVER_WORK_ROWS
     n = 1600
-    # the lauum path: the buffer, the workspace and one factor column
-    assert experiments.worker_memory(n, 4 * n, "complex", "wishart") == 16 * n * (n + rows) + 16 * n
-    assert experiments.worker_memory(n, 4 * n, "real", "wishart") == 8 * n * (n + rows) + 8 * n
-    assert experiments.worker_memory(n, 4 * n, "complex", "induced") == 16 * n * (n + rows) + 16 * n
-    # zherk's rectangular factor beside the Gram buffer
-    assert experiments.worker_memory(n, 100, "complex", "wishart") == 16 * n * (n + rows) + 16 * n * 100
-    assert experiments.worker_memory(100, 400, "real", "wishart") == 8 * 100 * (100 + rows) + 8 * 100 * 100
+    # the lauum path: the buffer, the workspace and the Bartlett draw's scratch
+    # block, 2**14 // n = 10 columns of n - 1 normals below the diagonal
+    scratch = 10 * (n - 1)
+    assert experiments.worker_memory(n, 4 * n, "complex", "wishart") == 16 * n * (n + rows) + 16 * scratch
+    assert experiments.worker_memory(n, 4 * n, "real", "wishart") == 8 * n * (n + rows) + 8 * scratch
+    assert experiments.worker_memory(n, 4 * n, "complex", "induced") == 16 * n * (n + rows) + 16 * scratch
+    # zherk's rectangular factor and the scratch block beside the Gram buffer;
+    # at n = 100 the block holds all 100 columns
+    assert experiments.worker_memory(n, 100, "complex", "wishart") == 16 * n * (n + rows) + 16 * (n * 100 + scratch)
+    assert experiments.worker_memory(100, 400, "real", "wishart") == 8 * 100 * (100 + rows) + 8 * 100 * (100 + 99)
     # a block of mixture vectors
     assert experiments.worker_memory(n, 4 * n, "complex", "mixture") == 16 * n * (n + rows) + 16 * n * 512
 
@@ -393,6 +398,29 @@ def test_ppt_grid_maps_one_stream_per_grid_point_and_trial():
             rho = sample_induced_state(9, p, SampleStream(config.master_seed, ai * 3 + t))
             expected.append((alpha, p, t, 9 * experiments.ppt_gauge(rho, config.shape).min_eigenvalue))
     assert [(r["alpha"], r["p"], r["trial"], r["value"]) for r in rows] == expected
+
+
+def test_one_ppt_draw_makes_few_c_calls():
+    # each numpy call on a large enough array releases the GIL and takes it
+    # back, so two trial workers overlap only where a draw makes few of them.
+    # One induced d = 15 draw at alpha = 4 made 429 builtin (C-level) calls
+    # when the Bartlett factor was drawn a column at a time, and makes 114
+    # with numpy 2.4; the bound leaves a third for other numpy versions'
+    # Python-level wrappers and stays below half of 429
+    shape = BipartiteShape(15, 15)
+
+    def draw(stream_index):
+        rho = sample_induced_state(shape.n, 4 * shape.n, SampleStream(3, stream_index))
+        return spectra.ppt_gauge(rho, shape, overwrite=True)
+
+    draw(0)  # first-call set-up: symbol lookups, thread counts
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+    try:
+        draw(1)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 152, Counter(getattr(c, "__qualname__", repr(c)) for c in calls).most_common(10)
 
 
 def test_json_round_trip():

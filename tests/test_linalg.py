@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
@@ -113,6 +114,71 @@ def test_blocked_hermiticity_check_matches_the_unblocked_formula(i, j):
         a[i, j] = delta
         assert is_hermitian(a) == _unblocked_is_hermitian(a) == expected, delta
         assert is_hermitian(a.conj().T) == expected
+
+
+def _tiled_is_hermitian(a):
+    # the check before its exact-mirror shortcut: both tiles' largest entries,
+    # then the deviation, for every pair of tiles
+    n, t = len(a), _HERMITICITY_TILE
+    scale = deviation = np.float64(0.0)
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
+            scale = np.maximum(scale, np.abs(upper).max())
+            if j != i:
+                scale = np.maximum(scale, np.abs(lower).max())
+            if not np.isfinite(scale):
+                return False
+            diff = np.conjugate(lower.T)
+            diff -= upper
+            deviation = np.maximum(deviation, np.abs(diff).max())
+    if scale == 0.0:
+        return True
+    return float(deviation) <= HERMITICITY_RTOL * float(scale)
+
+
+def _hermitian_cases():
+    # (id, matrix): exactly Hermitian, deviations at the tolerance, non-finite
+    # entries in a diagonal and an off-diagonal tile, and edge sizes
+    t = _HERMITICITY_TILE
+    n = 2 * t + 33  # between tile multiples
+    exact = random_hermitian(n, np.random.default_rng(43)) / 10
+    assert np.abs(exact).max() < 1.0
+    exact[0, 0] = 2.0  # the scale is exactly 2
+    cases = [("exact", exact), ("zero", np.zeros((n, n), dtype=complex)), ("n=1", np.array([[3.0 + 0j]])),
+             ("n=1-imaginary", np.array([[3.0 + 1e-9j]])),
+             ("between-tiles", random_hermitian(t + 1, np.random.default_rng(5)))]
+    for i, j, where in [(5, 3, "diagonal-tile"), (n - 2, 7, "off-diagonal-tile")]:
+        bound = HERMITICITY_RTOL * 2.0
+        for name, delta in [("under", np.nextafter(bound, 0.0)), ("at", bound), ("over", np.nextafter(bound, 1.0))]:
+            a = exact.copy()
+            a[j, i], a[i, j] = 0.0, delta  # a deviation of exactly delta
+            cases.append((f"{where}-{name}", a))
+        for value in (np.nan, np.inf):
+            a = exact.copy()
+            a[i, j] = value
+            cases.append((f"{where}-{value}", a))
+            a = a.copy()
+            a[j, i] = value
+            cases.append((f"{where}-{value}-mirrored", a))
+    return [pytest.param(name, a, id=name) for name, a in cases]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+@pytest.mark.parametrize("name, a", _hermitian_cases())
+def test_exact_mirror_shortcut_keeps_every_verdict(field, layout, name, a):
+    a = a.real.copy() if field == "real" else a
+    a = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "reversed": np.asfortranarray(a)[::-1, ::-1]}[layout]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf - inf, say
+        got = is_hermitian(a)
+    expected = _tiled_is_hermitian(a)
+    assert got == expected == _unblocked_is_hermitian(a)
+    if name.endswith(("under", "at", "over")):
+        assert expected == (not name.endswith("over"))
+    if name in ("exact", "zero", "n=1", "between-tiles"):
+        assert expected
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])

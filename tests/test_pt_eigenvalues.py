@@ -305,6 +305,27 @@ def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field,
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
+def test_the_rescaling_guard_takes_the_hermiticity_checks_scale(monkeypatch, field):
+    # the check finds the largest entry modulus, and the guard reads it in
+    # place of a pass of its own over the buffer
+    if _blas.hetrd(field == "complex") is None or _blas.dsterf() is None or _blas.dstebz() is None:
+        pytest.skip("numpy's OpenBLAS lacks a routine of the route")
+    shape = BipartiteShape(4, 5)
+    w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 1))
+    largest = float(np.abs(w).max())
+    seen, unscaled = [], _blas._unscaled
+    monkeypatch.setattr(_blas, "_unscaled", lambda work, scale: seen.append(scale) or unscaled(work, scale))
+    pt_eigenvalues(w.copy(), shape)
+    pt_extreme_eigenvalues(w.copy(), shape)
+    assert seen == [largest, largest]
+    # without a scale the guard finds one itself; a given one decides
+    work = np.asfortranarray(_reference_pt(w, shape))
+    assert _blas.eigenvalues(work.copy()) is not None
+    assert _blas.eigenvalues(work.copy(), scale=2.0**700) is None
+    assert seen == [largest, largest, None, 2.0**700]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
 def test_pt_eigenvalues_copies_other_input_and_leaves_it(monkeypatch, field):
     shape = BipartiteShape(3, 4)
     seen = _solver_spy(monkeypatch)

@@ -56,6 +56,9 @@ ARGVS = [
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
     ["ppt", "--d", "20", "--trials", "2", "--alphas", "3", "5"],
     ["ppt", "--d", "20", "--ensemble", "mixture", "--alphas", "3", "5", "--trials", "1"],
+    # two workers, a trapezoidal (p < n) Bartlett factor over two column blocks
+    # of the draw, and a square one over four
+    ["ppt", "--d", "15", "--trials", "3", "--threads", "2", "--alphas", "0.5", "4"],
     # pure: one trial worker and two
     ["pure", "--d", "6", "--trials", "3", "--check"],
     ["pure", "--d", "30", "--trials", "4", "--threads", "2"],
