@@ -214,19 +214,15 @@ def dstebz():
     return _function(*_DSTEBZ)
 
 
-def _unscaled(work: np.ndarray, scale: float | None) -> bool:
-    """Whether LAPACK's eigenvalue drivers would reduce work as it is.  They
-    rescale a matrix whose largest entry modulus m, read from the lower
-    triangle, lies outside [sqrt(safmin / eps), sqrt(eps / safmin)], about
-    [1.4e-146, 7.1e145]; the bare reduction does not.  `scale` is the largest
-    modulus over all of work, as the Hermiticity check finds it, within a
-    relative 1e-10 of m; or None, and then one more pass over work finds the
-    largest real or imaginary part p, and m lies in [p, sqrt(2) p].  Either
-    value is within a factor of 2 of m, and every value for which m might
-    lie outside counts as outside."""
-    if scale is None:
-        parts = work.ravel(order="K").view(np.float64)
-        scale = max(float(parts.max()), -float(parts.min()))
+def _unscaled(scale: float) -> bool:
+    """Whether LAPACK's eigenvalue drivers would reduce a work of largest entry
+    modulus `scale` as it is.  They rescale a matrix whose largest entry
+    modulus m, read from the lower triangle, lies outside
+    [sqrt(safmin / eps), sqrt(eps / safmin)], about [1.4e-146, 7.1e145]; the
+    bare reduction does not.  `scale` is the largest modulus over all of work,
+    as the Hermiticity check finds it, within a relative 1e-10 of m, so well
+    within a factor of 2 of m, and every value for which m might lie outside
+    counts as outside."""
     low = sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).epsneg)
     return scale == 0.0 or 2.0 * low <= scale <= 0.5 / low
 
@@ -273,8 +269,7 @@ def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
     return ends
 
 
-def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False,
-                scale: float | None = None) -> np.ndarray | None:
+def eigenvalues(work: np.ndarray, scale: float, two_stage: bool = False, ends: bool = False) -> np.ndarray | None:
     """The eigenvalues, ascending, of the self-adjoint matrix in the lower
     triangle of work read column-major: a C-ordered work reads as its
     transpose, the conjugate of a self-adjoint work.  One tridiagonal
@@ -285,9 +280,8 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False,
     instead, after `zhetrd_he2hb`, and `_band_ends` bisects with `zpbtrf` for
     the two ends.  work, a C- or F-ordered square float64 or complex128 array,
     is overwritten.  None, with work untouched, where numpy's OpenBLAS lacks a
-    routine of the route or the drivers would rescale work (`_unscaled`).
-    `scale`, work's largest entry modulus where the caller knows it, spares
-    `_unscaled` a pass over work."""
+    routine of the route or the drivers would rescale work (`_unscaled`, which
+    reads `scale`, work's largest entry modulus)."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
@@ -296,7 +290,7 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False,
     complex_field = work.dtype == np.complex128
     if complex_field and two_stage and ends:
         reduce, factor = zhetrd_he2hb(), zpbtrf()
-        if reduce is None or factor is None or not _unscaled(work, scale):
+        if reduce is None or factor is None or not _unscaled(scale):
             return None
         info, band, spare = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1))
         if info != 0:
@@ -304,7 +298,7 @@ def eigenvalues(work: np.ndarray, two_stage: bool = False, ends: bool = False,
         return _band_ends(band, spare, factor)
     reduce = (zhetrd_2stage() if complex_field and two_stage else None) or hetrd(complex_field)
     finish = dstebz() if ends else dsterf()
-    if reduce is None or finish is None or not _unscaled(work, scale):
+    if reduce is None or finish is None or not _unscaled(scale):
         return None
     d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1), dtype=work.dtype)
     info = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data)

@@ -16,7 +16,9 @@ more workers its values can differ from a one-worker run in the last bits,
 because the BLAS thread count changes the order of floating-point sums.
 `_records` builds the report rows and `_report` assembles config echo,
 platform and RNG provenance, and the `--check` block around the runner's
-aggregates and theory block.
+aggregates and theory block.  The theory blocks of spectrum, extremes, ppt
+and laws read their moments, edges and PPT threshold from `laws.reference`,
+the one place that names a run's limit law; pure keeps its product law.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .ensembles import (
     _draw_bytes,
 )
 from .errors import ParameterError
-from .laws import MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment
+from .laws import PPT_THRESHOLD_ALPHA, MarchenkoPastur, ProductSemicircle, Semicircle, quadrature_moment, reference
 from .linalg import BipartiteShape, pt_eigenvalues, pt_extreme_eigenvalues
 from .partitions import (
     _couples_match,
@@ -372,8 +374,8 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     shape = config.shape
     n = shape.n
     [(alpha, p)] = config.grid
-    law = Semicircle(1.0, 1.0 / alpha)
-    centered_law = Semicircle(0.0, 1.0 / alpha)
+    law = reference(alpha)
+    centered_law = Semicircle(0.0, law.variance)
     lo_edge, hi_edge = law.support
 
     def one_trial(stream: SampleStream) -> tuple[dict, dict]:
@@ -381,7 +383,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
         if config.ensemble != "wishart":
             w *= n
         sample = SpectralSample(pt_eigenvalues(w, shape))
-        centered = SpectralSample(sample.eigenvalues - 1.0)
+        centered = SpectralSample(sample.eigenvalues - law.mean)
         stats = {}
         for k in MOMENT_ORDERS:
             stats[f"moment_k{k}"] = empirical_moment(sample, k)
@@ -401,7 +403,7 @@ def run_spectrum(config: ExperimentConfig) -> dict:
     spectra = [entry for _, entry in results]
     aggregates = _aggregate_stats(per_trial)
     theory = {
-        "law": {"kind": "semicircle", "mean": 1.0, "variance": 1.0 / alpha},
+        "law": {"kind": "semicircle", "mean": law.mean, "variance": law.variance},
         "support": [lo_edge, hi_edge],
         "moments": {f"moment_k{k}": law.moment(k) for k in MOMENT_ORDERS},
         "centered_moments": {f"centered_moment_k{k}": centered_law.moment(k) for k in MOMENT_ORDERS},
@@ -417,8 +419,7 @@ def run_extremes(config: ExperimentConfig) -> dict:
     """Extreme eigenvalues of partially transposed Wishart samples."""
     shape = config.shape
     [(alpha, p)] = config.grid
-    edge_lo = 1.0 - 2.0 / sqrt(alpha)
-    edge_hi = 1.0 + 2.0 / sqrt(alpha)
+    edge_lo, edge_hi = reference(alpha).support
 
     def one_trial(stream: SampleStream) -> dict:
         w = _draw(config, p, stream)
@@ -499,8 +500,8 @@ def run_ppt_sweep(config: ExperimentConfig) -> dict:
         },
     }
     theory = {
-        "threshold_alpha": 4.0,
-        "min_eigenvalue_limits": [1.0 - 2.0 / sqrt(a) for a, _ in grid],
+        "threshold_alpha": PPT_THRESHOLD_ALPHA,
+        "min_eigenvalue_limits": [reference(a).support[0] for a, _ in grid],
     }
     return _report(config, records, aggregates=aggregates, theory=theory)
 
@@ -683,7 +684,7 @@ def run_laws(alpha: float = 4.0, bins: int = DEFAULT_BINS) -> dict:
     try:
         laws = [
             ("semicircle_std", Semicircle(0.0, 1.0)),
-            ("semicircle_shifted", Semicircle(1.0, 1.0 / alpha)),
+            ("semicircle_shifted", reference(alpha)),
             ("marchenko_pastur", MarchenkoPastur(alpha)),
             ("product_semicircle", ProductSemicircle()),
         ]

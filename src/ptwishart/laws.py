@@ -7,6 +7,9 @@ parameterized so that alpha = p / n for a (1/p)-normalized sample
 covariance), and the symmetric law with Catalan-squared even moments that
 governs partially transposed pure states.
 
+`reference` is the one place a run's limit law is chosen: every runner with
+an ancilla reads its moments, edges and PPT threshold from it.
+
 Moments and CDFs are closed forms; only `quadrature_moment`, the independent
 cross-check of the moments, integrates a density numerically, by a midpoint
 rule after a cosine substitution.
@@ -75,6 +78,17 @@ class Semicircle:
         u = np.clip((np.asarray(x, dtype=float) - self.mean) / sqrt(self.variance), -2.0, 2.0)
         val = 0.5 + u * np.sqrt(4.0 - u * u) / (4.0 * pi) + np.arcsin(u / 2.0) / pi
         return _scalar_or_array(np.clip(val, 0.0, 1.0))
+
+
+# the alpha at which the lower edge of reference(alpha) is 0: below it a random
+# induced state is not PPT
+PPT_THRESHOLD_ALPHA = 4.0
+
+
+def reference(alpha: float) -> Semicircle:
+    """SC(1, 1/alpha), the limit law of a partially transposed Wishart spectrum
+    at ancilla ratio alpha = p / n; its support is 1 -+ 2 sqrt(1/alpha)."""
+    return Semicircle(1.0, 1.0 / alpha)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def _checked_eigenvalues(a: np.ndarray, in_place: bool, ends: bool = False) -> n
     np.linalg.eigvalsh(a) where `_blas` returns None."""
     scale = _check_self_adjoint(a)
     work = a if in_place else np.array(a, dtype=_dtype(a))
-    values = _blas.eigenvalues(work, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends, scale)
+    values = _blas.eigenvalues(work, scale, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends)
     if values is None:
         values = np.linalg.eigvalsh(a)
         return values[[0, -1]] if ends else values

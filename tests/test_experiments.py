@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ import pytest
 from ptwishart import BipartiteShape, MarchenkoPastur, _blas, experiments, partitions, reporting, spectra
 from ptwishart.ensembles import SampleStream, ancilla_dim, sample_induced_state, sample_pure_state
 from ptwishart.errors import ParameterError
+from ptwishart.laws import PPT_THRESHOLD_ALPHA, reference
 from ptwishart.experiments import (
     ExperimentConfig,
     _quadrature_suite,
@@ -439,12 +439,19 @@ def test_csv_schema():
     assert first[0] == "extremes" and first[1] == "6" and first[2] == "6"
 
 
-def test_extremes_edges_follow_an_explicit_p():
-    # with p given, alpha = p / n sets the edges 1 -+ 2 / sqrt(alpha) and the records' columns
-    report = run_extremes(small_config(subcommand="extremes", alpha=None, p=77))
-    alpha = 77 / 36
-    assert report["theory"] == {"edge_low": 1.0 - 2.0 / sqrt(alpha), "edge_high": 1.0 + 2.0 / sqrt(alpha)}
-    assert {(r["p"], r["alpha"]) for r in report["records"]} == {(77, alpha)}
+@pytest.mark.parametrize("p", [pytest.param(77, id="p=77"), pytest.param(72, id="alpha=2")])
+def test_extremes_edges_follow_an_explicit_p(p):
+    # with p given, alpha = p / n sets the records' columns and the edges, the
+    # support of reference(alpha), bit for bit the spectrum report's; at
+    # alpha = 2, 1 - 2 / sqrt(alpha) would differ from it in the last bit
+    config = dict(alpha=None, p=p, trials=1)
+    report = run_extremes(small_config(subcommand="extremes", **config))
+    alpha = p / 36
+    support = run_spectrum(small_config(**config))["theory"]["support"]
+    edges = [report["theory"]["edge_low"], report["theory"]["edge_high"]]
+    assert np.array(edges).tobytes() == np.array(support).tobytes()
+    assert tuple(edges) == reference(alpha).support
+    assert {(r["p"], r["alpha"]) for r in report["records"]} == {(p, alpha)}
 
 
 class _MovedLaw:
@@ -492,6 +499,8 @@ def test_ppt_sweep_structure():
     for entry in per_alpha:
         assert 0.0 <= entry["ci_low"] <= entry["ppt_frequency"] <= entry["ci_high"] <= 1.0
     assert set(report["aggregates"]["monotone"]) == {"frequencies", "non_decreasing", "adjacent_inversions"}
+    assert report["theory"] == {"threshold_alpha": PPT_THRESHOLD_ALPHA,
+                                "min_eigenvalue_limits": [reference(a).support[0] for a in config.alphas]}
     config = small_config(subcommand="ppt", ensemble="induced", alpha=None, alphas=(8.2,), trials=1,
                           d1=15, d2=15)
     assert run_ppt_sweep(config)["aggregates"]["per_alpha"][0]["p"] == 1845

@@ -4,6 +4,7 @@ from scipy import integrate
 
 from ptwishart import MarchenkoPastur, ProductSemicircle, Semicircle, mp_moment_via_noncrossing
 from ptwishart.errors import ParameterError
+from ptwishart.laws import PPT_THRESHOLD_ALPHA, reference
 
 
 def test_semicircle_density_values():
@@ -17,6 +18,12 @@ def test_semicircle_density_values():
 def test_semicircle_support_quarter_variance():
     law = Semicircle(1.0, 0.25)
     assert law.support == (0.0, 2.0)
+
+
+def test_the_ppt_threshold_is_where_the_reference_lower_edge_is_zero():
+    # 1 - 2 sqrt(1 / 4) is exactly 0
+    assert reference(PPT_THRESHOLD_ALPHA).support[0] == 0.0
+    assert reference(2.0) == Semicircle(1.0, 0.5)
 
 
 def test_semicircle_rejects_bad_variance():

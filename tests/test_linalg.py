@@ -21,6 +21,7 @@ from ptwishart.linalg import (
     _HERMITICITY_TILE,
     HERMITICITY_RTOL,
     TWO_STAGE_MIN_N,
+    _hermitian_scale,
     is_hermitian,
     pt_eigenvalues,
     pt_extreme_eigenvalues,
@@ -325,8 +326,9 @@ def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n, ends):
         _band_route()
     x = random_hermitian(n, np.random.default_rng(n))
     assert np.array_equal(x, x.conj().T)
-    column_major = _blas.eigenvalues(np.asfortranarray(x), two_stage, ends)
-    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), two_stage, ends)
+    scale = _hermitian_scale(x)
+    column_major = _blas.eigenvalues(np.asfortranarray(x), scale, two_stage, ends)
+    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), scale, two_stage, ends)
     assert column_major.tobytes() == conjugate.tobytes()
 
 

@@ -264,7 +264,7 @@ def test_band_ends_are_eigvalsh_ends(monkeypatch, make, n, steps):
     monkeypatch.setattr(_blas, "zpbtrf", lambda: lambda *args: calls.append(args[1]) or factor(*args))
     a = make(n)
     expected = np.linalg.eigvalsh(a)
-    ends = _blas.eigenvalues(np.asfortranarray(a), two_stage=True, ends=True)
+    ends = _blas.eigenvalues(np.asfortranarray(a), linalg._hermitian_scale(a), two_stage=True, ends=True)
     radius = np.abs(expected).max()
     assert np.abs(ends - expected[[0, -1]]).max() <= ENDS_RTOL * radius
     assert set(calls) <= {n}
@@ -314,15 +314,15 @@ def test_the_rescaling_guard_takes_the_hermiticity_checks_scale(monkeypatch, fie
     w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 1))
     largest = float(np.abs(w).max())
     seen, unscaled = [], _blas._unscaled
-    monkeypatch.setattr(_blas, "_unscaled", lambda work, scale: seen.append(scale) or unscaled(work, scale))
+    monkeypatch.setattr(_blas, "_unscaled", lambda scale: seen.append(scale) or unscaled(scale))
     pt_eigenvalues(w.copy(), shape)
     pt_extreme_eigenvalues(w.copy(), shape)
     assert seen == [largest, largest]
-    # without a scale the guard finds one itself; a given one decides
+    # called directly, the guard reads the scale it is given, not the buffer
     work = np.asfortranarray(_reference_pt(w, shape))
-    assert _blas.eigenvalues(work.copy()) is not None
-    assert _blas.eigenvalues(work.copy(), scale=2.0**700) is None
-    assert seen == [largest, largest, None, 2.0**700]
+    assert _blas.eigenvalues(work.copy(), linalg._hermitian_scale(work)) is not None
+    assert _blas.eigenvalues(work.copy(), 2.0**700) is None
+    assert seen == [largest, largest, largest, 2.0**700]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

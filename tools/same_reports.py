@@ -81,6 +81,11 @@ ARGVS = [
     ["spectrum", "--d", "17", "--p", "100", "--field", "real", "--trials", "2"],
     ["spectrum", "--d", "16", "--trials", "2", "--ensemble", "induced"],
     ["ppt", "--d", "16", "--trials", "2", "--alphas", "3", "5", "--threads", "2"],
+    # an alpha where 1 - 2 / sqrt(alpha) and 1 - 2 sqrt(1 / alpha), the
+    # semicircle's own lower edge, differ in the last bit: extremes at alpha = 2
+    # and spectrum at alpha = 3
+    ["extremes", "--d", "8", "--alpha", "2", "--trials", "2", "--check"],
+    ["spectrum", "--d", "6", "--alpha", "3", "--trials", "2"],
     # a usage error writes no report
     ["spectrum", "--trials", "0"],
 ]
