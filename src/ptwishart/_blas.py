@@ -1,34 +1,46 @@
-"""Every BLAS and LAPACK routine the package calls, and the thread count of
-the OpenBLAS that runs them.
+"""Every BLAS and LAPACK routine the package calls, the route of each
+eigensolve through them, and the thread count of the OpenBLAS that runs them.
 
 The routines come from numpy's own OpenBLAS (64-bit integers, "64_" suffix)
-through ctypes, one cached lookup `_function` for all of them:
+through ctypes, one cached lookup `_function` for all of them, by the symbol
+the library exports.  A foreign call through ctypes releases the GIL, so
+trial workers run these routines at the same time; numpy's eigvalsh holds
+the GIL.  `herk` is cblas_zherk or cblas_dsyrk, `lauum` LAPACKE_zlauum or
+LAPACKE_dlauum; where numpy's copy lacks the symbol (numpy < 2, or a numpy
+built on another BLAS), they form their products with numpy's matmul.
 
-- `hetrd`: LAPACKE_zhetrd or LAPACKE_dsytrd, the tridiagonal reduction
-  inside numpy's eigvalsh, and `zhetrd_2stage`: LAPACK's two-stage reduction,
-  which has no LAPACKE front end; `eigenvalues` runs either on the lower
-  triangle and finishes with
-- `dsterf`: LAPACKE_dsterf, every eigenvalue of the tridiagonal matrix, or
-  `dstebz`: LAPACKE_dstebz, one eigenvalue by Sturm-count bisection, for the
-  two ends after `hetrd`;
-- `zhetrd_he2hb`: the first stage of zhetrd_2stage alone, a reduction to a
-  Hermitian band matrix, whose two ends `eigenvalues` finds by bisection on
-- `zpbtrf`: the banded Cholesky factorization, which succeeds exactly where
-  the shifted band matrix is positive definite;
-- `herk`: cblas_zherk or cblas_dsyrk;
-- `lauum`: LAPACKE_zlauum or LAPACKE_dlauum.
+`eigenvalues` solves a self-adjoint matrix on one of three routes, chosen
+from its field, its size n and whether all n eigenvalues or only the two
+ends are wanted.  Each starts with a reduction of the lower triangle:
 
-zhetrd_2stage, zhetrd_he2hb, zpbtrf and ilaenv2stage, which gives the band
-width zhetrd_2stage picks, are the Fortran symbols themselves: every argument
-goes by reference, the character arguments' lengths follow as hidden trailing
-arguments, and a first call of a reduction with workspace sizes of -1 asks
-for the sizes of the workspace that numpy then allocates.
+- All n: to a tridiagonal matrix, then LAPACKE_dsterf.  The reduction is
+  eigvalsh's own, LAPACKE_dsytrd or LAPACKE_zhetrd, for the real field and
+  below TWO_STAGE_MIN_N, and from there for complex matrices LAPACK's
+  two-stage zhetrd_2stage (Haidar, Ltaief & Dongarra, SC'11), which numpy
+  does not wrap.  dsterf gives the bits of the drivers that pair the same
+  reduction with it (dsyevd, zheevd, zheevd_2stage), so eigvalsh's bit for
+  bit below TWO_STAGE_MIN_N.
+- The two ends, for the real field and below TWO_STAGE_MIN_N: the one-stage
+  reduction, then LAPACKE_dstebz twice, a Sturm-count bisection for the
+  smallest and one for the largest eigenvalue, O(n) work per step.
+- The two ends of a complex matrix from TWO_STAGE_MIN_N on: only the first
+  stage of zhetrd_2stage, zhetrd_he2hb, to a Hermitian band of the width kd
+  that zhetrd_2stage asks ilaenv2stage for (16 in OpenBLAS 0.3.31), which
+  skips the bulge chase.  Two bisections then start from the band's
+  Gershgorin bounds; each step asks whether zpbtrf, the banded Cholesky
+  factorization, succeeds on the shifted band, that is, whether it is
+  positive definite, O(n kd^2) work.
 
-A foreign call through ctypes releases the GIL, so trial workers run these
-routines at the same time; numpy's eigvalsh holds the GIL.  Where numpy's
-copy lacks a symbol (numpy < 2, or a numpy built on another BLAS), the
-eigenvalue lookups return None and the caller falls back to eigvalsh, while
-`herk` and `lauum` form their products with numpy's matmul.
+The ends agree with dsterf's to within a few units in the last place of the
+spectral radius, not bit for bit.  Where numpy's copy lacks a symbol of the
+route, or where LAPACK's drivers would rescale the matrix (`_unscaled`),
+np.linalg.eigvalsh is the fallback.
+
+zhetrd_2stage, zhetrd_he2hb, zpbtrf and ilaenv2stage are the Fortran symbols
+themselves: every argument goes by reference, the character arguments'
+lengths follow as hidden trailing arguments, and a first call of a reduction
+with workspace sizes of -1 asks for the sizes of the workspace that numpy
+then allocates.
 
 OpenBLAS starts one thread per core (or as many as OPENBLAS_NUM_THREADS
 says).  Trial workers that all call it would run workers x cores threads, so
@@ -40,13 +52,34 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from ctypes import POINTER, byref, c_char, c_char_p, c_double, c_int, c_int64, c_size_t, c_void_p
+from ctypes import POINTER, c_char, c_char_p, c_double, c_int, c_int64, c_size_t, c_void_p
 from functools import cache
 from math import sqrt
 
 import numpy as np
 
 from .errors import NumericError
+
+# Smallest complex matrix that takes the two-stage reduction.  In medians of 31
+# paired calls on 2 cores, both on the lower triangle, zheevd_2stage is no slower
+# than zheevd from here on at 1 and at 2 BLAS threads, and 1% slower at n =
+# 361-370 with one.  For the two ends, the first stage and the band's bisection
+# against the one-stage reduction and dstebz below here, and against the whole
+# two-stage reduction and dstebz from here on, in ms (medians of 9 in-process
+# calls, 2 cores, complex Hermitian matrices):
+#
+#     n       2 BLAS threads     1 BLAS thread
+#     324      10.27 /  9.30      9.77 /  8.09
+#     361      11.96 / 12.25     11.35 / 10.50
+#     380      13.26 / 13.19     11.92 / 12.24
+#     400      13.61 / 13.46     14.16 / 13.79
+#     484      17.81 / 19.88     21.07 / 22.63
+#     625      30.15 / 38.66     34.32 / 40.75
+#     900      64.53 / 88.78     82.10 / 102.11
+#    1600     243.4 / 316.3     422.0 / 524.2
+#
+# The band's ends break even near here too, so one bound serves every route.
+TWO_STAGE_MIN_N = 380
 
 # LAPACKE's matrix_layout and the CBLAS enum values for column-major storage,
 # the lower triangle and no transpose
@@ -55,7 +88,8 @@ _CBLAS_LOWER = 122
 _CBLAS_NO_TRANS = 111
 
 # the dtype and the (name, restype, argtypes) of each routine, indexed by "is
-# the field complex"
+# the field complex"; a Fortran argument typed _REF takes a c_int64, which
+# ctypes passes by reference
 _DTYPES = (np.float64, np.complex128)
 _TRD = (c_int64, (c_int, c_char, c_int64, c_void_p, c_int64, c_void_p, c_void_p, c_void_p))
 _HETRD = [("scipy_LAPACKE_dsytrd64_", *_TRD), ("scipy_LAPACKE_zhetrd64_", *_TRD)]
@@ -112,108 +146,6 @@ def _threads(lookup=_function) -> tuple | None:
     return get, set_, get()
 
 
-def hetrd(complex_field: bool):
-    """LAPACKE_zhetrd (complex) or LAPACKE_dsytrd (real), or None:
-    reduce(layout, uplo, n, a, lda, d, e, tau) -> info."""
-    return _function(*_HETRD[complex_field])
-
-
-def zhetrd_2stage():
-    """LAPACK's zhetrd_2stage behind hetrd's signature, for column-major
-    storage, its workspace allocated here; or None."""
-    fn = _function(*_ZHETRD_2STAGE)
-    if fn is None:
-        return None
-
-    def reduce(layout, uplo, n, a, lda, d, e, tau):
-        n, lda, info = c_int64(n), c_int64(lda), c_int64()
-        sizes = np.empty(2, dtype=np.complex128)
-        query = c_int64(-1)
-        fn(b"N", uplo, byref(n), a, byref(lda), d, e, tau, sizes[:1].ctypes.data, byref(query),
-           sizes[1:].ctypes.data, byref(query), byref(info), 1, 1)
-        if info.value != 0:
-            return info.value
-        lhous, lwork = (c_int64(int(size.real)) for size in sizes)
-        hous, work = np.empty(lhous.value, dtype=np.complex128), np.empty(lwork.value, dtype=np.complex128)
-        fn(b"N", uplo, byref(n), a, byref(lda), d, e, tau, hous.ctypes.data, byref(lhous), work.ctypes.data,
-           byref(lwork), byref(info), 1, 1)
-        return info.value
-
-    reduce.__name__ = fn.__name__
-    return reduce
-
-
-def zhetrd_he2hb():
-    """The first stage of LAPACK's zhetrd_2stage, to the band width kd that
-    zhetrd_2stage asks ilaenv2stage for, behind hetrd's leading arguments for
-    column-major storage, or None: reduce(layout, uplo, n, a, lda) -> (info,
-    band, spare).  band, n x (kd + 1) in C order, holds column j of the
-    Hermitian band matrix's `uplo` band in row j, as LAPACK stores a band with
-    leading dimension kd + 1 ('L': band[j, k] = B[j + k, j]), and zeros past
-    the matrix's end.  spare, of band's shape, was the reduction's workspace;
-    band, its tau and that workspace come from one allocation, whose size a
-    first call asks for."""
-    fn, width = _function(*_ZHETRD_HE2HB), _function(*_ILAENV2STAGE)
-    if fn is None or width is None:
-        return None
-
-    def reduce(layout, uplo, n, a, lda):
-        unset = c_int64(-1)
-        kd = width(byref(c_int64(1)), b"ZHETRD_2STAGE", b"N", byref(c_int64(n)), byref(unset), byref(unset),
-                   byref(unset), 13, 1)
-        entries, info = (kd + 1) * n, c_int64()
-
-        def call(band, tau, work, lwork):
-            fn(uplo, byref(c_int64(n)), byref(c_int64(kd)), a, byref(c_int64(lda)), band, byref(c_int64(kd + 1)),
-               tau, work, byref(c_int64(lwork)), byref(info), 1)
-            return info.value
-
-        size = np.empty(1, dtype=np.complex128)
-        if call(None, None, size.ctypes.data, -1) != 0:
-            return info.value, None, None
-        lwork = int(size[0].real)
-        band, tau, work = np.split(np.empty(entries + n + max(lwork, entries), dtype=np.complex128),
-                                   [entries, entries + n])
-        call(band.ctypes.data, tau.ctypes.data, work.ctypes.data, lwork)
-        band = band.reshape(n, kd + 1)
-        for k in range(1, kd + 1):
-            band[max(n - k, 0):, k] = 0.0
-        return info.value, band, work[:entries].reshape(band.shape)
-
-    reduce.__name__ = fn.__name__
-    return reduce
-
-
-def zpbtrf():
-    """LAPACK's zpbtrf, or None: factor(uplo, n, kd, ab, ldab) -> info, 0
-    where the Hermitian band matrix in ab is positive definite, ab then
-    overwritten by its Cholesky factor, and k > 0 where the leading minor of
-    order k is not."""
-    fn = _function(*_ZPBTRF)
-    if fn is None:
-        return None
-
-    def factor(uplo, n, kd, ab, ldab):
-        info = c_int64()
-        fn(uplo, byref(c_int64(n)), byref(c_int64(kd)), ab, byref(c_int64(ldab)), byref(info), 1)
-        return info.value
-
-    factor.__name__ = fn.__name__
-    return factor
-
-
-def dsterf():
-    """LAPACKE_dsterf, or None: finish(n, d, e) -> info, d overwritten by the
-    eigenvalues, ascending."""
-    return _function(*_DSTERF)
-
-
-def dstebz():
-    """LAPACKE_dstebz, or None: finish(range, order, n, vl, vu, il, iu, abstol,
-    d, e, m, nsplit, w, iblock, isplit) -> info."""
-    return _function(*_DSTEBZ)
-
-
 def _unscaled(scale: float) -> bool:
     """Whether LAPACK's eigenvalue drivers would reduce a work of largest entry
     modulus `scale` as it is.  They rescale a matrix whose largest entry
@@ -227,27 +159,128 @@ def _unscaled(scale: float) -> bool:
     return scale == 0.0 or 2.0 * low <= scale <= 0.5 / low
 
 
-def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
-    """The smallest and the largest eigenvalue of the Hermitian band matrix B
-    that `zhetrd_he2hb` returns in band, each by bisection from B's
-    Gershgorin bounds [gl, gu].  A shift s lies below the smallest where
-    `factor` factors B - s I, and above the largest where it factors s I - B;
-    each test copies band into spare and shifts the diagonal there.  A
-    bisection stops when no double lies between its bounds or they are
-    closer than 2 eps max(|gl|, |gu|), dstebz's default tolerance, and gives
-    their midpoint."""
-    n, width = band.shape
+def _check(info: int, routine: str):
+    if info != 0:
+        raise NumericError(f"{routine} failed with info {info}")
+
+
+def _tridiagonal(work: np.ndarray, reduce, two_stage: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d and the off-diagonal e of the tridiagonal matrix to
+    which `reduce` takes work's lower triangle: LAPACKE_zhetrd or
+    LAPACKE_dsytrd, or with `two_stage` zhetrd_2stage."""
+    n, info = len(work), c_int64()
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1), dtype=work.dtype)
+    if not two_stage:
+        _check(reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data,
+                      tau.ctypes.data), "zhetrd/dsytrd")
+        return d, e
+
+    def call(hous, lhous, space, lwork):
+        reduce(b"N", b"L", c_int64(n), work.ctypes.data, c_int64(max(n, 1)), d.ctypes.data, e.ctypes.data,
+               tau.ctypes.data, hous, c_int64(lhous), space, c_int64(lwork), info, 1, 1)
+        _check(info.value, "zhetrd_2stage")
+
+    sizes = np.empty(2, dtype=np.complex128)
+    call(sizes[:1].ctypes.data, -1, sizes[1:].ctypes.data, -1)
+    lhous, lwork = (int(size.real) for size in sizes)
+    hous, space = np.empty(lhous, dtype=np.complex128), np.empty(lwork, dtype=np.complex128)
+    call(hous.ctypes.data, lhous, space.ctypes.data, lwork)
+    return d, e
+
+
+def _all_values(work: np.ndarray) -> np.ndarray | None:
+    """All n eigenvalues, ascending: the tridiagonal reduction, two-stage for
+    a complex work from TWO_STAGE_MIN_N on, then dsterf; None, work
+    untouched, where a routine is not exported."""
+    n, complex_field = len(work), work.dtype == np.complex128
+    two_stage = complex_field and n >= TWO_STAGE_MIN_N
+    reduce, finish = _function(*(_ZHETRD_2STAGE if two_stage else _HETRD[complex_field])), _function(*_DSTERF)
+    if reduce is None or finish is None:
+        return None
+    d, e = _tridiagonal(work, reduce, two_stage)
+    _check(finish(n, d.ctypes.data, e.ctypes.data), "dsterf")
+    return d
+
+
+def _tridiagonal_ends(work: np.ndarray) -> np.ndarray | None:
+    """The smallest and the largest eigenvalue: the one-stage tridiagonal
+    reduction, then dstebz once for each; None, work untouched, where a
+    routine is not exported."""
+    n = len(work)
+    reduce, finish = _function(*_HETRD[work.dtype == np.complex128]), _function(*_DSTEBZ)
+    if reduce is None or finish is None:
+        return None
+    d, e = _tridiagonal(work, reduce, False)
+    found, blocks = c_int64(), c_int64()
+    value, block, split_at = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    ends = np.empty(2)
+    for k, index in enumerate((1, n)):
+        # RANGE = 'I' with IL = IU = index; ABSTOL = 0 asks for LAPACK's default tolerance
+        info = finish(b"I", b"E", n, 0.0, 0.0, index, index, 0.0, d.ctypes.data, e.ctypes.data, found, blocks,
+                      value.ctypes.data, block.ctypes.data, split_at.ctypes.data)
+        if info != 0 or found.value != 1:
+            raise NumericError(f"dstebz failed with info {info}")
+        ends[k] = value[0]
+    return ends
+
+
+def _band(work: np.ndarray, reduce, width) -> tuple[np.ndarray, np.ndarray]:
+    """(band, spare): `reduce`, zhetrd_he2hb, takes work's lower triangle to a
+    Hermitian band matrix B of the width kd that `width`, ilaenv2stage, gives
+    zhetrd_2stage.  band, n x (kd + 1) in C order, holds column j of B's
+    lower band in row j, as LAPACK stores a band with leading dimension
+    kd + 1 (band[j, k] = B[j + k, j]), and zeros past the matrix's end.
+    spare, of band's shape, was the reduction's workspace; band, its tau and
+    that workspace come from one allocation, whose size a first call asks
+    for."""
+    n, unset, info = len(work), c_int64(-1), c_int64()
+    kd = width(c_int64(1), b"ZHETRD_2STAGE", b"N", c_int64(n), unset, unset, unset, 13, 1)
+    entries = (kd + 1) * n
+
+    def call(band, tau, space, lwork):
+        reduce(b"L", c_int64(n), c_int64(kd), work.ctypes.data, c_int64(max(n, 1)), band, c_int64(kd + 1), tau,
+               space, c_int64(lwork), info, 1)
+        _check(info.value, "zhetrd_he2hb")
+
+    size = np.empty(1, dtype=np.complex128)
+    call(None, None, size.ctypes.data, -1)
+    lwork = int(size[0].real)
+    band, tau, space = np.split(np.empty(entries + n + max(lwork, entries), dtype=np.complex128),
+                                [entries, entries + n])
+    call(band.ctypes.data, tau.ctypes.data, space.ctypes.data, lwork)
+    band = band.reshape(n, kd + 1)
+    for k in range(1, kd + 1):
+        band[max(n - k, 0):, k] = 0.0
+    return band, space[:entries].reshape(band.shape)
+
+
+def _band_ends(work: np.ndarray) -> np.ndarray | None:
+    """The smallest and the largest eigenvalue of a complex work: `_band`'s
+    B, then for each a bisection from B's Gershgorin bounds [gl, gu].  A
+    shift s lies below the smallest where zpbtrf factors B - s I, and above
+    the largest where it factors s I - B; each test copies band into spare
+    and shifts the diagonal there.  A bisection stops when no double lies
+    between its bounds or they are closer than 2 eps max(|gl|, |gu|),
+    dstebz's default tolerance, and gives their midpoint.  None, work
+    untouched, where a routine is not exported."""
+    reduce, width, factor = _function(*_ZHETRD_HE2HB), _function(*_ILAENV2STAGE), _function(*_ZPBTRF)
+    if reduce is None or width is None or factor is None:
+        return None
+    band, spare = _band(work, reduce, width)
+    n, columns = band.shape
     # |band| in spare's first half, which the bisection overwrites later
     size = np.abs(band, out=spare.reshape(-1).view(np.float64)[:band.size].reshape(band.shape))
     size[:, 0] = 0.0
     # row j's off-diagonal entries: column j's below the diagonal, and by
     # symmetry band[j - k, k] for each k
     radius = size.sum(axis=1)
-    for k in range(1, min(width, n)):
+    for k in range(1, min(columns, n)):
         radius[k:] += size[:n - k, k]
     centre = band[:, 0].real
     bounds = float((centre - radius).min()), float((centre + radius).max())
     tolerance = 2.0 * np.finfo(np.float64).eps * max(abs(bounds[0]), abs(bounds[1]))
+    # zpbtrf's arguments but the shifted band: n, kd, the leading dimension and info
+    order, kd, leading, info = c_int64(n), c_int64(columns - 1), c_int64(columns), c_int64()
     ends = np.empty(2)
     for end, sign in enumerate((1.0, -1.0)):
         low, high = bounds
@@ -257,11 +290,12 @@ def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
                 break
             np.multiply(band, sign, out=spare)
             spare[:, 0] -= sign * middle
-            info = factor(b"L", n, width - 1, spare.ctypes.data, width)
-            if info < 0:
-                raise NumericError(f"{factor.__name__} failed with info {info}")
+            factor(b"L", order, kd, spare.ctypes.data, leading, info, 1)
+            # info = k > 0 where the leading minor of order k is not positive
+            # definite, and < 0 only for an illegal argument
+            _check(min(info.value, 0), "zpbtrf")
             # factored: B - middle I, or middle I - B, is positive definite
-            if (info == 0) == (sign > 0):
+            if (info.value == 0) == (sign > 0):
                 low = middle
             else:
                 high = middle
@@ -269,57 +303,27 @@ def _band_ends(band: np.ndarray, spare: np.ndarray, factor) -> np.ndarray:
     return ends
 
 
-def eigenvalues(work: np.ndarray, scale: float, two_stage: bool = False, ends: bool = False) -> np.ndarray | None:
-    """The eigenvalues, ascending, of the self-adjoint matrix in the lower
-    triangle of work read column-major: a C-ordered work reads as its
-    transpose, the conjugate of a self-adjoint work.  One tridiagonal
-    reduction, by `hetrd`, or by `zhetrd_2stage` for a complex work with
-    `two_stage` where it is exported, then one finish: `dsterf` for all n, or
-    with `ends` `dstebz` twice, for the smallest and then the largest.  A
-    complex work with both `two_stage` and `ends` stops at a band matrix
-    instead, after `zhetrd_he2hb`, and `_band_ends` bisects with `zpbtrf` for
-    the two ends.  work, a C- or F-ordered square float64 or complex128 array,
-    is overwritten.  None, with work untouched, where numpy's OpenBLAS lacks a
-    routine of the route or the drivers would rescale work (`_unscaled`, which
-    reads `scale`, work's largest entry modulus)."""
+def eigenvalues(work: np.ndarray, scale: float, ends: bool = False) -> np.ndarray:
+    """The eigenvalues, ascending, or with `ends` the smallest and the
+    largest, of the self-adjoint matrix in the lower triangle of work read
+    column-major, on the route that the module docstring describes.  A
+    C-ordered work reads as its transpose, the conjugate of a self-adjoint
+    work, to which every route gives the same bits.  work, a writeable C- or
+    F-ordered square float64 or complex128 array, is overwritten, except on
+    the eigvalsh fallback, which reads work untouched; `_unscaled` tells from
+    `scale`, work's largest entry modulus, whether the drivers would rescale
+    work."""
     n = len(work)
     if not (work.shape == (n, n) and work.dtype in _DTYPES
             and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
         raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
                          f"got shape {work.shape} and dtype {work.dtype}")
-    complex_field = work.dtype == np.complex128
-    if complex_field and two_stage and ends:
-        reduce, factor = zhetrd_he2hb(), zpbtrf()
-        if reduce is None or factor is None or not _unscaled(scale):
-            return None
-        info, band, spare = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1))
-        if info != 0:
-            raise NumericError(f"{reduce.__name__} failed with info {info}")
-        return _band_ends(band, spare, factor)
-    reduce = (zhetrd_2stage() if complex_field and two_stage else None) or hetrd(complex_field)
-    finish = dstebz() if ends else dsterf()
-    if reduce is None or finish is None or not _unscaled(scale):
-        return None
-    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1), dtype=work.dtype)
-    info = reduce(_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data)
-    if info != 0:
-        raise NumericError(f"{reduce.__name__} failed with info {info}")
-    if not ends:
-        info = finish(n, d.ctypes.data, e.ctypes.data)
-        if info != 0:
-            raise NumericError(f"{finish.__name__} failed with info {info}")
-        return d
-    found, blocks = c_int64(), c_int64()
-    value, block, split_at = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    extremes = np.empty(2)
-    for k, index in enumerate((1, n)):
-        # RANGE = 'I' with IL = IU = index; ABSTOL = 0 asks for LAPACK's default tolerance
-        info = finish(b"I", b"E", n, 0.0, 0.0, index, index, 0.0, d.ctypes.data, e.ctypes.data, byref(found),
-                      byref(blocks), value.ctypes.data, block.ctypes.data, split_at.ctypes.data)
-        if info != 0 or found.value != 1:
-            raise NumericError(f"{finish.__name__} failed with info {info}")
-        extremes[k] = value[0]
-    return extremes
+    band = ends and work.dtype == np.complex128 and n >= TWO_STAGE_MIN_N
+    route = _band_ends if band else _tridiagonal_ends if ends else _all_values
+    values = route(work) if _unscaled(scale) else None
+    if values is None:
+        values = np.linalg.eigvalsh(work)[[0, -1] if ends else ...]
+    return values
 
 
 def herk(alpha: float, a: np.ndarray, c: np.ndarray, beta: float = 0.0) -> np.ndarray:

@@ -6,26 +6,12 @@ second-factor index), so the matrix is a d1 x d1 grid of contiguous
 d2 x d2 blocks and the entry in block (i, j) at inner position (k, l)
 sits at [i*d2 + k, j*d2 + l].  The dtype plays the role of the field tag:
 float64 arrays take the real-symmetric eigensolver, complex arrays the
-Hermitian one.  Both come from numpy's own OpenBLAS through `_blas`, whose
-ctypes calls release the GIL, so trial workers overlap their eigensolves.
-An eigensolve is one reduction of the lower triangle, as in eigvalsh, and
-one finish.  The reduction is LAPACKE_zhetrd or LAPACKE_dsytrd, eigvalsh's
-own, to a tridiagonal matrix, for the real field and below TWO_STAGE_MIN_N,
-and from there for complex matrices LAPACK's two-stage reduction (Haidar,
-Ltaief & Dongarra, SC'11), which numpy does not wrap: zhetrd_2stage, or for
-`pt_extreme_eigenvalues` its first stage alone, zhetrd_he2hb, to a band of
-the width kd that zhetrd_2stage picks (16 in OpenBLAS 0.3.31).  For all n
-eigenvalues the finish is dsterf, which gives the bits of the drivers that
-pair the same reduction with it (zheevd, dsyevd, zheevd_2stage), so
-eigvalsh's bit for bit below TWO_STAGE_MIN_N.  For `pt_extreme_eigenvalues`
-it is a bisection, once for the smallest and once for the largest
-eigenvalue: on the tridiagonal matrix dstebz's Sturm counts, and on the band,
-from its Gershgorin bounds, whether zpbtrf can factor the shifted band as
-positive definite, O(n kd^2) work per step.  Where the OpenBLAS lacks a
-symbol of the route, or a matrix's largest entry, which the Hermiticity check
-finds, lies where the drivers would rescale it, np.linalg.eigvalsh is the
-fallback.  A solver reads each matrix in the memory order it has, a C-ordered
-one as its conjugate, to which these routines give the same eigenvalue bits.  `partial_transpose` and
+Hermitian one.  Every eigensolve is one `_blas.eigenvalues` call, whose
+docstring and module docstring describe its routes through numpy's own
+OpenBLAS and its np.linalg.eigvalsh fallback; its ctypes calls release the
+GIL, so trial workers overlap their eigensolves.  A solver reads each matrix
+in the memory order it has, a C-ordered one as its conjugate, to which the
+routes give the same eigenvalue bits.  `partial_transpose` and
 `hermitian_eigenvalues` never write their input; `pt_eigenvalues` and
 `pt_extreme_eigenvalues`, which the Monte Carlo trials call, do both steps in
 their input's own memory.
@@ -42,27 +28,6 @@ from .errors import NumericError, ParameterError, ShapeError
 
 # Relative tolerance for the structural self-adjointness check.
 HERMITICITY_RTOL = 1e-10
-
-# Smallest complex matrix that takes the two-stage reduction.  In medians of 31
-# paired calls on 2 cores, both on the lower triangle, zheevd_2stage is no slower
-# than zheevd from here on at 1 and at 2 BLAS threads, and 1% slower at n =
-# 361-370 with one.  For the two ends, the first stage and the band's bisection
-# against the one-stage reduction and dstebz below here, and against the whole
-# two-stage reduction and dstebz from here on, in ms (medians of 9 in-process
-# calls, 2 cores, complex Hermitian matrices):
-#
-#     n       2 BLAS threads     1 BLAS thread
-#     324      10.27 /  9.30      9.77 /  8.09
-#     361      11.96 / 12.25     11.35 / 10.50
-#     380      13.26 / 13.19     11.92 / 12.24
-#     400      13.61 / 13.46     14.16 / 13.79
-#     484      17.81 / 19.88     21.07 / 22.63
-#     625      30.15 / 38.66     34.32 / 40.75
-#     900      64.53 / 88.78     82.10 / 102.11
-#    1600     243.4 / 316.3     422.0 / 524.2
-#
-# The band's ends break even near here too, so one bound serves every route.
-TWO_STAGE_MIN_N = 380
 
 # Python-level loops over a matrix take blocks of about this many entries:
 # _transpose_blocks runs of slabs, and in `ensembles` the Bartlett draw's and
@@ -157,11 +122,8 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     The operation is an involution and preserves trace, Frobenius norm,
     and self-adjointness.  The output is a new C-ordered array.
     """
-    a = _bipartite(a, shape)
-    # splitting each axis of a 2-d array gives a view, so a is read once
-    blocks = (shape.d1, shape.d2, shape.d1, shape.d2)
-    out = np.empty(a.shape, dtype=a.dtype)
-    _transpose_blocks(out.reshape(blocks), reverse=False, source=a.reshape(blocks))
+    out = np.array(_bipartite(a, shape), order="C")
+    _transpose_blocks(out.reshape(shape.d1, shape.d2, shape.d1, shape.d2), reverse=False)
     return out
 
 
@@ -181,49 +143,36 @@ def _dtype(a: np.ndarray):
     return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
-def _checked_eigenvalues(a: np.ndarray, in_place: bool, ends: bool = False) -> np.ndarray:
-    """a's eigenvalues, all or with `ends` the smallest and the largest, once `_check_self_adjoint`
-    passes a: by `_blas.eigenvalues` in a's memory, or in a copy in a's memory order unless `in_place`,
-    a complex matrix of size TWO_STAGE_MIN_N or more on the two-stage reduction; by
-    np.linalg.eigvalsh(a) where `_blas` returns None."""
-    scale = _check_self_adjoint(a)
-    work = a if in_place else np.array(a, dtype=_dtype(a))
-    values = _blas.eigenvalues(work, scale, np.iscomplexobj(work) and len(work) >= TWO_STAGE_MIN_N, ends)
-    if values is None:
-        values = np.linalg.eigvalsh(a)
-        return values[[0, -1]] if ends else values
-    return values
-
-
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, ascending, with multiplicity.
 
-    Real-symmetric input (float dtype) takes the real solver.  A complex
-    matrix of size TWO_STAGE_MIN_N or more takes the two-stage reduction
-    where numpy's OpenBLAS exports it; otherwise the values are exactly what
-    np.linalg.eigvalsh returns, which is the fallback where a symbol is
-    missing or the matrix's scale is one LAPACK's drivers would rescale.
-    The solver reads the lower triangle of a copy in the input's memory
-    order, so the input is never written.  Raises NumericError on non-finite
+    Real-symmetric input (float dtype) takes the real solver, complex input
+    the Hermitian one, on `_blas.eigenvalues`' route for all n values.  The
+    values are float64 whatever the input's precision, and for float64 and
+    complex128 input exactly np.linalg.eigvalsh's, except that complex
+    matrices of size `_blas.TWO_STAGE_MIN_N` or more take the two-stage
+    reduction.  The solver reads the lower triangle of a float64 or
+    complex128 copy in the input's memory order, so the input is never
+    written.  Raises NumericError on non-finite
     entries, when the input is not self-adjoint to within HERMITICITY_RTOL,
     or when the solver does not converge.
     """
     a = _as_square(a)
-    return _checked_eigenvalues(a, in_place=False)
+    scale = _check_self_adjoint(a)
+    return _blas.eigenvalues(np.array(a, dtype=_dtype(a)), scale)
 
 
-def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | None = None):
-    """Write into the 4-index view blocks[i, k, j, l] source's [i, l, j, k].
+def _transpose_blocks(blocks: np.ndarray, reverse: bool):
+    """Transpose each block of the 4-index view blocks in place: blocks[i, k, j, l]
+    takes the entry at [i, l, j, k].
 
-    With `reverse` it is source[i*, l*, j*, k*], * the index reversal
-    x -> dim - 1 - x.  source is blocks itself by default: either map is its
-    own inverse, so the entries move by swaps of slabs blocks[i] and
-    blocks[i*], a run of slabs of about _BLOCK_ENTRIES entries, at least one,
-    at a time, and the copy held is that run.  A distinct source, sharing no
-    memory with blocks, is read once.
+    With `reverse` it takes the entry at [i*, l*, j*, k*], * the index
+    reversal x -> dim - 1 - x.  Either map is its own inverse, so the entries move by
+    swaps of slabs blocks[i] and blocks[i*], a run of slabs of about
+    _BLOCK_ENTRIES entries, at least one, at a time, and the copy held is
+    that run.
     """
     d1 = blocks.shape[0]
-    source = blocks if source is None else source
     step = max(1, _BLOCK_ENTRIES // blocks[0].size)
     # runs of slabs i in [a, b); reversed, the partners [d1 - b, d1 - a) of the
     # slabs below the middle one, then the middle slab, its own partner
@@ -235,9 +184,9 @@ def _transpose_blocks(blocks: np.ndarray, reverse: bool, source: np.ndarray | No
     flip = (slice(None, None, -1),) * 4 if reverse else ()
     for a, b in runs:
         partners = slice(d1 - b, d1 - a) if reverse else slice(a, b)
-        saved = source[a:b].copy() if source is blocks else source[a:b]
+        saved = blocks[a:b].copy()
         if partners.start != a:
-            blocks[a:b] = source[partners][flip].transpose(0, 3, 2, 1)
+            blocks[a:b] = blocks[partners][flip].transpose(0, 3, 2, 1)
         blocks[partners] = saved[flip].transpose(0, 3, 2, 1)
 
 
@@ -252,7 +201,7 @@ def _pt_solve(w, shape: BipartiteShape, ends: bool) -> np.ndarray:
         memory, reverse = np.array(a, dtype=dtype), False
     blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
     _transpose_blocks(blocks, reverse)
-    return _checked_eigenvalues(memory, in_place=True, ends=ends)
+    return _blas.eigenvalues(memory, _check_self_adjoint(memory), ends)
 
 
 def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
@@ -266,10 +215,10 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
     in C order are transposed in place, which leaves that memory, read in its
     own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
     a reversed w is un-reversed in the same pass, as J X J would move the
-    eigenvalues' bits.  The reduction, chosen as in hermitian_eigenvalues,
-    reads the lower triangle of that memory, and dsterf finishes.  So the
-    values are those of hermitian_eigenvalues(partial_transpose(w, shape)),
-    bit for bit.  Raises as hermitian_eigenvalues does.
+    eigenvalues' bits.  `_blas.eigenvalues` then solves that memory on the
+    route hermitian_eigenvalues takes, so the values are those of
+    hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit.  Raises
+    as hermitian_eigenvalues does.
     """
     return _pt_solve(w, shape, ends=False)
 
@@ -277,16 +226,11 @@ def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
 def pt_extreme_eigenvalues(w, shape: BipartiteShape) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of w's partial transpose, found in w's memory.
 
-    w is consumed and read as by pt_eigenvalues.  Below TWO_STAGE_MIN_N, and
-    for the real field, the reduction is pt_eigenvalues' own and two dstebz
-    bisections then find the two ends, in O(n) work per step, where dsterf
-    would find all n eigenvalues.  From TWO_STAGE_MIN_N on, a complex w
-    takes only the first stage of the two-stage reduction, to a band of
-    width kd, and each step of the two bisections is one banded Cholesky
-    factorization (zpbtrf), in O(n kd^2) work.  The ends agree with
-    pt_eigenvalues' first and last value to within a few units in the last
-    place of the spectral radius, not bit for bit.  Raises as
-    hermitian_eigenvalues does.
+    w is consumed and read as by pt_eigenvalues.  `_blas.eigenvalues` then
+    finds only the two ends, by bisection, on the route for the ends that
+    its module docstring describes.  They agree with pt_eigenvalues' first
+    and last value to within a few units in the last place of the spectral
+    radius, not bit for bit.  Raises as hermitian_eigenvalues does.
     """
     low, high = _pt_solve(w, shape, ends=True)
     return float(low), float(high)

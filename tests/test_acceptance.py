@@ -212,3 +212,26 @@ def test_criterion_9_structural_invariants():
     ok = ok and reporting.emit_json(run_laws(2.0, 8)) == reporting.emit_json(run_laws(2.0, 8))
     ok = ok and reporting.emit_json(run_selftest()) == reporting.emit_json(run_selftest())
     _criterion("criterion 9: structural invariants", ok)
+
+
+def test_criterion_10_two_qubit_ppt_frequency():
+    """The PPT frequency of two-qubit states under the Hilbert-Schmidt measure.
+
+    At d1 = d2 = 2 a state is PPT exactly when it is separable (Peres;
+    Horodecki, Horodecki & Horodecki), and an induced state with p = n = 4
+    (alpha = 1) is distributed by the Hilbert-Schmidt measure (Zyczkowski &
+    Sommers).  Its separability probability is 8/33, Slater's conjecture,
+    which this Monte Carlo checks: the frequency over 20,000 trials must lie
+    within 4 standard errors of 8/33.  A draw without the partial transpose
+    is always PPT, and a Bartlett factor whose chi-square degrees of freedom
+    are off by one gives about 0.43.
+    """
+    config = ExperimentConfig(
+        subcommand="ppt", d1=2, d2=2, trials=20000, ensemble="induced",
+        alphas=(1.0,), master_seed=0, threads=1,
+    )
+    (entry,) = run_ppt_sweep(config)["aggregates"]["per_alpha"]
+    expected = 8 / 33
+    z = (entry["ppt_frequency"] - expected) / np.sqrt(expected * (1 - expected) / config.trials)
+    ok = entry["p"] == 4 and abs(z) <= 4.0
+    _criterion("criterion 10: two-qubit PPT frequency", ok, f"freq={entry['ppt_frequency']:.5f} z={z:+.2f}")

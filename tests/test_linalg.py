@@ -17,10 +17,10 @@ from ptwishart import (
 )
 from ptwishart.errors import NumericError, ParameterError, ShapeError
 from ptwishart.experiments import ExperimentConfig
+from ptwishart._blas import TWO_STAGE_MIN_N
 from ptwishart.linalg import (
     _HERMITICITY_TILE,
     HERMITICITY_RTOL,
-    TWO_STAGE_MIN_N,
     _hermitian_scale,
     is_hermitian,
     pt_eigenvalues,
@@ -257,48 +257,19 @@ def test_psd_product_is_numerically_psd():
     assert vals[0] >= -1e-10 * np.abs(vals).max()
 
 
-def _two_stage_reduction():
-    reduce = _blas.zhetrd_2stage()
-    if reduce is None:
-        pytest.skip("the loaded OpenBLAS exports no zhetrd_2stage")
-    return reduce
+# the routines past the reduction on each route: all n values, the two ends
+# on the tridiagonal matrix, and the two ends on the band
+ALL_VALUES, TRIDIAGONAL_ENDS, BAND_ENDS = ("dsterf",), ("dstebz",), ("ilaenv2stage", "zpbtrf")
 
 
-def _one_stage_reduction(complex_field):
-    reduce = _blas.hetrd(complex_field)
-    if reduce is None:
-        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_zhetrd/LAPACKE_dsytrd")
-    return reduce
-
-
-def _band_route():
-    """The first-stage reduction to a band; skip where the OpenBLAS lacks it or zpbtrf."""
-    reduce = _blas.zhetrd_he2hb()
-    if reduce is None or _blas.zpbtrf() is None:
-        pytest.skip("numpy's OpenBLAS exports no zhetrd_he2hb/zpbtrf")
-    return reduce
-
-
-def _spy(monkeypatch, complex_field=True, lookups=("zhetrd_2stage",)):
-    """Count, by n, the calls that reach the reductions the `_blas` lookups
-    return for the field; skip when the OpenBLAS lacks one."""
-    calls = []
-    for lookup in lookups:
-        reduce = {"hetrd": lambda: _one_stage_reduction(complex_field), "zhetrd_2stage": _two_stage_reduction,
-                  "zhetrd_he2hb": _band_route}[lookup]()
-
-        def spy(*args, reduce=reduce):
-            calls.append(args[2])
-            return reduce(*args)
-
-        monkeypatch.setattr(_blas, lookup, lambda *field, spy=spy: spy)
-    return calls
+def _one_stage(complex_field):
+    return "zhetrd" if complex_field else "dsytrd"
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2, 9, 225, TWO_STAGE_MIN_N - 1])
-def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
-    calls = _spy(monkeypatch, complex_field, ("hetrd",))
+def test_evd_eigenvalues_equal_eigvalsh_bitwise(routines, n, complex_field):
+    routines.need(_one_stage(complex_field), *ALL_VALUES)
     rng = np.random.default_rng(47)
     a = random_hermitian(n, rng, complex_field)
     # C-ordered, F-ordered, and a strided view of a larger Hermitian matrix
@@ -308,82 +279,37 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(monkeypatch, n, complex_field):
         vals = hermitian_eigenvalues(x)
         np.testing.assert_array_equal(x, before)
         np.testing.assert_array_equal(vals, np.linalg.eigvalsh(x))
-    assert calls == [n] * len(inputs)
+    assert routines.solves() == [((_one_stage(complex_field), n), [("dsterf", n)])] * len(inputs)
 
 
 @pytest.mark.parametrize("ends", [False, True], ids=["all", "ends"])
-@pytest.mark.parametrize("lookup, n", [("hetrd", 2), ("hetrd", 9), ("hetrd", 225), ("zhetrd_2stage", 9),
-                                       ("zhetrd_2stage", TWO_STAGE_MIN_N)])
-def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(lookup, n, ends):
+@pytest.mark.parametrize("route, n", [("hetrd", 2), ("hetrd", 9), ("hetrd", 225), ("zhetrd_2stage", 9),
+                                      ("zhetrd_2stage", TWO_STAGE_MIN_N)])
+def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(monkeypatch, routines, route, n, ends):
     # linalg hands a reduction each matrix in the memory order it has, on this
     # assumption: LAPACK reads a C-ordered buffer as its transpose, which for
     # the self-adjoint x is conj(x), in the lower triangle, which every route
-    # reads; and every finish gives the two the same bits (with the ends at
-    # TWO_STAGE_MIN_N, the band's bisection)
-    two_stage = lookup == "zhetrd_2stage"
-    _two_stage_reduction() if two_stage else _one_stage_reduction(True)
-    if two_stage and ends:
-        _band_route()
+    # reads; and every finish gives the two the same bits (two-stage, forced
+    # at n = 9, with the ends the band's bisection)
+    if route == "zhetrd_2stage":
+        monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
+        reduction = "zhetrd_he2hb" if ends else "zhetrd_2stage"
+    else:
+        reduction = "zhetrd"
+    routines.need(reduction, *(BAND_ENDS if reduction == "zhetrd_he2hb" else TRIDIAGONAL_ENDS + ALL_VALUES))
     x = random_hermitian(n, np.random.default_rng(n))
     assert np.array_equal(x, x.conj().T)
     scale = _hermitian_scale(x)
-    column_major = _blas.eigenvalues(np.asfortranarray(x), scale, two_stage, ends)
-    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), scale, two_stage, ends)
+    column_major = _blas.eigenvalues(np.asfortranarray(x), scale, ends)
+    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), scale, ends)
     assert column_major.tobytes() == conjugate.tobytes()
+    assert [call.routine for call in routines.reductions] == [reduction] * 2
 
 
-# the routine each size and field reaches, as numpy's OpenBLAS names it:
-# LAPACKE_<routine> is scipy_LAPACKE_<routine>64_, the Fortran zhetrd_2stage
-# scipy_zhetrd_2stage_64_ and zhetrd_he2hb scipy_zhetrd_he2hb_64_
-ROUTINE_NAMES = {"zhetrd_2stage": "scipy_zhetrd_2stage_64_", "zhetrd": "scipy_LAPACKE_zhetrd64_",
-                 "dsytrd": "scipy_LAPACKE_dsytrd64_", "zhetrd_he2hb": "scipy_zhetrd_he2hb_64_"}
-REDUCTIONS = ("hetrd", "zhetrd_2stage", "zhetrd_he2hb")
-# the argument each finish's record keeps: dsterf's n, dstebz's il, zpbtrf's n
-FINISH_ARGUMENT = {"dsterf": 0, "dstebz": 5, "zpbtrf": 1}
-LOOKUPS = REDUCTIONS + tuple(FINISH_ARGUMENT)
 # zpbtrf calls of one band bisection: its Gershgorin interval is at most
 # 2 max(|gl|, |gu|) wide, each step halves it up to half a unit in the last
 # place of max(|gl|, |gu|), and it stops below 2 eps max(|gl|, |gu|)
 BISECTION_STEPS = 53
-
-
-def routine_spy(monkeypatch, complex_field=True):
-    """Record each call that reaches the routines the six `_blas` lookups
-    return: (name, uplo, n) for a reduction, ("dsterf", n) and ("dstebz", il)
-    for a finish on the tridiagonal matrix, ("zpbtrf", n) for a step of the
-    band bisection; skip where the OpenBLAS lacks the one-stage route."""
-    _one_stage_reduction(complex_field)
-    if _blas.dsterf() is None or _blas.dstebz() is None:
-        pytest.skip("numpy's OpenBLAS exports no 64-bit LAPACKE_dsterf/LAPACKE_dstebz")
-    seen = []
-    for lookup in LOOKUPS:
-        def spying(*field, find=getattr(_blas, lookup), lookup=lookup):
-            routine = find(*field)
-            if routine is None:
-                return None
-
-            def spy(*args):
-                if lookup in REDUCTIONS:
-                    seen.append((routine.__name__, args[1], args[2]))
-                else:
-                    seen.append((lookup, args[FINISH_ARGUMENT[lookup]]))
-                return routine(*args)
-            spy.__name__ = routine.__name__
-            return spy
-
-        monkeypatch.setattr(_blas, lookup, spying)
-    return seen
-
-
-def _solves(seen):
-    """The calls routine_spy saw, one (reduction, [finish calls]) pair per eigensolve."""
-    solves = []
-    for call in seen:
-        if len(call) == 3:
-            solves.append((call, []))
-        else:
-            solves[-1][1].append(call)
-    return solves
 
 
 def _assert_band_bisection(finish, n):
@@ -400,28 +326,26 @@ def _assert_band_bisection(finish, n):
     (False, TWO_STAGE_MIN_N, "dsytrd"),
     (False, 1600, "dsytrd"),
 ])
-def test_each_size_and_field_reaches_its_reduction_on_the_lower_triangle(monkeypatch, complex_field, n, routine):
-    seen = routine_spy(monkeypatch, complex_field)
-    if routine == "zhetrd_2stage":
-        _two_stage_reduction()
-        _band_route()
+def test_each_size_and_field_reaches_its_reduction_on_the_lower_triangle(routines, complex_field, n, routine):
+    band = routine == "zhetrd_2stage"
+    routines.need(routine, *ALL_VALUES, *(("zhetrd_he2hb",) + BAND_ENDS if band else TRIDIAGONAL_ENDS))
     a = random_hermitian(n, np.random.default_rng(n), complex_field)
     hermitian_eigenvalues(a)
     pt_eigenvalues(a.copy(), BipartiteShape(1, n))
     pt_extreme_eigenvalues(a, BipartiteShape(1, n))
-    reduction = (ROUTINE_NAMES[routine], b"L", n)
+    solves = routines.solves()
     # all n values: one reduction, then dsterf
-    assert seen[:4] == [reduction, ("dsterf", n)] * 2
-    (ends_reduction, finish), = _solves(seen[4:])
-    if routine == "zhetrd_2stage":
+    assert solves[:2] == [((routine, n), [("dsterf", n)])] * 2
+    (ends_reduction, finish), = solves[2:]
+    if band:
         # the ends from the two-stage size on: the first stage alone, to a band,
         # then zpbtrf for each step of the two bisections
-        assert ends_reduction == (ROUTINE_NAMES["zhetrd_he2hb"], b"L", n)
+        assert ends_reduction == ("zhetrd_he2hb", n)
         _assert_band_bisection(finish, n)
     else:
         # the ends below it: one reduction, then dstebz for the smallest (il = 1)
         # and for the largest (il = n)
-        assert (ends_reduction, finish) == (reduction, [("dstebz", 1), ("dstebz", n)])
+        assert (ends_reduction, finish) == ((routine, n), [("dstebz", 1), ("dstebz", n)])
 
 
 @pytest.mark.parametrize("subcommand, runner, ensemble, field, d1, d2", [
@@ -435,41 +359,41 @@ def test_each_size_and_field_reaches_its_reduction_on_the_lower_triangle(monkeyp
     ("extremes", "run_extremes", "wishart", "complex", 19, 20),
     ("ppt", "run_ppt_sweep", "induced", "complex", 19, 20),
 ])
-def test_each_trial_reaches_one_reduction_and_its_finish(monkeypatch, subcommand, runner, ensemble, field, d1, d2):
+def test_each_trial_reaches_one_reduction_and_its_finish(routines, subcommand, runner, ensemble, field, d1, d2):
     # spectrum reads all n eigenvalues, extremes and ppt only the two ends; at
     # n = TWO_STAGE_MIN_N the ends come from the band
-    seen = routine_spy(monkeypatch, field == "complex")
     n = d1 * d2
     two_stage = field == "complex" and n >= TWO_STAGE_MIN_N
-    if two_stage:
-        _two_stage_reduction()
-        _band_route()
+    if subcommand == "spectrum":
+        reduction, rest = ("zhetrd_2stage" if two_stage else _one_stage(field == "complex")), ALL_VALUES
+    else:
+        reduction = "zhetrd_he2hb" if two_stage else _one_stage(field == "complex")
+        rest = BAND_ENDS if two_stage else TRIDIAGONAL_ENDS
+    routines.need(reduction, *rest)
     alphas = {"alphas": (2.0, 8.0), "alpha": None} if subcommand == "ppt" else {"alpha": 4.0}
     config = ExperimentConfig(subcommand=subcommand, ensemble=ensemble, field=field, d1=d1, d2=d2, trials=2,
                               master_seed=5, **alphas)
     getattr(experiments, runner)(config)
-    solves = _solves(seen)
+    solves = routines.solves()
     assert len(solves) == (4 if subcommand == "ppt" else 2)
-    for reduction, finish in solves:
+    for solve, finish in solves:
+        assert solve == (reduction, n)
         if subcommand == "spectrum":
-            name = "zhetrd_2stage" if two_stage else "zhetrd" if field == "complex" else "dsytrd"
-            assert (reduction, finish) == ((ROUTINE_NAMES[name], b"L", n), [("dsterf", n)])
+            assert finish == [("dsterf", n)]
         elif two_stage:
-            assert reduction == (ROUTINE_NAMES["zhetrd_he2hb"], b"L", n)
             _assert_band_bisection(finish, n)
         else:
-            name = "zhetrd" if field == "complex" else "dsytrd"
-            assert (reduction, finish) == ((ROUTINE_NAMES[name], b"L", n), [("dstebz", 1), ("dstebz", n)])
+            assert finish == [("dstebz", 1), ("dstebz", n)]
 
 
-def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
-    calls = _spy(monkeypatch)
+def test_two_stage_eigenvalues_agree_with_eigvalsh(routines):
+    routines.need("zhetrd_2stage", *ALL_VALUES)
     d = isqrt(TWO_STAGE_MIN_N - 1) + 1
     shape = BipartiteShape(d, d)
     a = partial_transpose(sample_wishart(WishartParams(n=shape.n, alpha=4.0), SampleStream(31, 0)), shape)
     before = a.copy()
     vals = hermitian_eigenvalues(a)
-    assert calls == [shape.n]
+    assert routines.solves() == [(("zhetrd_2stage", shape.n), [("dsterf", shape.n)])]
     assert np.array_equal(a, before)
     expected = np.linalg.eigvalsh(a)
     assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -477,7 +401,7 @@ def test_two_stage_eigenvalues_agree_with_eigvalsh(monkeypatch):
     # a.T, the conjugate of a, is copied in its F order, which the solver reads as
     # it reads a's C order: the same bytes
     assert hermitian_eigenvalues(a.T).tobytes() == vals.tobytes()
-    assert calls == [shape.n, shape.n]
+    assert len(routines.reductions) == 2
 
 
 # Each eigensolver route's fallback, refusal and concurrency checks, one row
@@ -489,65 +413,75 @@ def _solve(a, shape):
     return hermitian_eigenvalues(a) if shape is None else pt_eigenvalues(a, shape)
 
 
-def _hermitian(n, seed, complex_field=True):
-    return lambda: random_hermitian(n, np.random.default_rng(seed), complex_field)
+def _hermitian(n, seed, complex_field=True, single=False):
+    """A Hermitian matrix, float32 or complex64 if `single`."""
+    a = random_hermitian(n, np.random.default_rng(seed), complex_field)
+    return lambda: a.astype(np.complex64 if complex_field else np.float32) if single else a.copy()
 
 
 def _wishart(n, p, index):
     return lambda: sample_wishart(WishartParams(n=n, p=p), SampleStream(9, index))
 
 
-BOTH_REDUCTIONS = ("hetrd", "zhetrd_2stage")
-
-
 def _extremes(a, shape):
     return np.array(pt_extreme_eigenvalues(a, shape))
 
 
+# every routine of every route
+EVERY_ROUTINE = ("dsytrd", "zhetrd", "zhetrd_2stage", "zhetrd_he2hb") + ALL_VALUES + TRIDIAGONAL_ENDS + BAND_ENDS
+
+
 @pytest.mark.parametrize("shape, make, missing, solve", [
-    pytest.param(None, _hermitian(225, 53, False), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-real"),
-    pytest.param(None, _hermitian(225, 53), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(225, 53, False), ("dsytrd",), _solve, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 53), ("zhetrd",), _solve, id="hermitian_eigenvalues-evd-complex"),
     pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 37), ("zhetrd_2stage",), _solve,
                  id="hermitian_eigenvalues-two-stage"),
     pytest.param(None, _hermitian(225, 53), ("dsterf",), _solve, id="hermitian_eigenvalues-no-dsterf"),
-    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_REDUCTIONS, _solve,
+    # single precision reads as double on either path
+    pytest.param(None, _hermitian(6, 71, False, single=True), EVERY_ROUTINE, _solve,
+                 id="hermitian_eigenvalues-float32"),
+    pytest.param(None, _hermitian(6, 71, single=True), EVERY_ROUTINE, _solve,
+                 id="hermitian_eigenvalues-complex64"),
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), ("zhetrd", "zhetrd_2stage"), _solve,
                  id="pt_eigenvalues-no-solver"),
-    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), BOTH_REDUCTIONS, _extremes,
+    pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), ("zhetrd", "zhetrd_2stage"), _extremes,
                  id="pt_extreme_eigenvalues-no-solver"),
     pytest.param(BipartiteShape(16, 16), _wishart(256, 1024, 3), ("dstebz",), _extremes,
                  id="pt_extreme_eigenvalues-no-dstebz"),
     pytest.param(BipartiteShape(20, 20), _wishart(400, 1600, 4), ("zhetrd_he2hb",), _extremes,
                  id="pt_extreme_eigenvalues-no-he2hb"),
+    pytest.param(BipartiteShape(20, 20), _wishart(400, 1600, 4), ("ilaenv2stage",), _extremes,
+                 id="pt_extreme_eigenvalues-no-ilaenv2stage"),
     pytest.param(BipartiteShape(20, 20), _wishart(400, 1600, 4), ("zpbtrf",), _extremes,
                  id="pt_extreme_eigenvalues-no-zpbtrf"),
 ])
-def test_falls_back_without_the_symbol(monkeypatch, shape, make, missing, solve):
-    for lookup in missing:
-        monkeypatch.setattr(_blas, lookup, lambda *complex_field: None)
+def test_falls_back_without_the_symbol(monkeypatch, routines, shape, make, missing, solve):
+    routed = solve(make(), shape)
+    routines.hidden.update(missing)
+    routed_calls = len(routines.calls)
     fallback = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
     a = make()
-    expected = eigvalsh(a if shape is None else partial_transpose(a, shape))
+    double = a.astype(np.result_type(a, np.float64))
+    expected = eigvalsh(double if shape is None else partial_transpose(double, shape))
     got = solve(a, shape)
     np.testing.assert_array_equal(got, expected if len(got) == len(a) else expected[[0, -1]])
-    # without the two-stage symbol alone hetrd reduces; with no route left, eigvalsh
-    routes = missing == ("zhetrd_2stage",) and _blas.hetrd(np.iscomplexobj(a)) and _blas.dsterf()
-    assert fallback == ([] if routes else [len(a)])
+    assert got.dtype == routed.dtype == np.float64
+    # with a routine of the route missing, none of the others runs either
+    assert len(routines.calls) == routed_calls
+    assert fallback == [len(a)]
 
 
-@pytest.mark.parametrize("shape, make, lookups, solve", [
-    pytest.param(None, _hermitian(225, 59, False), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-real"),
-    pytest.param(None, _hermitian(225, 59), ("hetrd",), _solve, id="hermitian_eigenvalues-evd-complex"),
-    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 41), ("zhetrd_2stage",), _solve,
-                 id="hermitian_eigenvalues-two-stage"),
-    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_REDUCTIONS, _solve, id="pt_eigenvalues-evd"),
-    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), BOTH_REDUCTIONS, _extremes,
-                 id="pt_extreme_eigenvalues-evd"),
+@pytest.mark.parametrize("shape, make, solve", [
+    pytest.param(None, _hermitian(225, 59, False), _solve, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(None, _hermitian(225, 59), _solve, id="hermitian_eigenvalues-evd-complex"),
+    pytest.param(None, _hermitian(TWO_STAGE_MIN_N, 41), _solve, id="hermitian_eigenvalues-two-stage"),
+    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), _solve, id="pt_eigenvalues-evd"),
+    pytest.param(BipartiteShape(3, 4), _wishart(12, 20, 2), _extremes, id="pt_extreme_eigenvalues-evd"),
 ])
-def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups, solve):
+def test_refuses_bad_input_before_the_solver(routines, shape, make, solve):
     a = make()
-    calls = _spy(monkeypatch, np.iscomplexobj(a), lookups)
     bad = a.copy()
     bad[3, 5] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
@@ -559,7 +493,7 @@ def test_refuses_bad_input_before_the_solver(monkeypatch, shape, make, lookups, 
     if shape is not None:
         with pytest.raises(ShapeError):
             solve(a, BipartiteShape(3, 3))
-    assert calls == []
+    assert routines.calls == []
 
 
 def _ends_of_a_copy(a):
@@ -567,24 +501,24 @@ def _ends_of_a_copy(a):
     return np.array(pt_extreme_eigenvalues(a.copy(), BipartiteShape(1, len(a))))
 
 
-@pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, lookup, solve", [
-    pytest.param(False, 225, 61, 4, 2, 3, "hetrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-real"),
-    pytest.param(True, 225, 61, 4, 2, 3, "hetrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-complex"),
+@pytest.mark.parametrize("complex_field, n, seed, count, split, repeats, reduction, solve", [
+    pytest.param(False, 225, 61, 4, 2, 3, "dsytrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-real"),
+    pytest.param(True, 225, 61, 4, 2, 3, "zhetrd", hermitian_eigenvalues, id="hermitian_eigenvalues-evd-complex"),
     pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_2stage", hermitian_eigenvalues,
                  id="hermitian_eigenvalues-two-stage"),
     pytest.param(True, TWO_STAGE_MIN_N, 43, 2, 3, 2, "zhetrd_he2hb", _ends_of_a_copy,
                  id="pt_extreme_eigenvalues-band"),
 ])
-def test_concurrent_calls_match_serial(monkeypatch, complex_field, n, seed, count, split, repeats, lookup, solve):
+def test_concurrent_calls_match_serial(routines, complex_field, n, seed, count, split, repeats, reduction, solve):
     # ctypes releases the GIL, so pool workers run their solves at the same
     # time, as trial workers do, with the BLAS threads split among them
-    calls = _spy(monkeypatch, complex_field, (lookup,))
+    routines.need(reduction, *(BAND_ENDS if reduction == "zhetrd_he2hb" else ALL_VALUES))
     rng = np.random.default_rng(seed)
     matrices = [random_hermitian(n, rng, complex_field) for _ in range(count)]
     with _blas.split(split):
         serial = [solve(a) for a in matrices]
         with ThreadPoolExecutor(max_workers=3) as pool:
             concurrent = list(pool.map(solve, matrices * repeats, timeout=300))
-    assert len(calls) == count * (1 + repeats)
+    assert [call.routine for call in routines.reductions] == [reduction] * (count * (1 + repeats))
     for vals, expected in zip(concurrent, serial * repeats):
         np.testing.assert_array_equal(vals, expected)

@@ -13,7 +13,6 @@ other matrix, such as the index-reversed one, is a defect even where its
 eigenvalues happen to agree to the last bit.
 """
 
-import ctypes
 import tracemalloc
 
 import numpy as np
@@ -86,40 +85,11 @@ def _reference_pt(w, shape):
     return np.ascontiguousarray(w.reshape(blocks).transpose(0, 3, 2, 1).reshape(shape.n, shape.n))
 
 
-def _solver_spy(monkeypatch):
-    """Record (uplo, the n x n buffer read in C order, its address) for every call that reaches a
-    reduction, to a tridiagonal matrix or to a band."""
-    seen = []
-
-    def spying(lookup):
-        def wrapped(*complex_field):
-            reduce = lookup(*complex_field)
-            if reduce is None:
-                pytest.skip("numpy's OpenBLAS lacks a reduction")
-            # hetrd(complex_field) serves either field, zhetrd_2stage() and
-            # zhetrd_he2hb() the complex one
-            dtype = np.complex128 if complex_field in ((), (True,)) else np.float64
-
-            def spy(layout, uplo, n, a, *rest):
-                buffer = ctypes.string_at(a, n * n * np.dtype(dtype).itemsize)
-                seen.append((uplo, np.frombuffer(buffer, dtype).reshape(n, n), a))
-                return reduce(layout, uplo, n, a, *rest)
-
-            spy.__name__ = reduce.__name__
-            return spy
-        return wrapped
-
-    monkeypatch.setattr(_blas, "hetrd", spying(_blas.hetrd))
-    monkeypatch.setattr(_blas, "zhetrd_2stage", spying(_blas.zhetrd_2stage))
-    monkeypatch.setattr(_blas, "zhetrd_he2hb", spying(_blas.zhetrd_he2hb))
-    return seen
-
-
-def _assert_same_matrix(seen):
-    """Both reduction calls read the lower triangle, the first of the second's matrix or its transpose."""
-    (uplo, matrix, _), (reference_uplo, reference, _) = seen
-    assert uplo == reference_uplo == b"L"
-    assert matrix.tobytes() in (reference.tobytes(), reference.T.tobytes())
+def _assert_same_matrix(reductions):
+    """Both reductions read the lower triangle, the first of the second's matrix or its transpose."""
+    first, reference = reductions
+    assert first.uplo == reference.uplo == b"L"
+    assert first.matrix.tobytes() in (reference.matrix.tobytes(), reference.matrix.T.tobytes())
 
 
 SHAPES = [(1, 5), (5, 1), (3, 5), (16, 16), (17, 15), (36, 35)]
@@ -142,10 +112,10 @@ def _cases():
 
 
 @pytest.mark.parametrize("ensemble, field, d1, d2, p", list(_cases()))
-def test_one_buffer_trial_hands_the_solver_the_same_bytes(monkeypatch, ensemble, field, d1, d2, p):
+def test_one_buffer_trial_hands_the_solver_the_same_bytes(routines, ensemble, field, d1, d2, p):
+    routines.need()
     shape = BipartiteShape(d1, d2)
     stream = SampleStream(71, d1 * 100 + d2)
-    seen = _solver_spy(monkeypatch)
     w = _draw(ensemble, field, shape.n, p, stream)
     reference = _reference_draw(ensemble, field, shape.n, p, stream)
     # the draw is equal bit for bit, signed zeros included
@@ -156,8 +126,7 @@ def test_one_buffer_trial_hands_the_solver_the_same_bytes(monkeypatch, ensemble,
         reference = reference * shape.n
     values = pt_eigenvalues(w, shape)
     expected = hermitian_eigenvalues(_reference_pt(reference, shape))
-    assert len(seen) == 2
-    _assert_same_matrix(seen)
+    _assert_same_matrix(routines.reductions)
     assert values.tobytes() == expected.tobytes()
 
 
@@ -176,22 +145,22 @@ LAYOUTS = {
 @pytest.mark.parametrize("field, reduction", [("real", "one-stage"), ("complex", "one-stage"),
                                              ("complex", "two-stage")])
 @pytest.mark.parametrize("d1, d2", [(1, 4), (4, 1), (3, 4), (4, 3), (5, 5)])
-def test_in_place_partial_transpose_in_every_layout(monkeypatch, layout, field, reduction, d1, d2):
+def test_in_place_partial_transpose_in_every_layout(monkeypatch, routines, layout, field, reduction, d1, d2):
+    routines.need()
     if reduction == "two-stage":
-        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
+        monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
     shape = BipartiteShape(d1, d2)
     w = sample_wishart(WishartParams(n=shape.n, p=shape.n + 2, field=field), SampleStream(5, d1 + 7 * d2))
-    seen = _solver_spy(monkeypatch)
     buffer = LAYOUTS[layout](w)
     assert np.array_equal(buffer, w)
     # the lowest address of the buffer's memory
     address = (buffer[::-1, ::-1] if layout.startswith("reversed") else buffer).ctypes.data
     values = pt_eigenvalues(buffer, shape)
     expected = hermitian_eigenvalues(_reference_pt(w, shape))
-    _assert_same_matrix(seen)
+    _assert_same_matrix(routines.reductions)
     assert values.tobytes() == expected.tobytes()
     # the reduction ran in the buffer's own memory
-    assert seen[0][2] == address
+    assert routines.reductions[0].address == address
 
 
 # |end - eigvalsh's end| / spectral radius: the ends come from dstebz's
@@ -209,21 +178,22 @@ ENDS_RTOL = 1e-14
     ("real", 3, 4, False), ("complex", 3, 4, False), ("complex", 3, 4, True), ("complex", 5, 1, True),
     ("real", 19, 20, False), ("complex", 18, 21, False), ("complex", 19, 20, False),
 ])
-def test_extreme_eigenvalues_are_eigvalsh_ends_in_every_layout(monkeypatch, layout, field, d1, d2, forced):
+def test_extreme_eigenvalues_are_eigvalsh_ends_in_every_layout(monkeypatch, routines, layout, field, d1, d2,
+                                                               forced):
     # both fields, both sides of TWO_STAGE_MIN_N (n = 378 and 380), and the
     # two-stage reduction forced at small n
+    routines.need()
     if forced:
-        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
+        monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
     shape = BipartiteShape(d1, d2)
     w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(13, d1 + 7 * d2))
-    seen = _solver_spy(monkeypatch)
     buffer = LAYOUTS[layout](w)
     address = (buffer[::-1, ::-1] if layout.startswith("reversed") else buffer).ctypes.data
     low, high = pt_extreme_eigenvalues(buffer, shape)
     expected = np.linalg.eigvalsh(_reference_pt(w, shape))
     hermitian_eigenvalues(_reference_pt(w, shape))
-    _assert_same_matrix(seen)
-    assert seen[0][2] == address
+    _assert_same_matrix(routines.reductions)
+    assert routines.reductions[0].address == address
     radius = np.abs(expected).max()
     assert abs(low - expected[0]) <= ENDS_RTOL * radius
     assert abs(high - expected[-1]) <= ENDS_RTOL * radius
@@ -254,46 +224,46 @@ def _negative_definite(n):
     pytest.param(_random_hermitian, 16, None, id="n=16"),
     pytest.param(_random_hermitian, 17, None, id="n=17"),
 ])
-def test_band_ends_are_eigvalsh_ends(monkeypatch, make, n, steps):
-    # the two-stage ends, called directly at any n: the first stage to a band,
-    # then bisection with zpbtrf (test_linalg.py bounds its step count)
-    factor = _blas.zpbtrf()
-    if _blas.zhetrd_he2hb() is None or factor is None:
-        pytest.skip("numpy's OpenBLAS exports no zhetrd_he2hb/zpbtrf")
-    calls = []
-    monkeypatch.setattr(_blas, "zpbtrf", lambda: lambda *args: calls.append(args[1]) or factor(*args))
+def test_band_ends_are_eigvalsh_ends(monkeypatch, routines, make, n, steps):
+    # the band's ends, forced at any n: the first stage to a band, then
+    # bisection with zpbtrf (test_linalg.py bounds its step count)
+    routines.need("zhetrd_he2hb", "ilaenv2stage", "zpbtrf")
+    monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
     a = make(n)
     expected = np.linalg.eigvalsh(a)
-    ends = _blas.eigenvalues(np.asfortranarray(a), linalg._hermitian_scale(a), two_stage=True, ends=True)
+    ends = _blas.eigenvalues(np.asfortranarray(a), linalg._hermitian_scale(a), ends=True)
     radius = np.abs(expected).max()
     assert np.abs(ends - expected[[0, -1]]).max() <= ENDS_RTOL * radius
-    assert set(calls) <= {n}
-    assert len(calls) == steps if steps is not None else len(calls) >= 2
+    (reduction, finish), = routines.solves()
+    assert reduction == ("zhetrd_he2hb", n) and set(finish) <= {("zpbtrf", n)}
+    assert len(finish) == steps if steps is not None else len(finish) >= 2
 
 
 @pytest.mark.parametrize("field, forced", [pytest.param("real", False, id="real"),
                                            pytest.param("complex", False, id="complex"),
                                            pytest.param("complex", True, id="complex-two-stage")])
 @pytest.mark.parametrize("exponent, rescaled", [(-700, True), (-400, False), (400, False), (700, True)])
-def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field, forced, exponent, rescaled):
+def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, routines, field, forced, exponent,
+                                                             rescaled):
     # LAPACK's drivers rescale a matrix whose largest entry lies outside about
     # [1e-146, 1e146]; the bare reductions do not, so such a matrix takes the
     # eigvalsh fallback, and one inside the range takes the reduction; forced,
     # the two-stage reduction, and for the ends its first stage and the band's
     # bisection
+    routines.need()
     if forced:
-        monkeypatch.setattr(linalg, "TWO_STAGE_MIN_N", 1)
+        monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
     shape = BipartiteShape(4, 5)
     w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 0))
     unscaled = pt_eigenvalues(w.copy(), shape)
     w *= 2.0 ** exponent
     eigvalsh, fallback = np.linalg.eigvalsh, []
     expected = eigvalsh(_reference_pt(w, shape))
-    seen = _solver_spy(monkeypatch)
+    routines.calls.clear()
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
     values = pt_eigenvalues(w.copy(), shape)
     ends = np.array(pt_extreme_eigenvalues(w.copy(), shape))
-    assert len(seen) == (0 if rescaled else 2)
+    assert len(routines.reductions) == (0 if rescaled else 2)
     assert fallback == ([shape.n] * 2 if rescaled else [])
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(ends))
     if rescaled:
@@ -305,11 +275,10 @@ def test_a_matrix_the_drivers_would_rescale_goes_to_eigvalsh(monkeypatch, field,
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_the_rescaling_guard_takes_the_hermiticity_checks_scale(monkeypatch, field):
+def test_the_rescaling_guard_takes_the_hermiticity_checks_scale(monkeypatch, routines, field):
     # the check finds the largest entry modulus, and the guard reads it in
     # place of a pass of its own over the buffer
-    if _blas.hetrd(field == "complex") is None or _blas.dsterf() is None or _blas.dstebz() is None:
-        pytest.skip("numpy's OpenBLAS lacks a routine of the route")
+    routines.need()
     shape = BipartiteShape(4, 5)
     w = sample_wishart(WishartParams(n=shape.n, p=4 * shape.n, field=field), SampleStream(17, 1))
     largest = float(np.abs(w).max())
@@ -318,17 +287,23 @@ def test_the_rescaling_guard_takes_the_hermiticity_checks_scale(monkeypatch, fie
     pt_eigenvalues(w.copy(), shape)
     pt_extreme_eigenvalues(w.copy(), shape)
     assert seen == [largest, largest]
-    # called directly, the guard reads the scale it is given, not the buffer
+    # called directly, the guard reads the scale it is given, not the buffer:
+    # the same work reaches the reduction, or with a scale out of range eigvalsh
     work = np.asfortranarray(_reference_pt(w, shape))
-    assert _blas.eigenvalues(work.copy(), linalg._hermitian_scale(work)) is not None
-    assert _blas.eigenvalues(work.copy(), 2.0**700) is None
+    eigvalsh, fallback = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
+    routines.calls.clear()
+    _blas.eigenvalues(work.copy(), linalg._hermitian_scale(work))
+    assert len(routines.reductions) == 1 and fallback == []
+    _blas.eigenvalues(work.copy(), 2.0**700)
+    assert len(routines.reductions) == 1 and fallback == [shape.n]
     assert seen == [largest, largest, largest, 2.0**700]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_pt_eigenvalues_copies_other_input_and_leaves_it(monkeypatch, field):
+def test_pt_eigenvalues_copies_other_input_and_leaves_it(routines, field):
+    routines.need()
     shape = BipartiteShape(3, 4)
-    seen = _solver_spy(monkeypatch)
     w = sample_wishart(WishartParams(n=12, p=30, field=field), SampleStream(9, 1))
     expected = hermitian_eigenvalues(_reference_pt(w, shape))
     big = np.zeros((24, 24), dtype=w.dtype)
@@ -343,7 +318,7 @@ def test_pt_eigenvalues_copies_other_input_and_leaves_it(monkeypatch, field):
         np.testing.assert_array_equal(np.asarray(x), before)
         if np.asarray(x).dtype == w.dtype:
             assert values.tobytes() == expected.tobytes()
-    assert len(seen) == 1 + len(inputs)
+    assert len(routines.reductions) == 1 + len(inputs)
 
 
 def test_public_functions_leave_their_input_unchanged():

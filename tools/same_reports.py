@@ -47,12 +47,16 @@ ARGVS = [
     ["extremes", "--d1", "19", "--d2", "20", "--trials", "1"],
     # two trial workers on the band's ends (n = 400)
     ["extremes", "--d", "20", "--trials", "2", "--threads", "2"],
+    # the real field above the two-stage bound (n = 400): dsytrd and dstebz
+    ["extremes", "--d", "20", "--trials", "1", "--field", "real"],
     # ppt: trials above and below the worker count, the mixture ensemble, 2 x 3,
     # and n = 400 on the two-stage reduction's band, induced and mixture states
     ["ppt", "--d", "6", "--trials", "5", "--threads", "2"],
     ["ppt", "--d", "6", "--trials", "1", "--threads", "2"],
     ["ppt", "--d", "4", "--trials", "4", "--ensemble", "mixture", "--alphas", "2", "8"],
     ["ppt", "--d1", "2", "--d2", "3", "--trials", "4"],
+    # two qubits (n = 4), at alpha = 1 the Hilbert-Schmidt measure
+    ["ppt", "--d", "2", "--alphas", "1", "2", "--trials", "200", "--seed", "3"],
     ["ppt", "--ensemble", "induced", "--threads", "2", "--d", "15", "--trials", "12", "--seed", "1"],
     ["ppt", "--d", "20", "--trials", "2", "--alphas", "3", "5"],
     ["ppt", "--d", "20", "--ensemble", "mixture", "--alphas", "3", "5", "--trials", "1"],
