@@ -81,6 +81,14 @@ from .errors import NumericError
 # The band's ends break even near here too, so one bound serves every route.
 TWO_STAGE_MIN_N = 380
 
+# LAPACK's eigensolver workspace, in matrix rows: after a small call of the
+# same route and a matmul, as a trial's draw sets up OpenBLAS before its solve,
+# ru_maxrss rose by 72-194 rows' worth during zhetrd_2stage at n = 380-3600,
+# by 73-172 during zhetrd_he2hb and the band's bisection there, by 23-109
+# during zhetrd at n = 225-361 and by 43-73 during dsytrd at n = 380-3600, at
+# 1 and 2 BLAS threads, with either finish
+SOLVER_WORK_ROWS = 512
+
 # LAPACKE's matrix_layout and the CBLAS enum values for column-major storage,
 # the lower triangle and no transpose
 _COL_MAJOR = 102
@@ -224,52 +232,46 @@ def _tridiagonal_ends(work: np.ndarray) -> np.ndarray | None:
     return ends
 
 
-def _band(work: np.ndarray, reduce, width) -> tuple[np.ndarray, np.ndarray]:
-    """(band, spare): `reduce`, zhetrd_he2hb, takes work's lower triangle to a
-    Hermitian band matrix B of the width kd that `width`, ilaenv2stage, gives
-    zhetrd_2stage.  band, n x (kd + 1) in C order, holds column j of B's
-    lower band in row j, as LAPACK stores a band with leading dimension
-    kd + 1 (band[j, k] = B[j + k, j]), and zeros past the matrix's end.
-    spare, of band's shape, was the reduction's workspace; band, its tau and
-    that workspace come from one allocation, whose size a first call asks
-    for."""
+def _band(work: np.ndarray, reduce, width) -> np.ndarray:
+    """`reduce`, zhetrd_he2hb, takes work's lower triangle to a Hermitian band
+    matrix B of the width kd that `width`, ilaenv2stage, gives zhetrd_2stage.
+    The band, n x (kd + 1) in C order, holds column j of B's lower band in
+    row j, as LAPACK stores a band with leading dimension kd + 1
+    (band[j, k] = B[j + k, j]), and zeros past the matrix's end, which the
+    reduction leaves as they are.  Its tau and its workspace, whose size a
+    first call asks for, are freed on return."""
     n, unset, info = len(work), c_int64(-1), c_int64()
     kd = width(c_int64(1), b"ZHETRD_2STAGE", b"N", c_int64(n), unset, unset, unset, 13, 1)
-    entries = (kd + 1) * n
 
     def call(band, tau, space, lwork):
         reduce(b"L", c_int64(n), c_int64(kd), work.ctypes.data, c_int64(max(n, 1)), band, c_int64(kd + 1), tau,
                space, c_int64(lwork), info, 1)
         _check(info.value, "zhetrd_he2hb")
 
-    size = np.empty(1, dtype=np.complex128)
-    call(None, None, size.ctypes.data, -1)
-    lwork = int(size[0].real)
-    band, tau, space = np.split(np.empty(entries + n + max(lwork, entries), dtype=np.complex128),
-                                [entries, entries + n])
+    query = np.empty(1, dtype=np.complex128)
+    call(None, None, query.ctypes.data, -1)
+    lwork = int(query[0].real)
+    band, tau, space = (np.zeros((n, kd + 1), dtype=np.complex128), np.empty(n, dtype=np.complex128),
+                        np.empty(lwork, dtype=np.complex128))
     call(band.ctypes.data, tau.ctypes.data, space.ctypes.data, lwork)
-    band = band.reshape(n, kd + 1)
-    for k in range(1, kd + 1):
-        band[max(n - k, 0):, k] = 0.0
-    return band, space[:entries].reshape(band.shape)
+    return band
 
 
 def _band_ends(work: np.ndarray) -> np.ndarray | None:
     """The smallest and the largest eigenvalue of a complex work: `_band`'s
     B, then for each a bisection from B's Gershgorin bounds [gl, gu].  A
     shift s lies below the smallest where zpbtrf factors B - s I, and above
-    the largest where it factors s I - B; each test copies band into spare
-    and shifts the diagonal there.  A bisection stops when no double lies
-    between its bounds or they are closer than 2 eps max(|gl|, |gu|),
-    dstebz's default tolerance, and gives their midpoint.  None, work
-    untouched, where a routine is not exported."""
+    the largest where it factors s I - B; each test copies band into spare,
+    an array of band's shape, and shifts the diagonal there.  A bisection
+    stops when no double lies between its bounds or they are closer than
+    2 eps max(|gl|, |gu|), dstebz's default tolerance, and gives their
+    midpoint.  None, work untouched, where a routine is not exported."""
     reduce, width, factor = _function(*_ZHETRD_HE2HB), _function(*_ILAENV2STAGE), _function(*_ZPBTRF)
     if reduce is None or width is None or factor is None:
         return None
-    band, spare = _band(work, reduce, width)
-    n, columns = band.shape
-    # |band| in spare's first half, which the bisection overwrites later
-    size = np.abs(band, out=spare.reshape(-1).view(np.float64)[:band.size].reshape(band.shape))
+    band = _band(work, reduce, width)
+    spare, (n, columns) = np.empty_like(band), band.shape
+    size = np.abs(band)
     size[:, 0] = 0.0
     # row j's off-diagonal entries: column j's below the diagonal, and by
     # symmetry band[j - k, k] for each k
@@ -305,19 +307,17 @@ def _band_ends(work: np.ndarray) -> np.ndarray | None:
 
 def eigenvalues(work: np.ndarray, scale: float, ends: bool = False) -> np.ndarray:
     """The eigenvalues, ascending, or with `ends` the smallest and the
-    largest, of the self-adjoint matrix in the lower triangle of work read
-    column-major, on the route that the module docstring describes.  A
-    C-ordered work reads as its transpose, the conjugate of a self-adjoint
-    work, to which every route gives the same bits.  work, a writeable C- or
-    F-ordered square float64 or complex128 array, is overwritten, except on
-    the eigvalsh fallback, which reads work untouched; `_unscaled` tells from
-    `scale`, work's largest entry modulus, whether the drivers would rescale
-    work."""
+    largest, of the self-adjoint matrix in the lower triangle of work, on the
+    route that the module docstring describes.  work, a writeable F-ordered
+    square float64 or complex128 array, is overwritten, except on the
+    eigvalsh fallback, which reads work untouched: callers solve F in place,
+    else an F-ordered copy, and any other work raises ValueError.  `_unscaled`
+    tells from `scale`, work's largest entry modulus, whether the drivers
+    would rescale work."""
     n = len(work)
-    if not (work.shape == (n, n) and work.dtype in _DTYPES
-            and (work.flags.c_contiguous or work.flags.f_contiguous) and work.flags.writeable):
-        raise ValueError(f"work must be a writeable C- or F-ordered square float64 or complex128 array, "
-                         f"got shape {work.shape} and dtype {work.dtype}")
+    if not (work.shape == (n, n) and work.dtype in _DTYPES and work.flags.f_contiguous and work.flags.writeable):
+        raise ValueError(f"work must be a writeable F-ordered square float64 or complex128 array, "
+                         f"got shape {work.shape}, dtype {work.dtype}, F-ordered {work.flags.f_contiguous}")
     band = ends and work.dtype == np.complex128 and n >= TWO_STAGE_MIN_N
     route = _band_ends if band else _tridiagonal_ends if ends else _all_values
     values = route(work) if _unscaled(scale) else None

@@ -18,7 +18,9 @@ min(n, p) diagonal chi-square variates in diagonal order, then the strictly
 lower entries column by column, each column top to bottom, a complex entry
 again two consecutive normals.  One builder, `_fill_bartlett`, draws them into
 the layout that `_lauum_route`'s Gram routine reads: L itself for zherk/dsyrk,
-or the index-reversed view of the array lauum overwrites.  It draws the
+or the index-reversed view of the array lauum overwrites, a reversal that is
+undone inside the draw.  So every sampler returns an F-ordered n x n array in
+natural index order, the one layout `linalg`'s solvers read.  It draws the
 normals of a block of whole columns, about _BLOCK_ENTRIES entries, in one
 call.  The block is a run of the stream, so the values are those of one call
 per column; but a draw makes a few numpy calls, not one per column, and each
@@ -183,12 +185,12 @@ def _bartlett_factor(rng: np.random.Generator, n: int, p: int, field: str) -> np
 def _mirror_lower(c: np.ndarray) -> np.ndarray:
     """Make c exactly Hermitian from its lower triangle, in place, and return it.
 
-    The strict upper triangle, zero on entry, becomes the conjugate of the
+    The strict upper triangle, whatever it holds, becomes the conjugate of the
     strict lower one, and each diagonal entry d becomes (d + conj(d)) * 0.5:
     the values of c + c^dagger with the doubly counted diagonal halved, bit
     for bit unless a Gram entry is exactly zero (x + 0 turns -0.0 into 0.0).
     The copy runs in column blocks of about _BLOCK_ENTRIES entries, so its
-    temporaries stay small; c may be any 2-d view, such as a reversed one.
+    temporaries stay small.
     """
     n = len(c)
     cols = min(n, _block_columns(n))
@@ -218,10 +220,12 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     a zherk, which would multiply the zero upper triangle of L.  lauum was
     written for the Cholesky factors of potri and reads only the real part of
     the diagonal; the Bartlett diagonal is a square root of a chi-square
-    variate, real, so nothing is lost.  That product is mirrored and scaled in
-    place, and the sample is returned as the view J (U U^dagger) J of U's
-    buffer, the one n x n array the draw allocates (`linalg.pt_eigenvalues`
-    reads it in that layout).  Otherwise the builder fills L and one zherk/dsyrk
+    variate, real, so nothing is lost.  The reversal is undone inside the
+    draw: U U^dagger's upper triangle, read through the reversed view and
+    scaled, is copied into U's strict lower triangle and diagonal, one column
+    block at a time, and mirrored, so the sample is U's own F-ordered buffer
+    in natural index order, the one n x n array the draw allocates.
+    Otherwise the builder fills L and one zherk/dsyrk
     forms L L^dagger in a zeroed F-ordered array, which is mirrored in place and
     returned; for p < n the factor is not square.  `_blas` calls both routines
     in numpy's OpenBLAS.
@@ -236,10 +240,18 @@ def sample_wishart(params: WishartParams, stream: SampleStream) -> np.ndarray:
     u = np.zeros((n, n), dtype=np.float64 if field == "real" else np.complex128, order="F")
     _fill_bartlett(stream.generator(), p, u[::-1, ::-1])
     u = _blas.lauum(u)
-    # reversed back, U U^dagger's upper triangle is L L^dagger's lower one
-    w = _mirror_lower(u[::-1, ::-1])
-    u *= scale
-    return w
+    # reversed back, U U^dagger's upper triangle is L L^dagger's lower one: read
+    # through the reversed view and scaled, it fills u's strict lower triangle
+    # one block of columns at a time, then u's diagonal.  A diagonal block's
+    # mask keeps it off u's diagonal and upper triangle, which later blocks read
+    reversed_u, cols = u[::-1, ::-1], _block_columns(n)
+    lower = np.tri(cols, k=-1, dtype=bool)
+    for j in range(0, n, cols):
+        k = min(n, j + cols)
+        np.copyto(u[j:k, j:k], reversed_u[j:k, j:k] * scale, where=lower[:k - j, :k - j])
+        np.multiply(reversed_u[k:, j:k], scale, out=u[k:, j:k])
+    np.fill_diagonal(u, np.diagonal(reversed_u) * scale)
+    return _mirror_lower(u)
 
 
 def sample_induced_state(n: int, p: int, stream: SampleStream) -> np.ndarray:

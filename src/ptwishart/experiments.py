@@ -98,13 +98,6 @@ MAX_SPECTRUM_VALUES = 10**7
 MAX_MIXTURE_ENTRIES = 2**30
 
 
-# LAPACK's eigensolver workspace, in matrix rows: after a small call of the
-# same route and a matmul, as a trial's draw sets up OpenBLAS before its solve,
-# ru_maxrss rose by 72-194 rows' worth during zhetrd_2stage at n = 380-3600,
-# by 73-172 during zhetrd_he2hb and the band's bisection there, by 23-109
-# during zhetrd at n = 225-361 and by 43-73 during dsytrd at n = 380-3600, at
-# 1 and 2 BLAS threads, with either finish
-SOLVER_WORK_ROWS = 512
 # a pure-state trial holds its state of n = d**2 entries and the SVD's copy of
 # it, never an n x n matrix: ru_maxrss rose by 34-42 bytes per entry at
 # d = 1000-3000, falling with d; larger d is admitted by extrapolation
@@ -158,7 +151,7 @@ def worker_memory(n: int, p: int, field: str, ensemble: str) -> int:
     if ensemble == "pure":
         return PURE_ENTRY_BYTES * n
     item = 8 if field == "real" else 16
-    return item * n * (n + SOLVER_WORK_ROWS) + _draw_bytes(n, p, field, ensemble == "mixture")
+    return item * n * (n + _blas.SOLVER_WORK_ROWS) + _draw_bytes(n, p, field, ensemble == "mixture")
 
 
 def _check_alpha(alpha: float):

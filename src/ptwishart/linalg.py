@@ -9,12 +9,12 @@ float64 arrays take the real-symmetric eigensolver, complex arrays the
 Hermitian one.  Every eigensolve is one `_blas.eigenvalues` call, whose
 docstring and module docstring describe its routes through numpy's own
 OpenBLAS and its np.linalg.eigvalsh fallback; its ctypes calls release the
-GIL, so trial workers overlap their eigensolves.  A solver reads each matrix
-in the memory order it has, a C-ordered one as its conjugate, to which the
-routes give the same eigenvalue bits.  `partial_transpose` and
-`hermitian_eigenvalues` never write their input; `pt_eigenvalues` and
-`pt_extreme_eigenvalues`, which the Monte Carlo trials call, do both steps in
-their input's own memory.
+GIL, so trial workers overlap their eigensolves.  Every solve reads
+F-ordered memory in natural index order: F in place, else an F-ordered copy.
+`partial_transpose` and `hermitian_eigenvalues` never write their input;
+`pt_eigenvalues` and `pt_extreme_eigenvalues`, which the Monte Carlo trials
+call, do both steps in the memory of a writeable F-ordered float64 or
+complex128 input, as every sampler returns, and in a copy of any other.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .errors import NumericError, ParameterError, ShapeError
 HERMITICITY_RTOL = 1e-10
 
 # Python-level loops over a matrix take blocks of about this many entries:
-# _transpose_blocks runs of slabs, and in `ensembles` the Bartlett draw's and
-# the mirror's column blocks.  A block is a few numpy calls, each of which hands
-# the GIL to the other trial workers, and its temporaries stay at 256 KB
+# _transpose_blocks runs of slabs, and in `ensembles` the column blocks of the
+# Bartlett draw, of the lauum route's reversal and of the mirror.  A block is a
+# few numpy calls, each of which hands the GIL to the other trial workers, and
+# its temporaries stay at 256 KB
 _BLOCK_ENTRIES = 2**14
 
 # is_hermitian compares a with its conjugate transpose in square tiles of this
@@ -123,7 +124,7 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     and self-adjointness.  The output is a new C-ordered array.
     """
     out = np.array(_bipartite(a, shape), order="C")
-    _transpose_blocks(out.reshape(shape.d1, shape.d2, shape.d1, shape.d2), reverse=False)
+    _transpose_blocks(out.reshape(shape.d1, shape.d2, shape.d1, shape.d2))
     return out
 
 
@@ -151,71 +152,48 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     values are float64 whatever the input's precision, and for float64 and
     complex128 input exactly np.linalg.eigvalsh's, except that complex
     matrices of size `_blas.TWO_STAGE_MIN_N` or more take the two-stage
-    reduction.  The solver reads the lower triangle of a float64 or
-    complex128 copy in the input's memory order, so the input is never
-    written.  Raises NumericError on non-finite
-    entries, when the input is not self-adjoint to within HERMITICITY_RTOL,
-    or when the solver does not converge.
+    reduction.  The solver reads the lower triangle of an F-ordered float64
+    or complex128 copy, so the input is never written.  Raises NumericError
+    on non-finite entries, when the input is not self-adjoint to within
+    HERMITICITY_RTOL, or when the solver does not converge.
     """
     a = _as_square(a)
     scale = _check_self_adjoint(a)
-    return _blas.eigenvalues(np.array(a, dtype=_dtype(a)), scale)
+    return _blas.eigenvalues(np.array(a, dtype=_dtype(a), order="F"), scale)
 
 
-def _transpose_blocks(blocks: np.ndarray, reverse: bool):
+def _transpose_blocks(blocks: np.ndarray):
     """Transpose each block of the 4-index view blocks in place: blocks[i, k, j, l]
-    takes the entry at [i, l, j, k].
-
-    With `reverse` it takes the entry at [i*, l*, j*, k*], * the index
-    reversal x -> dim - 1 - x.  Either map is its own inverse, so the entries move by
-    swaps of slabs blocks[i] and blocks[i*], a run of slabs of about
-    _BLOCK_ENTRIES entries, at least one, at a time, and the copy held is
-    that run.
-    """
+    takes the entry at [i, l, j, k].  The slabs blocks[i] move a run of about
+    _BLOCK_ENTRIES entries, at least one slab, at a time, and the copy held is
+    that run."""
     d1 = blocks.shape[0]
     step = max(1, _BLOCK_ENTRIES // blocks[0].size)
-    # runs of slabs i in [a, b); reversed, the partners [d1 - b, d1 - a) of the
-    # slabs below the middle one, then the middle slab, its own partner
-    if reverse:
-        runs = [(a, min(a + step, d1 // 2)) for a in range(0, d1 // 2, step)]
-        runs += [(d1 // 2, d1 // 2 + 1)] if d1 % 2 else []
-    else:
-        runs = [(a, min(a + step, d1)) for a in range(0, d1, step)]
-    flip = (slice(None, None, -1),) * 4 if reverse else ()
-    for a, b in runs:
-        partners = slice(d1 - b, d1 - a) if reverse else slice(a, b)
-        saved = blocks[a:b].copy()
-        if partners.start != a:
-            blocks[a:b] = blocks[partners][flip].transpose(0, 3, 2, 1)
-        blocks[partners] = saved[flip].transpose(0, 3, 2, 1)
+    for a in range(0, d1, step):
+        blocks[a:a + step] = blocks[a:a + step].copy().transpose(0, 3, 2, 1)
 
 
 def _pt_solve(w, shape: BipartiteShape, ends: bool) -> np.ndarray:
     """pt_eigenvalues, or with `ends` its smallest and largest value."""
     a = _bipartite(w, shape)
     dtype = _dtype(a)
-    reverse = not (a.flags.c_contiguous or a.flags.f_contiguous)
-    memory = a[::-1, ::-1] if reverse else a
-    if not (memory.dtype == dtype and (memory.flags.c_contiguous or memory.flags.f_contiguous)
-            and memory.flags.writeable):
-        memory, reverse = np.array(a, dtype=dtype), False
-    blocks = memory.ravel(order="K").reshape(shape.d1, shape.d2, shape.d1, shape.d2)
-    _transpose_blocks(blocks, reverse)
-    return _blas.eigenvalues(memory, _check_self_adjoint(memory), ends)
+    if not (a.dtype == dtype and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, dtype=dtype, order="F")
+    _transpose_blocks(a.ravel(order="F").reshape(shape.d1, shape.d2, shape.d1, shape.d2))
+    return _blas.eigenvalues(a, _check_self_adjoint(a), ends)
 
 
 def pt_eigenvalues(w, shape: BipartiteShape) -> np.ndarray:
     """All eigenvalues, ascending, of w's partial transpose, found in w's memory.
 
-    w is consumed: its memory becomes the partial transpose and then the
-    reduction's workspace, so a trial holds one n x n buffer from its draw to
-    its eigenvalues.  w may be C- or F-ordered, or such an array reversed in
-    both indices, as sample_wishart's lauum path returns it; any other w is
-    first copied, and is then left unchanged.  The blocks of w's memory read
-    in C order are transposed in place, which leaves that memory, read in its
-    own order, holding w's partial transpose, as (A^T)^Gamma = (A^Gamma)^T;
-    a reversed w is un-reversed in the same pass, as J X J would move the
-    eigenvalues' bits.  `_blas.eigenvalues` then solves that memory on the
+    F in place, else an F-ordered copy: a writeable F-ordered float64 or
+    complex128 w, as every sampler returns, is consumed, its memory becoming
+    the partial transpose and then the reduction's workspace, so a trial
+    holds one n x n buffer from its draw to its eigenvalues; any other w is
+    first copied into such an array, and is then left unchanged.  The blocks
+    of that memory read in C order, the transpose, are transposed in place,
+    which leaves it, read in F order, holding w's partial transpose, as
+    (A^T)^Gamma = (A^Gamma)^T.  `_blas.eigenvalues` then solves it on the
     route hermitian_eigenvalues takes, so the values are those of
     hermitian_eigenvalues(partial_transpose(w, shape)), bit for bit.  Raises
     as hermitian_eigenvalues does.

@@ -113,14 +113,14 @@ def ppt_gauge(rho, shape: BipartiteShape, overwrite: bool = False) -> PPTResult:
     """PPT test and gauge for a unit-trace state on the given bipartition.
 
     Only the ends of the partial transpose's spectrum are found, by
-    `pt_extreme_eigenvalues`: lambda_min and the spectral radius.  rho is not
-    written, unless `overwrite` hands its memory to that function in place of
-    a copy."""
+    `pt_extreme_eigenvalues`: lambda_min and the spectral radius, in an
+    F-ordered copy of rho.  With `overwrite`, a writeable F-ordered float64 or
+    complex128 rho is written in place of the copy."""
     rho = np.asarray(rho)
     trace = complex(np.trace(rho)).real
     if abs(trace - 1.0) > STATE_TRACE_TOL:
         raise ParameterError(f"state trace must be 1 within {STATE_TRACE_TOL}, got {trace}")
-    lam_min, lam_max = pt_extreme_eigenvalues(rho if overwrite else rho.copy(order="K"), shape)
+    lam_min, lam_max = pt_extreme_eigenvalues(rho if overwrite else rho.copy(order="F"), shape)
     spectral_radius = max(abs(lam_min), abs(lam_max))
     is_ppt = lam_min >= -PPT_EIGENVALUE_RTOL * spectral_radius
     gauge = 1.0 - shape.n * lam_min if shape.d1 == shape.d2 else None

@@ -144,7 +144,7 @@ def test_memory_budget_refuses_workers_that_do_not_fit(monkeypatch):
 
 
 def test_worker_memory_counts_one_buffer_and_what_the_draw_holds_beside_it():
-    rows = experiments.SOLVER_WORK_ROWS
+    rows = _blas.SOLVER_WORK_ROWS
     n = 1600
     # the lauum path: the buffer, the workspace and the Bartlett draw's scratch
     # block, 2**14 // n = 10 columns of n - 1 normals below the diagonal

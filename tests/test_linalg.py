@@ -283,27 +283,14 @@ def test_evd_eigenvalues_equal_eigvalsh_bitwise(routines, n, complex_field):
 
 
 @pytest.mark.parametrize("ends", [False, True], ids=["all", "ends"])
-@pytest.mark.parametrize("route, n", [("hetrd", 2), ("hetrd", 9), ("hetrd", 225), ("zhetrd_2stage", 9),
-                                      ("zhetrd_2stage", TWO_STAGE_MIN_N)])
-def test_solvers_give_a_matrix_and_its_conjugate_the_same_bits(monkeypatch, routines, route, n, ends):
-    # linalg hands a reduction each matrix in the memory order it has, on this
-    # assumption: LAPACK reads a C-ordered buffer as its transpose, which for
-    # the self-adjoint x is conj(x), in the lower triangle, which every route
-    # reads; and every finish gives the two the same bits (two-stage, forced
-    # at n = 9, with the ends the band's bisection)
-    if route == "zhetrd_2stage":
-        monkeypatch.setattr(_blas, "TWO_STAGE_MIN_N", 1)
-        reduction = "zhetrd_he2hb" if ends else "zhetrd_2stage"
-    else:
-        reduction = "zhetrd"
-    routines.need(reduction, *(BAND_ENDS if reduction == "zhetrd_he2hb" else TRIDIAGONAL_ENDS + ALL_VALUES))
-    x = random_hermitian(n, np.random.default_rng(n))
-    assert np.array_equal(x, x.conj().T)
-    scale = _hermitian_scale(x)
-    column_major = _blas.eigenvalues(np.asfortranarray(x), scale, ends)
-    conjugate = _blas.eigenvalues(np.ascontiguousarray(x), scale, ends)
-    assert column_major.tobytes() == conjugate.tobytes()
-    assert [call.routine for call in routines.reductions] == [reduction] * 2
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_the_solver_refuses_c_ordered_work(routines, complex_field, ends):
+    # every caller hands the solver F-ordered memory in natural index order, so
+    # C-ordered work is refused before any routine runs, not read as its conjugate
+    x = random_hermitian(9, np.random.default_rng(9), complex_field)
+    with pytest.raises(ValueError, match="F-ordered"):
+        _blas.eigenvalues(np.ascontiguousarray(x), _hermitian_scale(x), ends)
+    assert routines.calls == []
 
 
 # zpbtrf calls of one band bisection: its Gershgorin interval is at most

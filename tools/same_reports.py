@@ -85,6 +85,10 @@ ARGVS = [
     ["spectrum", "--d", "17", "--p", "100", "--field", "real", "--trials", "2"],
     ["spectrum", "--d", "16", "--trials", "2", "--ensemble", "induced"],
     ["ppt", "--d", "16", "--trials", "2", "--alphas", "3", "5", "--threads", "2"],
+    # p = n = 256, the lauum route's square-factor boundary, for Wishart and
+    # for induced states
+    ["spectrum", "--d", "16", "--p", "256", "--trials", "2"],
+    ["ppt", "--d", "16", "--alphas", "1", "--trials", "2"],
     # an alpha where 1 - 2 / sqrt(alpha) and 1 - 2 sqrt(1 / alpha), the
     # semicircle's own lower edge, differ in the last bit: extremes at alpha = 2
     # and spectrum at alpha = 3
